@@ -87,8 +87,21 @@ configFromArgs(int argc, char **argv, double default_steady_s = 300.0)
         config.sut.disk.spindles = static_cast<std::size_t>(
             args.getInt("spindles", 2));
     }
-    config.sut.gc.heap.size_bytes = static_cast<std::uint64_t>(
-        args.getInt("heap_mb", 1024)) << 20;
+    // The heap must hold the JVM's startup baseline (or the collector
+    // cannot be built), and its byte count must fit 64 bits.
+    const std::int64_t heap_mb = args.getInt("heap_mb", 1024);
+    const std::int64_t min_mb =
+        static_cast<std::int64_t>(config.sut.gc.baseline_bytes >> 20) + 1;
+    const std::int64_t max_mb = std::int64_t{1} << 40;
+    if (heap_mb < min_mb || heap_mb > max_mb) {
+        std::cerr << "heap_mb=" << args.getString("heap_mb", "")
+                  << ": the heap must be " << min_mb << ".." << max_mb
+                  << " MB, larger than the " << min_mb - 1
+                  << " MB startup baseline\n";
+        std::exit(2);
+    }
+    config.sut.gc.heap.size_bytes = static_cast<std::uint64_t>(heap_mb)
+        << 20;
     config.window.heap_large_pages = args.getBool("heap_large", true);
     config.window.code_large_pages = args.getBool("code_large", false);
     // Exact fast path (`--fastpath`, default on; `--fastpath=0` for

@@ -3,7 +3,7 @@
 #include <benchmark/benchmark.h>
 
 #include "branch/direction_predictor.h"
-#include "jvm/heap.h"
+#include "jvm/gc.h"
 #include "mem/cache.h"
 #include "sim/rng.h"
 #include "stats/correlation.h"
@@ -60,28 +60,23 @@ BM_TournamentPredict(benchmark::State &state)
 BENCHMARK(BM_TournamentPredict);
 
 void
-BM_HeapAllocateFree(benchmark::State &state)
+BM_GcFillAndCollect(benchmark::State &state)
 {
-    HeapConfig config;
-    config.size_bytes = 64ull << 20;
-    Heap heap(config);
-    Rng rng(5);
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> live;
+    // One collector cycle as every workload runs it: allocate jbench's
+    // per-transaction sizes into the default 1 GB heap, one
+    // transaction every 8 simulated ms, until it refuses; then
+    // collect.
+    GarbageCollector gc(GcConfig{}, 5);
+    const std::uint64_t kib[] = {300, 550, 500, 700};
+    SimTime now = 0;
+    std::size_t i = 0;
     for (auto _ : state) {
-        if (live.size() < 1000 && heap.usableBytes() > 1 << 20) {
-            const std::uint64_t bytes = 64 + rng.below(4000);
-            const auto offset = heap.allocate(bytes);
-            if (offset)
-                live.emplace_back(*offset, bytes);
-        } else if (!live.empty()) {
-            const std::size_t pick = rng.below(live.size());
-            heap.free(live[pick].first, live[pick].second);
-            live[pick] = live.back();
-            live.pop_back();
-        }
+        while (gc.allocate(kib[i++ % 4] << 10, now))
+            now += millis(8);
+        benchmark::DoNotOptimize(gc.collect(now));
     }
 }
-BENCHMARK(BM_HeapAllocateFree);
+BENCHMARK(BM_GcFillAndCollect)->Unit(benchmark::kMillisecond);
 
 void
 BM_Pearson(benchmark::State &state)

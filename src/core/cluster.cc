@@ -188,13 +188,12 @@ ClusterUnderTest::ClusterUnderTest(
         pools_.push_back(std::make_unique<ConnectionPool>(
             pool_config, queue_, fabric_.nodeDb(n)));
         nodes_.push_back(std::make_unique<SystemUnderTest>(
-            config_.node, profiles_, registry_, seeder(), &queue_));
-        SystemUnderTest &sut = *nodes_[n];
-        sut.setRemoteDbTier(
+            config_.node, profiles_, registry_, seeder(), &queue_,
             [this, n](RequestType type, double noise,
                       SystemUnderTest::DbDone done) {
                 remoteDb(n, type, noise, std::move(done));
-            });
+            }));
+        SystemUnderTest &sut = *nodes_[n];
         sut.setCompletionHook(
             [this, n](const Request &request, SimTime finish) {
                 onNodeComplete(n, request, finish);
@@ -300,11 +299,9 @@ ClusterUnderTest::routeToNode(const Request &request)
 }
 
 std::uint64_t
-ClusterUnderTest::responseBytes(std::size_t node,
-                                RequestType type) const
+ClusterUnderTest::responseBytes(RequestType type)
 {
-    const double kb =
-        nodes_[node]->application().profile(type).response_kb;
+    const double kb = Jas2004Application::profile(type).response_kb;
     return std::max<std::uint64_t>(
         256, static_cast<std::uint64_t>(kb * 1024.0));
 }
@@ -318,7 +315,7 @@ ClusterUnderTest::onNodeComplete(std::size_t node,
     // reaches it — lb_.complete lives in the at_lb closure, not here:
     // the LB cannot observe a node-local event before a message
     // crosses the wire.
-    const std::uint64_t bytes = responseBytes(node, request.type);
+    const std::uint64_t bytes = responseBytes(request.type);
     const SimTime at_lb = fabric_.lbNode(node).deliver(
         finish, bytes, NetworkLink::Direction::Reverse);
     queue_.scheduleAt(at_lb, [this, request, node, bytes] {
@@ -419,8 +416,7 @@ ClusterUnderTest::plainDbQuery(std::size_t node, RequestType type,
                               done = std::move(done)]() mutable {
         auto outcome = std::make_shared<TxnDbOutcome>(
             db_app_->runTransaction(type));
-        const TxnProfile &profile =
-            nodes_[node]->application().profile(type);
+        const TxnProfile &profile = Jas2004Application::profile(type);
         const double burst =
             profile.db_us * noise + outcome->cost.cpu_us;
         dbBurst(burst, [this, node, outcome,
@@ -581,7 +577,7 @@ ClusterUnderTest::runDbAttempt(const std::shared_ptr<DbCall> &call,
             auditor_.noteCommitted(outcome->audit_token,
                                    outcome->commit_lsn);
         const TxnProfile &profile =
-            nodes_[call->node]->application().profile(call->type);
+            Jas2004Application::profile(call->type);
         const double burst =
             profile.db_us * call->noise + outcome->cost.cpu_us;
         dbBurst(burst, [this, call, settled, outcome] {
@@ -1146,7 +1142,7 @@ ClusterUnderTest::runShardAttempt(const std::shared_ptr<DbCall> &call,
             group.auditor().noteCommitted(outcome->audit_token,
                                           outcome->commit_lsn);
         const TxnProfile &profile =
-            nodes_[call->node]->application().profile(call->type);
+            Jas2004Application::profile(call->type);
         const double burst =
             profile.db_us * call->noise + outcome->cost.cpu_us;
         shardBurst(call->shard, burst, [this, call, settled, outcome] {

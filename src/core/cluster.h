@@ -439,8 +439,7 @@ class ClusterUnderTest
     /** Node n can currently reach the member serving `shard`. */
     bool nodeReachesShard(std::size_t node, std::size_t shard) const;
 
-    std::uint64_t responseBytes(std::size_t node,
-                                RequestType type) const;
+    static std::uint64_t responseBytes(RequestType type);
 };
 
 } // namespace jasim

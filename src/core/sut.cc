@@ -12,7 +12,7 @@ SystemUnderTest::SystemUnderTest(
     const SutConfig &config,
     std::shared_ptr<const WorkloadProfiles> profiles,
     std::shared_ptr<const MethodRegistry> registry, std::uint64_t seed,
-    EventQueue *external_queue)
+    EventQueue *external_queue, RemoteDbTier remote_db)
     : config_(config), profiles_(std::move(profiles)),
       registry_(std::move(registry)),
       owned_queue_(external_queue ? nullptr
@@ -21,12 +21,17 @@ SystemUnderTest::SystemUnderTest(
       scheduler_(config.cpus),
       disk_(config.disk), gc_(config.gc, seed ^ 0x6cull),
       jit_(config.jit, *registry_),
-      app_(config.db, config.injection_rate, seed ^ 0xdbull),
       web_(config.web), ejb_(config.ejb),
       pool_(queue_, config.was_threads, "WebContainer"),
-      rng_(seed)
+      rng_(seed), remote_db_(std::move(remote_db))
 {
     assert(profiles_ && registry_);
+    // The application seeds its own RNG, so building it or not moves
+    // nothing else.
+    if (!remote_db_) {
+        app_ = std::make_unique<Jas2004Application>(
+            config.db, config.injection_rate, seed ^ 0xdbull);
+    }
     if (config_.admission.webEnabled()) {
         adm::AdmissionConfig admission = config_.admission;
         if (admission.max_concurrent == 0)
@@ -107,7 +112,7 @@ SystemUnderTest::dispatch(const Request &request)
     pool_.submit([this, request](SimTime, ThreadPool::Done done) {
         auto job = std::make_shared<Job>();
         job->request = request;
-        job->profile = &app_.profile(request.type);
+        job->profile = &Jas2004Application::profile(request.type);
         job->noise = demandNoise();
         if (admission_) {
             // The admission slot frees with the WAS thread, whatever
@@ -280,7 +285,7 @@ SystemUnderTest::advanceJob(const std::shared_ptr<Job> &job)
                        });
             return;
         }
-        job->db = app_.runTransaction(type);
+        job->db = app_->runTransaction(type);
         const double burst =
             profile.db_us * noise + job->db.cost.cpu_us;
         runBurst(job, burst, Component::Db2);

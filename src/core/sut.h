@@ -113,12 +113,16 @@ class SystemUnderTest
      * @param external_queue when non-null, run on this event queue
      *        instead of an internally owned one, so several nodes and
      *        a network fabric share one simulated clock.
+     * @param remote_db when set, the external data tier that runs
+     *        every transaction's DB stage (cluster mode); the node
+     *        then builds no local application database.
      */
     SystemUnderTest(const SutConfig &config,
                     std::shared_ptr<const WorkloadProfiles> profiles,
                     std::shared_ptr<const MethodRegistry> registry,
                     std::uint64_t seed,
-                    EventQueue *external_queue = nullptr);
+                    EventQueue *external_queue = nullptr,
+                    RemoteDbTier remote_db = {});
 
     /** Begin injecting load over [0, end). */
     void start(SimTime end);
@@ -129,12 +133,6 @@ class SystemUnderTest
      * Requests injected while the node is down fail immediately.
      */
     void inject(const Request &request) { handleRequest(request); }
-
-    /** Install an external data tier (cluster mode). */
-    void setRemoteDbTier(RemoteDbTier tier)
-    {
-        remote_db_ = std::move(tier);
-    }
 
     /** Install a completion observer (cluster roll-up). */
     void setCompletionHook(CompletionHook hook)
@@ -180,7 +178,6 @@ class SystemUnderTest
     JitCompiler &jit() { return jit_; }
     ResponseTracker &tracker() { return tracker_; }
     const ResponseTracker &tracker() const { return tracker_; }
-    Jas2004Application &application() { return app_; }
     WebContainer &webContainer() { return web_; }
     EjbContainer &ejbContainer() { return ejb_; }
     ThreadPool &threadPool() { return pool_; }
@@ -219,7 +216,7 @@ class SystemUnderTest
     DiskModel disk_;
     GarbageCollector gc_;
     JitCompiler jit_;
-    Jas2004Application app_;
+    std::unique_ptr<Jas2004Application> app_; //!< null with remote_db_
     WebContainer web_;
     EjbContainer ejb_;
     ThreadPool pool_;

@@ -1,8 +1,9 @@
 #include "jvm/gc.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "sim/distributions.h"
 
@@ -11,7 +12,9 @@ namespace jasim {
 GarbageCollector::GarbageCollector(const GcConfig &config,
                                    std::uint64_t seed)
     : config_(config), heap_(config.heap), graph_(seed ^ 0x9c0full),
-      rng_(seed), last_live_bytes_(config.baseline_bytes)
+      rng_(seed), last_live_bytes_(config.baseline_bytes),
+      object_mu_(std::log(config.object_mean_bytes) -
+                 config.object_sigma * config.object_sigma / 2.0)
 {
     // Long-lived baseline: application server structures, caches,
     // class metadata. Rooted effectively forever.
@@ -19,7 +22,12 @@ GarbageCollector::GarbageCollector(const GcConfig &config,
     while (allocated < config_.baseline_bytes) {
         const std::uint32_t bytes = drawObjectBytes();
         const auto offset = heap_.allocate(bytes);
-        assert(offset && "baseline must fit the heap");
+        if (!offset) {
+            throw std::invalid_argument(
+                "a heap of " + std::to_string(config_.heap.size_bytes) +
+                " bytes cannot hold the startup baseline of " +
+                std::to_string(config_.baseline_bytes) + " bytes");
+        }
         graph_.addCell(*offset, bytes,
                        secs(config_.permanent_lifetime_s) + 1,
                        config_.edge_probability);
@@ -45,10 +53,8 @@ GarbageCollector::drawLifetime()
 std::uint32_t
 GarbageCollector::drawObjectBytes()
 {
-    const double sigma = config_.object_sigma;
-    const double mu = std::log(config_.object_mean_bytes) -
-        sigma * sigma / 2.0;
-    const double draw = drawLogNormal(rng_, mu, sigma);
+    const double draw =
+        drawLogNormal(rng_, object_mu_, config_.object_sigma);
     return static_cast<std::uint32_t>(std::clamp(draw, 64.0, 65536.0));
 }
 
@@ -85,10 +91,14 @@ GarbageCollector::collect(SimTime now, GcCause cause)
         config_.mark_ns_per_byte / 1e6;
     last_live_bytes_ = mark.live_bytes;
 
+    // Every unmarked cell is dead, so the sweep's size is known now.
+    swept_.clear();
+    swept_.reserve(graph_.cellCount() - mark.live_cells);
     event.reclaimed_cells = graph_.sweep(
-        [this](std::uint64_t offset, std::uint64_t bytes) {
-            heap_.free(offset, bytes);
+        [this](std::uint64_t offset, std::uint32_t bytes) {
+            swept_.push_back(Heap::Block{offset, bytes, 0});
         });
+    heap_.free(swept_);
     event.sweep_ms = static_cast<double>(config_.heap.size_bytes) *
         config_.sweep_ns_per_byte / 1e6;
     event.freed_bytes = event.used_before - heap_.usedBytes();

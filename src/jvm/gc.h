@@ -18,6 +18,7 @@
 #define JASIM_JVM_GC_H
 
 #include <cstdint>
+#include <vector>
 
 #include "jvm/heap.h"
 #include "jvm/object_graph.h"
@@ -71,6 +72,11 @@ struct GcConfig
 class GarbageCollector
 {
   public:
+    /**
+     * Builds the heap and allocates the startup baseline.
+     * @throws std::invalid_argument when the heap cannot hold
+     *         config.baseline_bytes.
+     */
     GarbageCollector(const GcConfig &config, std::uint64_t seed);
 
     /**
@@ -99,6 +105,10 @@ class GarbageCollector
     Rng rng_;
     VerboseGcLog log_;
     std::uint64_t last_live_bytes_;
+    /** Log-normal mu of the object-size draw. */
+    double object_mu_;
+    /** Blocks of the current sweep, in sweep order; reused. */
+    std::vector<Heap::Block> swept_;
 
     SimTime drawLifetime();
     std::uint32_t drawObjectBytes();

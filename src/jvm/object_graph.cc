@@ -1,8 +1,14 @@
 #include "jvm/object_graph.h"
 
 #include <deque>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 namespace jasim {
+
+// Cell, key and link make a 56-byte node: one 64-byte pool slot.
+static_assert(sizeof(Cell) == 40);
 
 CellId
 ObjectGraph::addCell(std::uint64_t heap_offset, std::uint32_t bytes,
@@ -21,8 +27,15 @@ ObjectGraph::addCell(std::uint64_t heap_offset, std::uint32_t bytes,
         const CellId from =
             recent_[rng_.below(recent_.size())];
         auto it = cells_.find(from);
-        if (it != cells_.end() && it->second.edges.size() < 4)
-            it->second.edges.push_back(id);
+        if (it != cells_.end() && it->second.edge_count < Cell::maxEdges) {
+            if (id > std::numeric_limits<std::uint32_t>::max())
+                throw std::overflow_error(
+                    "ObjectGraph: cell id " + std::to_string(id) +
+                    " does not fit a 32-bit edge");
+            Cell &holder = it->second;
+            holder.edges[holder.edge_count++] =
+                static_cast<std::uint32_t>(id);
+        }
     }
 
     if (recent_.size() < recentCapacity) {
@@ -60,9 +73,11 @@ ObjectGraph::mark()
         auto it = cells_.find(id);
         if (it == cells_.end())
             continue;
+        const Cell &cell = it->second;
         ++result.live_cells;
-        result.live_bytes += it->second.bytes;
-        for (const CellId ref : it->second.edges) {
+        result.live_bytes += cell.bytes;
+        for (std::uint8_t e = 0; e < cell.edge_count; ++e) {
+            const CellId ref = cell.edges[e];
             ++result.visited_edges;
             auto ref_it = cells_.find(ref);
             if (ref_it != cells_.end() && !ref_it->second.marked) {

@@ -13,7 +13,9 @@
 #ifndef JASIM_JVM_OBJECT_GRAPH_H
 #define JASIM_JVM_OBJECT_GRAPH_H
 
+#include <array>
 #include <cstdint>
+#include <memory_resource>
 #include <unordered_map>
 #include <vector>
 
@@ -25,15 +27,18 @@ namespace jasim {
 /** Identifier of an allocated cell. */
 using CellId = std::uint64_t;
 
-/** One allocation unit. */
+/** One allocation unit: 40 bytes, with no storage of its own. */
 struct Cell
 {
+    static constexpr std::size_t maxEdges = 4;
+
     std::uint64_t heap_offset = 0;
-    std::uint32_t bytes = 0;
     /** Root expiry; 0 means not rooted. */
     SimTime root_expiry = 0;
-    /** Outgoing references. */
-    std::vector<CellId> edges;
+    std::uint32_t bytes = 0;
+    /** Outgoing references (ids below 2^32), in the order added. */
+    std::array<std::uint32_t, maxEdges> edges{};
+    std::uint8_t edge_count = 0;
     bool marked = false;
 };
 
@@ -51,12 +56,15 @@ struct MarkResult
 class ObjectGraph
 {
   public:
-    explicit ObjectGraph(std::uint64_t seed) : rng_(seed) {}
+    explicit ObjectGraph(std::uint64_t seed) : rng_(seed), cells_(&pool_) {}
 
     /**
      * Register a new cell rooted until `expiry`.
      * With `edge_probability` an edge is added from a random recent
-     * cell to the new one (so some cells outlive their root).
+     * cell to the new one (so some cells outlive their root), unless
+     * that cell already holds Cell::maxEdges.
+     * @throws std::overflow_error when an edge would need an id of
+     *         2^32 or more (about 160 simulated hours of one node).
      */
     CellId addCell(std::uint64_t heap_offset, std::uint32_t bytes,
                    SimTime expiry, double edge_probability = 0.2);
@@ -70,7 +78,8 @@ class ObjectGraph
     /**
      * Sweep: invoke `reclaim(offset, bytes)` on every unmarked cell
      * and remove it from the graph. Returns the number reclaimed.
-     * Clears marks on survivors.
+     * Clears marks on survivors. Cells are visited in the iteration
+     * order of `cells_`, which decides the heap's later tie-breaks.
      */
     template <typename Reclaim>
     std::uint64_t
@@ -109,7 +118,18 @@ class ObjectGraph
 
   private:
     Rng rng_;
-    std::unordered_map<CellId, Cell> cells_;
+    /**
+     * Cell nodes come from this pool, packed one per 64-byte slot, so
+     * the mark and sweep scans touch one cache line per cell.
+     */
+    std::pmr::unsynchronized_pool_resource pool_;
+    /**
+     * Every simulated output depends on this container's iteration
+     * order (see sweep()). Its key type, hash and growth policy are
+     * part of the model: changing any of them, or reserve()ing it,
+     * reorders the sweep and moves the results. The allocator is not.
+     */
+    std::pmr::unordered_map<CellId, Cell> cells_;
     std::vector<CellId> recent_; //!< ring of recently allocated ids
     std::size_t recent_head_ = 0;
     CellId next_id_ = 1;

@@ -1,5 +1,6 @@
 #include "was/application.h"
 
+#include <array>
 #include <cassert>
 #include <string>
 
@@ -16,6 +17,60 @@ constexpr double workordersPerIr = 200.0;
 
 /** Key-popularity skew of the application's accesses. */
 constexpr double keyZipfS = 0.50;
+
+std::array<TxnProfile, requestTypeCount>
+buildProfiles()
+{
+    std::array<TxnProfile, requestTypeCount> profiles;
+    auto &browse =
+        profiles[static_cast<std::size_t>(RequestType::Browse)];
+    browse.was_jit_us = 9600;
+    browse.was_other_us = 8600;
+    browse.web_us = 3800;
+    browse.db_us = 6000;
+    browse.kernel_us = 6200;
+    browse.alloc_bytes = 300 * 1024;
+    browse.beans = BeanPlan{3, 4};
+    browse.response_kb = 8.0;
+    browse.method_invocations = 1500;
+
+    auto &purchase =
+        profiles[static_cast<std::size_t>(RequestType::Purchase)];
+    purchase.was_jit_us = 16300;
+    purchase.was_other_us = 14800;
+    purchase.web_us = 5000;
+    purchase.db_us = 10400;
+    purchase.kernel_us = 10700;
+    purchase.alloc_bytes = 550 * 1024;
+    purchase.beans = BeanPlan{5, 9};
+    purchase.response_kb = 6.0;
+    purchase.method_invocations = 2600;
+
+    auto &manage =
+        profiles[static_cast<std::size_t>(RequestType::Manage)];
+    manage.was_jit_us = 15300;
+    manage.was_other_us = 13600;
+    manage.web_us = 4500;
+    manage.db_us = 9600;
+    manage.kernel_us = 9700;
+    manage.alloc_bytes = 500 * 1024;
+    manage.beans = BeanPlan{4, 7};
+    manage.response_kb = 6.0;
+    manage.method_invocations = 2400;
+
+    auto &workorder = profiles[static_cast<std::size_t>(
+        RequestType::CreateWorkOrder)];
+    workorder.was_jit_us = 19800;
+    workorder.was_other_us = 17900;
+    workorder.web_us = 0;
+    workorder.db_us = 12100;
+    workorder.kernel_us = 14500;
+    workorder.alloc_bytes = 700 * 1024;
+    workorder.beans = BeanPlan{6, 11};
+    workorder.response_kb = 0.0;
+    workorder.method_invocations = 3200;
+    return profiles;
+}
 
 } // namespace
 
@@ -39,7 +94,14 @@ Jas2004Application::Jas2004Application(const DbConfig &db_config,
     assert(injection_rate > 0.0);
     createSchema();
     populate(injection_rate);
-    buildProfiles();
+}
+
+const TxnProfile &
+Jas2004Application::profile(RequestType type)
+{
+    static const std::array<TxnProfile, requestTypeCount> profiles =
+        buildProfiles();
+    return profiles[static_cast<std::size_t>(type)];
 }
 
 void
@@ -133,58 +195,6 @@ Jas2004Application::populate(double injection_rate)
 
     db_.createSecondaryIndex(inventory_t, "vehicle_id");
     db_.createSecondaryIndex(orders_t, "customer_id");
-}
-
-void
-Jas2004Application::buildProfiles()
-{
-    auto &browse =
-        profiles_[static_cast<std::size_t>(RequestType::Browse)];
-    browse.was_jit_us = 9600;
-    browse.was_other_us = 8600;
-    browse.web_us = 3800;
-    browse.db_us = 6000;
-    browse.kernel_us = 6200;
-    browse.alloc_bytes = 300 * 1024;
-    browse.beans = BeanPlan{3, 4};
-    browse.response_kb = 8.0;
-    browse.method_invocations = 1500;
-
-    auto &purchase =
-        profiles_[static_cast<std::size_t>(RequestType::Purchase)];
-    purchase.was_jit_us = 16300;
-    purchase.was_other_us = 14800;
-    purchase.web_us = 5000;
-    purchase.db_us = 10400;
-    purchase.kernel_us = 10700;
-    purchase.alloc_bytes = 550 * 1024;
-    purchase.beans = BeanPlan{5, 9};
-    purchase.response_kb = 6.0;
-    purchase.method_invocations = 2600;
-
-    auto &manage =
-        profiles_[static_cast<std::size_t>(RequestType::Manage)];
-    manage.was_jit_us = 15300;
-    manage.was_other_us = 13600;
-    manage.web_us = 4500;
-    manage.db_us = 9600;
-    manage.kernel_us = 9700;
-    manage.alloc_bytes = 500 * 1024;
-    manage.beans = BeanPlan{4, 7};
-    manage.response_kb = 6.0;
-    manage.method_invocations = 2400;
-
-    auto &workorder = profiles_[static_cast<std::size_t>(
-        RequestType::CreateWorkOrder)];
-    workorder.was_jit_us = 19800;
-    workorder.was_other_us = 17900;
-    workorder.web_us = 0;
-    workorder.db_us = 12100;
-    workorder.kernel_us = 14500;
-    workorder.alloc_bytes = 700 * 1024;
-    workorder.beans = BeanPlan{6, 11};
-    workorder.response_kb = 0.0;
-    workorder.method_invocations = 3200;
 }
 
 void

@@ -12,7 +12,6 @@
 #ifndef JASIM_WAS_APPLICATION_H
 #define JASIM_WAS_APPLICATION_H
 
-#include <array>
 #include <cstdint>
 
 #include "db/database.h"
@@ -67,11 +66,8 @@ class Jas2004Application
     /** Run the data-tier work of one transaction. */
     TxnDbOutcome runTransaction(RequestType type);
 
-    /** Service-demand profile of a request type. */
-    const TxnProfile &profile(RequestType type) const
-    {
-        return profiles_[static_cast<std::size_t>(type)];
-    }
+    /** Service-demand profile of a request type (one constant table). */
+    static const TxnProfile &profile(RequestType type);
 
     Database &database() { return db_; }
     const Database &database() const { return db_; }
@@ -91,7 +87,6 @@ class Jas2004Application
   private:
     Database db_;
     Rng rng_;
-    std::array<TxnProfile, requestTypeCount> profiles_;
 
     std::uint32_t customers_ = 0;
     std::uint32_t vehicles_ = 0;
@@ -113,7 +108,6 @@ class Jas2004Application
 
     void createSchema();
     void populate(double injection_rate);
-    void buildProfiles();
 
     TxnDbOutcome runBrowse();
     TxnDbOutcome runPurchase();

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <stdexcept>
+#include <string>
+
 #include "jvm/gc.h"
+#include "stats/digest.h"
 
 namespace jasim {
 namespace {
@@ -127,6 +132,70 @@ TEST(GcTest, CompactionTriggersOnHighFragmentation)
         EXPECT_GT(event.compact_ms, 0.0);
     }
     EXPECT_TRUE(gc.heap().accountingConsistent());
+}
+
+TEST(GcTest, HeapSmallerThanBaselineThrows)
+{
+    GcConfig config; // 120 MB startup baseline
+    config.heap.size_bytes = 100ull << 20;
+    try {
+        GarbageCollector gc(config, 1);
+        FAIL() << "a 100 MB heap took the 120 MB baseline";
+    } catch (const std::invalid_argument &error) {
+        const std::string what = error.what();
+        EXPECT_NE(what.find("104857600"), std::string::npos) << what;
+        EXPECT_NE(what.find("125829120"), std::string::npos) << what;
+    }
+    config.heap.size_bytes = 0;
+    EXPECT_THROW(GarbageCollector(config, 1), std::invalid_argument);
+    config.heap.size_bytes = 121ull << 20;
+    EXPECT_NO_THROW(GarbageCollector(config, 1));
+}
+
+TEST(GcTest, ExactnessDigestIsPinned)
+{
+    // jbench's four per-transaction allocation sizes (browse,
+    // purchase, manage, work order) at 30 per simulated second for
+    // 120 s on a 320 MB heap, collecting whenever an allocation
+    // fails. Which free chunk each cell takes -- best fit, the first
+    // inserted among equal sizes, sweep frees in cell-map order --
+    // decides the fragmentation every later number depends on. The
+    // digest was taken from the map-based heap this one replaced;
+    // freeing a sweep in offset order instead changes it.
+    GcConfig config;
+    config.heap.size_bytes = 320ull << 20;
+    GarbageCollector gc(config, 1000);
+    const std::uint64_t kib[] = {300, 550, 500, 700};
+    Digest digest;
+    for (int i = 0; i < 30 * 120; ++i) {
+        const SimTime now = secs(static_cast<double>(i) / 30.0);
+        const std::uint64_t bytes = kib[i % 4] << 10;
+        bool ok = gc.allocate(bytes, now);
+        digest.mix(ok);
+        if (ok)
+            continue;
+        const GcEvent e = gc.collect(now);
+        digest.mix(e.start);
+        digest.mix(static_cast<std::uint64_t>(e.cause));
+        digest.mix(std::bit_cast<std::uint64_t>(e.mark_ms));
+        digest.mix(std::bit_cast<std::uint64_t>(e.sweep_ms));
+        digest.mix(std::bit_cast<std::uint64_t>(e.compact_ms));
+        digest.mix(e.compacted);
+        digest.mix(e.used_before);
+        digest.mix(e.used_after);
+        digest.mix(e.live_bytes);
+        digest.mix(e.dark_bytes);
+        digest.mix(e.freed_bytes);
+        digest.mix(e.live_cells);
+        digest.mix(e.reclaimed_cells);
+        digest.mix(gc.heap().freeChunkCount());
+        digest.mix(gc.heap().darkBytes());
+        ok = gc.allocate(bytes, now);
+        ASSERT_TRUE(ok) << "allocation failed right after a collection";
+        digest.mix(ok);
+    }
+    EXPECT_EQ(gc.log().events().size(), 10u);
+    EXPECT_EQ(digest.value(), 0xdfe08e294f7ea777ull);
 }
 
 } // namespace

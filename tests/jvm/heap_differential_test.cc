@@ -1,0 +1,262 @@
+/**
+ * Differential test: jasim::Heap against the map-based ReferenceHeap.
+ *
+ * Both heaps receive the same seeded calls -- allocate, single free,
+ * batch free (the reference frees the batch one block at a time, in
+ * the given order) and compact. After every call they must agree on
+ * the offset returned (or the failure), usedBytes, usableBytes,
+ * darkBytes and freeChunkCount. Request sizes come from small sets so
+ * that chunks of equal size, and with them tie-breaks, are common.
+ */
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <numeric>
+#include <optional>
+#include <vector>
+
+#include "jvm/heap.h"
+#include "reference_heap.h"
+#include "sim/rng.h"
+
+namespace jasim {
+namespace {
+
+/** The heap under test and the reference, driven in lockstep. */
+class Twin
+{
+  public:
+    explicit Twin(const HeapConfig &config) : heap_(config), ref_(config)
+    {
+    }
+
+    std::optional<std::uint64_t> allocate(std::uint64_t bytes)
+    {
+        const auto got = heap_.allocate(bytes);
+        const auto want = ref_.allocate(bytes);
+        EXPECT_EQ(got, want) << "allocate(" << bytes << ")";
+        return got;
+    }
+
+    void free(std::uint64_t offset, std::uint64_t bytes)
+    {
+        heap_.free(offset, bytes);
+        ref_.free(offset, bytes);
+    }
+
+    /** Frees `blocks` as one batch here, one by one in the reference. */
+    void freeBatch(std::vector<Heap::Block> blocks)
+    {
+        for (const Heap::Block &block : blocks)
+            ref_.free(block.offset, block.bytes);
+        heap_.free(blocks);
+    }
+
+    void compact(std::uint64_t live_bytes)
+    {
+        EXPECT_EQ(heap_.compact(live_bytes), ref_.compact(live_bytes));
+    }
+
+    /** Every observable of the two heaps matches. */
+    ::testing::AssertionResult agrees() const
+    {
+        if (heap_.usedBytes() != ref_.usedBytes() ||
+            heap_.usableBytes() != ref_.usableBytes() ||
+            heap_.darkBytes() != ref_.darkBytes() ||
+            heap_.freeChunkCount() != ref_.freeChunkCount()) {
+            return ::testing::AssertionFailure()
+                << "used " << heap_.usedBytes() << " vs "
+                << ref_.usedBytes() << ", usable " << heap_.usableBytes()
+                << " vs " << ref_.usableBytes() << ", dark "
+                << heap_.darkBytes() << " vs " << ref_.darkBytes()
+                << ", chunks " << heap_.freeChunkCount() << " vs "
+                << ref_.freeChunkCount();
+        }
+        if (!heap_.accountingConsistent())
+            return ::testing::AssertionFailure() << "heap inconsistent";
+        return ::testing::AssertionSuccess();
+    }
+
+    const Heap &heap() const { return heap_; }
+
+  private:
+    Heap heap_;
+    ReferenceHeap ref_;
+};
+
+/** One collector-like run: fill, sweep a batch, sometimes compact. */
+struct Script
+{
+    std::uint64_t seed;
+    std::uint64_t heap_bytes;
+    std::uint32_t dark_threshold;
+    std::vector<std::uint64_t> sizes;
+    int cycles;
+};
+
+void
+runScript(const Script &script)
+{
+    HeapConfig config;
+    config.size_bytes = script.heap_bytes;
+    config.dark_threshold = script.dark_threshold;
+    Twin twin(config);
+    Rng rng(script.seed);
+    std::vector<Heap::Block> live;
+
+    auto freeOne = [&] {
+        const std::size_t pick = rng.below(live.size());
+        twin.free(live[pick].offset, live[pick].bytes);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+    };
+
+    for (int cycle = 0; cycle < script.cycles; ++cycle) {
+        // Mutator: allocate until the heap refuses, with a few single
+        // frees mixed in.
+        for (int step = 0;; ++step) {
+            if (!live.empty() && rng.chance(0.08)) {
+                freeOne();
+            } else {
+                const std::uint64_t bytes =
+                    script.sizes[rng.below(script.sizes.size())];
+                const auto offset = twin.allocate(bytes);
+                if (!offset)
+                    break;
+                live.push_back({*offset, static_cast<std::uint32_t>(bytes),
+                                0});
+            }
+            ASSERT_TRUE(twin.agrees())
+                << "seed " << script.seed << " cycle " << cycle
+                << " step " << step;
+        }
+
+        // Collector: free a random share of the live blocks as one
+        // batch, in shuffled (not offset) order.
+        std::vector<Heap::Block> dead;
+        std::vector<Heap::Block> kept;
+        const double share = 0.5 + 0.45 * rng.uniform();
+        for (const Heap::Block &block : live)
+            (rng.chance(share) ? dead : kept).push_back(block);
+        for (std::size_t i = dead.size(); i > 1; --i)
+            std::swap(dead[i - 1], dead[rng.below(i)]);
+        twin.freeBatch(dead);
+        live = std::move(kept);
+        ASSERT_TRUE(twin.agrees())
+            << "seed " << script.seed << " cycle " << cycle << " sweep";
+
+        if (cycle % 5 == 4) {
+            std::uint64_t cursor = 0;
+            for (Heap::Block &block : live) {
+                block.offset = cursor;
+                cursor += block.bytes;
+            }
+            twin.compact(cursor);
+            ASSERT_TRUE(twin.agrees())
+                << "seed " << script.seed << " cycle " << cycle
+                << " compact";
+        }
+    }
+}
+
+TEST(HeapDifferentialTest, SweepCyclesMatchReference)
+{
+    const std::vector<Script> scripts{
+        {1, 1ull << 20, 1024, {512, 1024, 1536, 3072}, 25},
+        {2, 1ull << 20, 1024, {700, 2048, 2048, 4096}, 25},
+        {3, (3ull << 20) + 100, 512, {256, 512, 768, 1024, 6000}, 15},
+        {4, 256ull << 10, 4096, {1024, 2048, 4096, 8192}, 40},
+        {5, 64ull << 10, 1, {64, 128, 192}, 40},
+        {6, 2ull << 20, 1024, {300, 550, 500, 700}, 20},
+    };
+    for (const Script &script : scripts) {
+        runScript(script);
+        if (HasFatalFailure())
+            return;
+    }
+}
+
+TEST(HeapDifferentialTest, RandomizedChurnMatchesReference)
+{
+    // Single allocates and frees only, with sizes spread over 64..4063
+    // bytes: the long-standing churn input.
+    HeapConfig config;
+    config.size_bytes = 1024 * 1024;
+    Twin twin(config);
+    Rng rng(11);
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> live;
+    for (int i = 0; i < 20000; ++i) {
+        if (live.empty() || rng.chance(0.55)) {
+            const std::uint64_t bytes = 64 + rng.below(4000);
+            const auto offset = twin.allocate(bytes);
+            if (offset)
+                live.emplace_back(*offset, bytes);
+        } else {
+            const std::size_t pick = rng.below(live.size());
+            twin.free(live[pick].first, live[pick].second);
+            live.erase(live.begin() +
+                       static_cast<std::ptrdiff_t>(pick));
+        }
+        ASSERT_TRUE(twin.agrees()) << "iter " << i;
+    }
+}
+
+TEST(HeapDifferentialTest, BatchFreeEqualsFreeingOneByOne)
+{
+    // Twenty equal 2 KiB holes, each isolated by a live guard block,
+    // freed in a scrambled order: later 2 KiB requests must take the
+    // holes in exactly that order, as single frees would.
+    HeapConfig config;
+    config.size_bytes = 1ull << 20;
+    Heap batched(config);
+    Heap single(config);
+    std::vector<Heap::Block> holes;
+    for (int i = 0; i < 20; ++i) {
+        const auto hole = batched.allocate(2048);
+        ASSERT_EQ(hole, single.allocate(2048));
+        ASSERT_EQ(batched.allocate(64), single.allocate(64)); // guard
+        holes.push_back({*hole, 2048, 0});
+    }
+    std::vector<std::size_t> order(holes.size());
+    std::iota(order.begin(), order.end(), 0);
+    Rng rng(77);
+    for (std::size_t i = order.size(); i > 1; --i)
+        std::swap(order[i - 1], order[rng.below(i)]);
+
+    std::vector<Heap::Block> batch;
+    for (const std::size_t i : order) {
+        batch.push_back(holes[i]);
+        single.free(holes[i].offset, holes[i].bytes);
+    }
+    batched.free(batch);
+    EXPECT_EQ(batched.freeChunkCount(), single.freeChunkCount());
+    EXPECT_EQ(batched.usableBytes(), single.usableBytes());
+    for (const std::size_t i : order) {
+        const auto offset = batched.allocate(2048);
+        EXPECT_EQ(offset, single.allocate(2048));
+        EXPECT_EQ(offset, holes[i].offset);
+    }
+    EXPECT_TRUE(batched.accountingConsistent());
+}
+
+TEST(HeapDifferentialTest, BatchCoalescesRunsThroughFreeChunks)
+{
+    // Blocks A B C D E in a row; C is already free, so freeing A, B,
+    // D and E in one batch must leave one chunk covering all five
+    // plus the tail, exactly as single frees would.
+    HeapConfig config;
+    config.size_bytes = 64 * 1024;
+    Twin twin(config);
+    std::vector<Heap::Block> blocks;
+    for (int i = 0; i < 5; ++i)
+        blocks.push_back({*twin.allocate(1000), 1000, 0});
+    twin.free(blocks[2].offset, blocks[2].bytes);
+    ASSERT_TRUE(twin.agrees());
+    twin.freeBatch({blocks[4], blocks[0], blocks[3], blocks[1]});
+    ASSERT_TRUE(twin.agrees());
+    EXPECT_EQ(twin.heap().freeChunkCount(), 1u);
+    EXPECT_EQ(twin.heap().usedBytes(), 0u);
+}
+
+} // namespace
+} // namespace jasim

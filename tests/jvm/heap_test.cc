@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "jvm/heap.h"
-#include "sim/rng.h"
 
 namespace jasim {
 namespace {
@@ -119,29 +118,6 @@ TEST(HeapTest, BestFitPrefersTightChunk)
     // A 6 KB request should take the 8 KB hole, not the 64 KB one.
     const auto d = *heap.allocate(6 * 1024);
     EXPECT_EQ(d, a);
-}
-
-TEST(HeapTest, RandomizedChurnKeepsInvariants)
-{
-    Heap heap(smallHeap());
-    Rng rng(11);
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> live;
-    for (int i = 0; i < 20000; ++i) {
-        if (live.empty() || rng.chance(0.55)) {
-            const std::uint64_t bytes = 64 + rng.below(4000);
-            const auto offset = heap.allocate(bytes);
-            if (offset)
-                live.emplace_back(*offset, bytes);
-        } else {
-            const std::size_t pick = rng.below(live.size());
-            heap.free(live[pick].first, live[pick].second);
-            live.erase(live.begin() +
-                       static_cast<std::ptrdiff_t>(pick));
-        }
-        if (i % 2000 == 0)
-            ASSERT_TRUE(heap.accountingConsistent()) << "iter " << i;
-    }
-    EXPECT_TRUE(heap.accountingConsistent());
 }
 
 } // namespace
