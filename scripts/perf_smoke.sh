@@ -9,7 +9,8 @@
 #    on a memory-bound bench — the fast path's whole contract (and
 #    micro_memwalk itself exits 1 if its arms' checksums diverge);
 #  - pinned sha256 goldens for fig08_l1d, a healthy abl_cluster_scaling
-#    run, and the scaled-down abl_recovery and abl_replication sweeps.
+#    run, and the scaled-down abl_recovery and abl_replication sweeps;
+#  - pinned jbench digests for its three workloads at two seeds.
 #
 # Soft gate (warning only): the microbench speedup target (>= 1.5x
 # over the std::function baseline) and the parallel wall-clock win
@@ -136,6 +137,35 @@ check_golden() {
 check_golden "$tmp/fp_on.txt" "$FIG08_GOLDEN" fig08_l1d
 check_golden "$tmp/nofaults.txt" "$CLUSTER_GOLDEN" abl_cluster_scaling
 echo "goldens: fig08_l1d and abl_cluster_scaling match the pre-recovery digests"
+
+echo "== perf-smoke: pinned jbench digests =="
+# The goldens above cannot see the order in which the JVM heap model
+# breaks best-fit ties: under offset-ordered frees both FIG08 and
+# CLUSTER still matched, and only jbench's box_paper digest moved.
+# jbench's digests cover every simulated output of its three workloads.
+# The pins are identical in Release and RelWithDebInfo builds.
+JBENCH_BUILD="$BUILD-jbench"
+cmake -S jbench -B "$JBENCH_BUILD" -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build "$JBENCH_BUILD" -j --target jbench_workload
+
+# check_jbench <workload> <seed> <pinned digest>
+check_jbench() {
+    local got
+    "$JBENCH_BUILD/jbench_workload" --workload "$1" --seed "$2" >"$tmp/jbench.json"
+    got="$(python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["digest"])' "$tmp/jbench.json")"
+    if [[ "$got" != "$3" ]]; then
+        echo "FAIL: jbench $1 seed $2 drifted from the pinned digest:" >&2
+        echo "  got $got want $3" >&2
+        exit 1
+    fi
+}
+check_jbench box_paper 42 17b0c223f18a32d1
+check_jbench box_paper 7919 ccaff18a31e0fe5a
+check_jbench cluster_steady 42 5146b6eb386b60eb
+check_jbench cluster_steady 7919 1e5ae95c78c42585
+check_jbench cluster_chaos 42 4c089958424e993b
+check_jbench cluster_chaos 7919 3fb133fc5d1e07e5
+echo "jbench: box_paper, cluster_steady and cluster_chaos match their pinned digests at seeds 42 and 7919"
 
 echo "== perf-smoke: abl_recovery determinism + audit gate =="
 # Same seed + schedule must give byte-identical stdout regardless of

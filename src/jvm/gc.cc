@@ -83,8 +83,7 @@ GarbageCollector::collect(SimTime now, GcCause cause)
     event.cause = cause;
     event.used_before = heap_.usedBytes();
 
-    graph_.expireRoots(now);
-    const MarkResult mark = graph_.mark();
+    const MarkResult mark = graph_.mark(now);
     event.live_bytes = mark.live_bytes;
     event.live_cells = mark.live_cells;
     event.mark_ms = static_cast<double>(mark.live_bytes) *

@@ -23,16 +23,31 @@
  * A sweep frees all of its blocks in one sorted pass (free(span))
  * and ends in exactly the state that freeing them one by one, in the
  * given order, would leave.
+ *
+ * The indexes are built for the collector's traffic, where most
+ * requests are carved from the front of one large chunk:
+ *
+ *  - free chunks are found by their end offset, which carving from
+ *    the front leaves unchanged, so an allocation touches the offset
+ *    map only when it uses a chunk up;
+ *  - usable chunks of up to maxBinnedBytes sit in exact-size bins,
+ *    each in insertion order, and a three-level bitmap finds the
+ *    smallest non-empty bin that fits;
+ *  - larger usable chunks sit in a set ordered by (size, insertion);
+ *    the smallest one serves most requests, and carving it keeps it
+ *    first, so it is re-keyed in place.
  */
 
 #ifndef JASIM_JVM_HEAP_H
 #define JASIM_JVM_HEAP_H
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <optional>
 #include <set>
 #include <span>
+#include <vector>
 
 #include "sim/types.h"
 
@@ -49,8 +64,10 @@ struct HeapConfig
 /**
  * Byte-granular heap with a coalescing, size-indexed free list.
  *
- * Offsets are heap-relative. allocate() and a single free() are
- * O(log chunks); a batch free of n blocks is O(n log n).
+ * Offsets are heap-relative. allocate() of up to maxBinnedBytes is
+ * O(1) unless it uses a chunk up or takes one out of the large set
+ * (O(log chunks)); a batch free of n blocks is O(n) plus O(log
+ * chunks) per free run.
  */
 class Heap
 {
@@ -63,6 +80,13 @@ class Heap
         std::uint32_t order = 0; //!< set by free(): position in batch
     };
 
+    /**
+     * Usable chunks up to this size are binned by exact size. It is
+     * the largest cell the collector draws, so larger requests (and
+     * the set search they take) occur only in tests.
+     */
+    static constexpr std::uint32_t maxBinnedBytes = 65536;
+
     /** @throws std::invalid_argument when config.size_bytes is 0. */
     explicit Heap(const HeapConfig &config);
 
@@ -72,19 +96,25 @@ class Heap
      * Allocate `bytes` (best fit among usable chunks). Returns the
      * offset, or nullopt when no usable chunk is large enough (the
      * GC trigger).
+     * @throws std::invalid_argument when `bytes` is 0.
      */
     std::optional<std::uint64_t> allocate(std::uint64_t bytes);
 
     /**
      * Return a block (below 4 GiB) to the free list, coalescing
      * neighbours.
+     * @throws std::invalid_argument, leaving the heap unchanged, when
+     *         the block is empty, overlaps free space (a double free)
+     *         or runs past the end of the heap.
      */
     void free(std::uint64_t offset, std::uint64_t bytes);
 
     /**
      * Free every block of `blocks` with the same result as calling
-     * free() on each in the given order. Sorts `blocks` by offset in
-     * place and overwrites their `order`.
+     * free() on each in the given order. Reorders `blocks` and
+     * overwrites their `order`.
+     * @throws std::invalid_argument as free() does; the blocks below
+     *         the offending one are then free, the others are not.
      */
     void free(std::span<Block> blocks);
 
@@ -101,12 +131,13 @@ class Heap
     std::uint64_t darkBytes() const { return free_ - usable_; }
 
     /** Number of free chunks (fragmentation measure). */
-    std::size_t freeChunkCount() const { return chunks_.size(); }
+    std::size_t freeChunkCount() const { return ends_.size(); }
 
     /**
      * Compact: slide live data to offset 0, leaving one free block.
      * The caller supplies total live bytes. Returns recovered dark
      * bytes.
+     * @throws std::invalid_argument when live_bytes exceeds the heap.
      */
     std::uint64_t compact(std::uint64_t live_bytes);
 
@@ -114,21 +145,34 @@ class Heap
     bool accountingConsistent() const;
 
   private:
-    /** A free chunk; `seq` orders chunks of equal size by insertion. */
+    static constexpr std::uint32_t none = 0xffff'ffff;
+    static constexpr std::size_t binWords = maxBinnedBytes / 64 + 1;
+    static constexpr std::size_t binWordGroups = binWords / 64 + 1;
+
+    /**
+     * A free chunk; `seq` orders chunks of equal size by insertion.
+     * A binned chunk links to its bin neighbours (a circular list); a
+     * released record links to the next released one.
+     */
     struct Chunk
     {
+        std::uint64_t offset;
         std::uint64_t size;
         std::uint64_t seq;
+        std::uint32_t prev;
+        std::uint32_t next;
     };
 
-    using Chunks = std::map<std::uint64_t, Chunk>; //!< by offset
-
-    /** A usable chunk in best-fit order: size, then insertion. */
+    /**
+     * A large usable chunk in best-fit order: size, then insertion.
+     * The key is mutable so that allocate() can re-key the first entry
+     * where it stands when carving keeps it first.
+     */
     struct Fit
     {
-        std::uint64_t size;
-        std::uint64_t seq;
-        Chunks::iterator chunk;
+        mutable std::uint64_t size;
+        mutable std::uint64_t seq;
+        std::uint32_t chunk;
 
         bool operator<(const Fit &other) const
         {
@@ -137,19 +181,38 @@ class Heap
         }
     };
 
+    using Ends = std::map<std::uint64_t, std::uint32_t>;
+
     HeapConfig config_;
-    Chunks chunks_;
-    std::set<Fit> by_size_; //!< usable chunks only
+    std::vector<Chunk> chunks_; //!< records, indexed by number
+    std::uint32_t released_ = none; //!< first reusable record
+    Ends ends_;                 //!< free chunks by end offset
+    std::vector<std::uint32_t> bins_; //!< first chunk of each size
+    /** Bit b: bin b is non-empty. */
+    std::array<std::uint64_t, binWords> bin_bits_{};
+    /** Bit w: bin_bits_[w] is non-zero. */
+    std::array<std::uint64_t, binWordGroups> word_bits_{};
+    /** Bit g: word_bits_[g] is non-zero. */
+    std::uint64_t group_bits_ = 0;
+    std::set<Fit> large_; //!< usable chunks above maxBinnedBytes
     std::uint64_t next_seq_ = 0;
     std::uint64_t used_ = 0;
     std::uint64_t free_ = 0;
     std::uint64_t usable_ = 0;
 
-    void insertChunk(Chunks::const_iterator hint, std::uint64_t offset,
-                     std::uint64_t bytes, std::uint64_t seq);
-    /** Add a chunk to the best-fit index when it is usable. */
-    void indexChunk(Chunks::iterator chunk);
-    Chunks::iterator eraseChunk(Chunks::iterator it);
+    std::uint32_t newRecord();
+    void releaseRecord(std::uint32_t chunk);
+    /** Add a chunk to the bins or the large set when it is usable. */
+    void indexChunk(std::uint32_t chunk);
+    void unindexChunk(std::uint32_t chunk);
+    void pushBin(std::uint32_t chunk);
+    void unlinkBin(std::uint32_t chunk);
+    /** The smallest non-empty bin at or above `bytes`, or none. */
+    std::uint32_t nextBin(std::uint64_t bytes) const;
+    /** Free the sorted blocks, recording each run by its last block. */
+    void freeRuns(std::span<const Block> sorted, std::uint64_t base_seq,
+                  std::vector<std::uint32_t> &runs);
+    [[noreturn]] void rejectBlock(const Block &block) const;
 };
 
 } // namespace jasim

@@ -1,39 +1,33 @@
 #include "jvm/object_graph.h"
 
-#include <deque>
 #include <limits>
 #include <stdexcept>
 #include <string>
 
 namespace jasim {
 
-// Cell, key and link make a 56-byte node: one 64-byte pool slot.
-static_assert(sizeof(Cell) == 40);
-
 CellId
 ObjectGraph::addCell(std::uint64_t heap_offset, std::uint32_t bytes,
                      SimTime expiry, double edge_probability)
 {
     const CellId id = next_id_++;
-    Cell cell;
+    Cell &cell = cells_.insert(id);
     cell.heap_offset = heap_offset;
     cell.bytes = bytes;
     cell.root_expiry = expiry;
-    cells_.emplace(id, std::move(cell));
 
     // Occasionally a recent object takes a reference to the new one,
     // letting it survive its own root (session state, caches).
     if (!recent_.empty() && rng_.chance(edge_probability)) {
         const CellId from =
             recent_[rng_.below(recent_.size())];
-        auto it = cells_.find(from);
-        if (it != cells_.end() && it->second.edge_count < Cell::maxEdges) {
+        Cell *holder = cells_.find(from);
+        if (holder && holder->edge_count < Cell::maxEdges) {
             if (id > std::numeric_limits<std::uint32_t>::max())
                 throw std::overflow_error(
                     "ObjectGraph: cell id " + std::to_string(id) +
                     " does not fit a 32-bit edge");
-            Cell &holder = it->second;
-            holder.edges[holder.edge_count++] =
+            holder->edges[holder->edge_count++] =
                 static_cast<std::uint32_t>(id);
         }
     }
@@ -47,41 +41,28 @@ ObjectGraph::addCell(std::uint64_t heap_offset, std::uint32_t bytes,
     return id;
 }
 
-void
-ObjectGraph::expireRoots(SimTime now)
-{
-    for (auto &[id, cell] : cells_) {
-        if (cell.root_expiry != 0 && cell.root_expiry < now)
-            cell.root_expiry = 0;
-    }
-}
-
 MarkResult
-ObjectGraph::mark()
+ObjectGraph::mark(SimTime now)
 {
     MarkResult result;
-    std::deque<CellId> work;
-    for (auto &[id, cell] : cells_) {
+    std::vector<Cell *> work; // FIFO: the traversal is breadth-first
+    cells_.forEach([&work, now](CellId, Cell &cell) {
+        if (cell.root_expiry != 0 && cell.root_expiry < now)
+            cell.root_expiry = 0;
         if (cell.root_expiry != 0 && !cell.marked) {
             cell.marked = true;
-            work.push_back(id);
+            work.push_back(&cell);
         }
-    }
-    while (!work.empty()) {
-        const CellId id = work.front();
-        work.pop_front();
-        auto it = cells_.find(id);
-        if (it == cells_.end())
-            continue;
-        const Cell &cell = it->second;
+    });
+    for (std::size_t next = 0; next < work.size(); ++next) {
+        const Cell &cell = *work[next];
         ++result.live_cells;
         result.live_bytes += cell.bytes;
         for (std::uint8_t e = 0; e < cell.edge_count; ++e) {
-            const CellId ref = cell.edges[e];
             ++result.visited_edges;
-            auto ref_it = cells_.find(ref);
-            if (ref_it != cells_.end() && !ref_it->second.marked) {
-                ref_it->second.marked = true;
+            Cell *ref = cells_.find(cell.edges[e]);
+            if (ref && !ref->marked) {
+                ref->marked = true;
                 work.push_back(ref);
             }
         }
@@ -93,16 +74,15 @@ std::uint64_t
 ObjectGraph::totalBytes() const
 {
     std::uint64_t total = 0;
-    for (const auto &[id, cell] : cells_)
-        total += cell.bytes;
+    cells_.forEach(
+        [&total](CellId, const Cell &cell) { total += cell.bytes; });
     return total;
 }
 
 const Cell *
 ObjectGraph::find(CellId id) const
 {
-    const auto it = cells_.find(id);
-    return it == cells_.end() ? nullptr : &it->second;
+    return cells_.find(id);
 }
 
 void
@@ -112,7 +92,7 @@ ObjectGraph::rebuildRecent()
     std::vector<CellId> survivors;
     survivors.reserve(recent_.size());
     for (const CellId id : recent_) {
-        if (cells_.count(id))
+        if (cells_.find(id))
             survivors.push_back(id);
     }
     recent_ = std::move(survivors);

@@ -13,34 +13,14 @@
 #ifndef JASIM_JVM_OBJECT_GRAPH_H
 #define JASIM_JVM_OBJECT_GRAPH_H
 
-#include <array>
 #include <cstdint>
-#include <memory_resource>
-#include <unordered_map>
 #include <vector>
 
+#include "jvm/cell_table.h"
 #include "sim/rng.h"
 #include "sim/types.h"
 
 namespace jasim {
-
-/** Identifier of an allocated cell. */
-using CellId = std::uint64_t;
-
-/** One allocation unit: 40 bytes, with no storage of its own. */
-struct Cell
-{
-    static constexpr std::size_t maxEdges = 4;
-
-    std::uint64_t heap_offset = 0;
-    /** Root expiry; 0 means not rooted. */
-    SimTime root_expiry = 0;
-    std::uint32_t bytes = 0;
-    /** Outgoing references (ids below 2^32), in the order added. */
-    std::array<std::uint32_t, maxEdges> edges{};
-    std::uint8_t edge_count = 0;
-    bool marked = false;
-};
 
 /** Result of a mark traversal. */
 struct MarkResult
@@ -56,7 +36,7 @@ struct MarkResult
 class ObjectGraph
 {
   public:
-    explicit ObjectGraph(std::uint64_t seed) : rng_(seed), cells_(&pool_) {}
+    explicit ObjectGraph(std::uint64_t seed) : rng_(seed) {}
 
     /**
      * Register a new cell rooted until `expiry`.
@@ -69,33 +49,33 @@ class ObjectGraph
     CellId addCell(std::uint64_t heap_offset, std::uint32_t bytes,
                    SimTime expiry, double edge_probability = 0.2);
 
-    /** Remove roots that expired before `now`. */
-    void expireRoots(SimTime now);
-
-    /** Mark all cells reachable from live roots. */
-    MarkResult mark();
+    /**
+     * Remove roots that expired before `now`, then mark all cells
+     * reachable from the live ones. Roots enter the traversal in the
+     * iteration order of the cell table.
+     */
+    MarkResult mark(SimTime now);
 
     /**
      * Sweep: invoke `reclaim(offset, bytes)` on every unmarked cell
      * and remove it from the graph. Returns the number reclaimed.
      * Clears marks on survivors. Cells are visited in the iteration
-     * order of `cells_`, which decides the heap's later tie-breaks.
+     * order of the cell table, which decides the heap's later
+     * tie-breaks.
      */
     template <typename Reclaim>
     std::uint64_t
     sweep(Reclaim &&reclaim)
     {
-        std::uint64_t reclaimed = 0;
-        for (auto it = cells_.begin(); it != cells_.end();) {
-            if (!it->second.marked) {
-                reclaim(it->second.heap_offset, it->second.bytes);
-                it = cells_.erase(it);
-                ++reclaimed;
-            } else {
-                it->second.marked = false;
-                ++it;
-            }
-        }
+        const std::uint64_t reclaimed =
+            cells_.eraseIf([&reclaim](CellId, Cell &cell) {
+                if (cell.marked) {
+                    cell.marked = false;
+                    return false;
+                }
+                reclaim(cell.heap_offset, cell.bytes);
+                return true;
+            });
         rebuildRecent();
         return reclaimed;
     }
@@ -105,8 +85,7 @@ class ObjectGraph
     void
     forEachCell(Fn &&fn)
     {
-        for (auto &[id, cell] : cells_)
-            fn(cell);
+        cells_.forEach([&fn](CellId, Cell &cell) { fn(cell); });
     }
 
     std::size_t cellCount() const { return cells_.size(); }
@@ -118,18 +97,8 @@ class ObjectGraph
 
   private:
     Rng rng_;
-    /**
-     * Cell nodes come from this pool, packed one per 64-byte slot, so
-     * the mark and sweep scans touch one cache line per cell.
-     */
-    std::pmr::unsynchronized_pool_resource pool_;
-    /**
-     * Every simulated output depends on this container's iteration
-     * order (see sweep()). Its key type, hash and growth policy are
-     * part of the model: changing any of them, or reserve()ing it,
-     * reorders the sweep and moves the results. The allocator is not.
-     */
-    std::pmr::unordered_map<CellId, Cell> cells_;
+    /** Every simulated output depends on its iteration order. */
+    CellTable cells_;
     std::vector<CellId> recent_; //!< ring of recently allocated ids
     std::size_t recent_head_ = 0;
     CellId next_id_ = 1;

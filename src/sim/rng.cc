@@ -2,25 +2,6 @@
 
 namespace jasim {
 
-std::uint64_t
-splitMix64(std::uint64_t &state)
-{
-    std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
-namespace {
-
-inline std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
-} // namespace
-
 Rng::Rng(std::uint64_t seed)
 {
     std::uint64_t sm = seed;
@@ -37,60 +18,11 @@ Rng::fork(std::uint64_t stream_id)
     return Rng(splitMix64(sm));
 }
 
-Rng::result_type
-Rng::operator()()
-{
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-
-    return result;
-}
-
-double
-Rng::uniform()
-{
-    // 53 high bits -> double in [0, 1).
-    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-}
-
-double
-Rng::uniform(double lo, double hi)
-{
-    return lo + (hi - lo) * uniform();
-}
-
-std::uint64_t
-Rng::below(std::uint64_t n)
-{
-    // Multiply-shift bounded draw (Lemire); bias is negligible for
-    // the n used in simulation and the method is branch-free.
-    const unsigned __int128 m =
-        static_cast<unsigned __int128>((*this)()) * n;
-    return static_cast<std::uint64_t>(m >> 64);
-}
-
 std::int64_t
 Rng::range(std::int64_t lo, std::int64_t hi)
 {
     return lo + static_cast<std::int64_t>(
         below(static_cast<std::uint64_t>(hi - lo + 1)));
-}
-
-bool
-Rng::chance(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return uniform() < p;
 }
 
 } // namespace jasim

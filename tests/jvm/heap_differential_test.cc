@@ -161,6 +161,10 @@ runScript(const Script &script)
 
 TEST(HeapDifferentialTest, SweepCyclesMatchReference)
 {
+    // Usable chunks up to Heap::maxBinnedBytes sit in bins, larger
+    // ones in a set: scripts 7 to 9 request both sides of that
+    // ceiling, 8 and 9 with a dark threshold above it (no bins).
+    constexpr std::uint64_t ceiling = Heap::maxBinnedBytes;
     const std::vector<Script> scripts{
         {1, 1ull << 20, 1024, {512, 1024, 1536, 3072}, 25},
         {2, 1ull << 20, 1024, {700, 2048, 2048, 4096}, 25},
@@ -168,11 +172,65 @@ TEST(HeapDifferentialTest, SweepCyclesMatchReference)
         {4, 256ull << 10, 4096, {1024, 2048, 4096, 8192}, 40},
         {5, 64ull << 10, 1, {64, 128, 192}, 40},
         {6, 2ull << 20, 1024, {300, 550, 500, 700}, 20},
+        {7, 4ull << 20, 1024,
+         {2048, ceiling - 1, ceiling, ceiling + 1, 90000, 200000}, 15},
+        {8, 4ull << 20, 100000, {4096, 70000, 120000}, 15},
+        {9, (6ull << 20) + 7, ceiling + 2, {64, 3000, ceiling, 131072},
+         12},
     };
     for (const Script &script : scripts) {
         runScript(script);
         if (HasFatalFailure())
             return;
+    }
+}
+
+TEST(HeapDifferentialTest, LargeChunkCarvedAcrossTheCeiling)
+{
+    // A chunk just above the ceiling, isolated by live guards, is the
+    // smallest large chunk: a small request carves it into a bin, and
+    // further requests take from it there.
+    HeapConfig config;
+    config.size_bytes = 1ull << 20;
+    Twin twin(config);
+    const std::uint64_t hole = Heap::maxBinnedBytes + 1500;
+    const auto offset = twin.allocate(hole);
+    ASSERT_TRUE(offset);
+    ASSERT_TRUE(twin.allocate(64)); // guard
+    twin.free(*offset, hole);
+    ASSERT_TRUE(twin.agrees());
+    for (const std::uint64_t bytes : {1000, 1000, 65000, 1000, 70000}) {
+        twin.allocate(bytes);
+        ASSERT_TRUE(twin.agrees()) << "after allocate(" << bytes << ")";
+    }
+}
+
+TEST(HeapDifferentialTest, EqualSizeRunsJoinTheirBinInFreeOrder)
+{
+    // Sixteen 3000-byte holes between live guards, each two blocks
+    // (1000 + 2000), freed in one shuffled batch: every hole becomes
+    // a run of the same size whose insertion rank (its last-freed
+    // block) is out of offset order. 3000-byte requests must then take
+    // the runs in that rank order, as one-by-one frees would.
+    HeapConfig config;
+    config.size_bytes = 1ull << 20;
+    Twin twin(config);
+    std::vector<Heap::Block> batch;
+    for (int i = 0; i < 16; ++i) {
+        const auto a = twin.allocate(1000);
+        const auto b = twin.allocate(2000);
+        ASSERT_TRUE(a && b && twin.allocate(64)); // guard
+        batch.push_back({*a, 1000, 0});
+        batch.push_back({*b, 2000, 0});
+    }
+    Rng rng(5);
+    for (std::size_t i = batch.size(); i > 1; --i)
+        std::swap(batch[i - 1], batch[rng.below(i)]);
+    twin.freeBatch(batch);
+    ASSERT_TRUE(twin.agrees());
+    for (int i = 0; i < 20; ++i) {
+        twin.allocate(3000);
+        ASSERT_TRUE(twin.agrees()) << "allocation " << i;
     }
 }
 

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "jvm/heap.h"
 
 namespace jasim {
@@ -118,6 +122,82 @@ TEST(HeapTest, BestFitPrefersTightChunk)
     // A 6 KB request should take the 8 KB hole, not the 64 KB one.
     const auto d = *heap.allocate(6 * 1024);
     EXPECT_EQ(d, a);
+}
+
+/** What `fn` throws as std::invalid_argument, or "" if nothing. */
+template <typename Fn>
+std::string
+rejection(Fn &&fn)
+{
+    try {
+        fn();
+    } catch (const std::invalid_argument &error) {
+        return error.what();
+    }
+    return "";
+}
+
+TEST(HeapTest, ZeroByteAllocationThrows)
+{
+    Heap heap(smallHeap());
+    const auto a = *heap.allocate(1000);
+    EXPECT_NE(rejection([&] { heap.allocate(0); }).find("0 bytes"),
+              std::string::npos);
+    // The refused call took nothing and re-ranked nothing.
+    EXPECT_EQ(heap.allocate(500), a + 1000);
+    EXPECT_EQ(heap.usedBytes(), 1500u);
+    EXPECT_TRUE(heap.accountingConsistent());
+}
+
+TEST(HeapTest, ZeroByteFreeThrows)
+{
+    Heap heap(smallHeap());
+    *heap.allocate(1000);
+    const auto b = *heap.allocate(1000);
+    *heap.allocate(1000);
+    const std::string why = rejection([&] { heap.free(b, 0); });
+    EXPECT_NE(why.find("offset " + std::to_string(b) + " of 0 bytes"),
+              std::string::npos)
+        << why;
+    EXPECT_EQ(heap.freeChunkCount(), 1u);
+    EXPECT_EQ(heap.usedBytes(), 3000u);
+    EXPECT_TRUE(heap.accountingConsistent());
+}
+
+TEST(HeapTest, DoubleFreeThrows)
+{
+    Heap heap(smallHeap());
+    const auto a = *heap.allocate(1000);
+    const auto b = *heap.allocate(1000);
+    heap.free(a, 1000);
+    const std::string why = rejection([&] { heap.free(a, 1000); });
+    EXPECT_NE(why.find("offset " + std::to_string(a) + " of 1000 bytes"),
+              std::string::npos)
+        << why;
+    // Reaching from a live block into a free chunk is a double free
+    // too, and so is running past the end of the heap.
+    EXPECT_NE(rejection([&] { heap.free(b, 2000); }), "");
+    EXPECT_NE(rejection([&] { heap.free(a + 500, 1000); }), "");
+    EXPECT_NE(rejection([&] { heap.free(1024 * 1024 - 10, 20); }), "");
+    EXPECT_EQ(heap.usedBytes(), 1000u);
+    EXPECT_EQ(heap.freeChunkCount(), 2u);
+    EXPECT_TRUE(heap.accountingConsistent());
+}
+
+TEST(HeapTest, BatchWithARepeatedBlockThrows)
+{
+    // The blocks below the offending one are freed, and the heap stays
+    // consistent.
+    Heap heap(smallHeap());
+    const auto a = *heap.allocate(1000);
+    *heap.allocate(1000);
+    const auto c = *heap.allocate(1000);
+    *heap.allocate(1000);
+    std::vector<Heap::Block> batch{{c, 1000, 0}, {a, 1000, 0}, {c, 1000, 0}};
+    EXPECT_NE(rejection([&] { heap.free(batch); }), "");
+    EXPECT_EQ(heap.usedBytes(), 2000u);
+    EXPECT_EQ(heap.freeChunkCount(), 3u);
+    EXPECT_TRUE(heap.accountingConsistent());
 }
 
 } // namespace

@@ -10,7 +10,7 @@ TEST(ObjectGraphTest, RootedCellsAreLive)
     ObjectGraph graph(1);
     graph.addCell(0, 100, secs(10), 0.0);
     graph.addCell(100, 200, secs(10), 0.0);
-    const MarkResult mark = graph.mark();
+    const MarkResult mark = graph.mark(0);
     EXPECT_EQ(mark.live_cells, 2u);
     EXPECT_EQ(mark.live_bytes, 300u);
 }
@@ -20,8 +20,7 @@ TEST(ObjectGraphTest, ExpiredRootsDie)
     ObjectGraph graph(2);
     graph.addCell(0, 100, secs(1), 0.0);
     graph.addCell(100, 200, secs(10), 0.0);
-    graph.expireRoots(secs(5));
-    const MarkResult mark = graph.mark();
+    const MarkResult mark = graph.mark(secs(5));
     EXPECT_EQ(mark.live_cells, 1u);
     EXPECT_EQ(mark.live_bytes, 200u);
 }
@@ -31,8 +30,7 @@ TEST(ObjectGraphTest, SweepReclaimsExactlyUnmarked)
     ObjectGraph graph(3);
     graph.addCell(0, 100, secs(1), 0.0);
     graph.addCell(100, 200, secs(10), 0.0);
-    graph.expireRoots(secs(5));
-    graph.mark();
+    graph.mark(secs(5));
     std::uint64_t reclaimed_bytes = 0;
     const auto reclaimed = graph.sweep(
         [&](std::uint64_t, std::uint64_t bytes) {
@@ -50,8 +48,8 @@ TEST(ObjectGraphTest, EdgesKeepUnrootedCellsAlive)
     // edge probability of 1 and a single recent cell.
     graph.addCell(0, 100, secs(100), 0.0);   // long-lived holder
     graph.addCell(100, 50, secs(1), 1.0);    // referenced by holder
-    graph.expireRoots(secs(5)); // second cell's root expires
-    const MarkResult mark = graph.mark();
+    // The second cell's root expires.
+    const MarkResult mark = graph.mark(secs(5));
     EXPECT_EQ(mark.live_cells, 2u); // edge keeps it reachable
     EXPECT_GE(mark.visited_edges, 1u);
 }
@@ -60,10 +58,10 @@ TEST(ObjectGraphTest, MarkClearsAfterSweep)
 {
     ObjectGraph graph(5);
     graph.addCell(0, 100, secs(100), 0.0);
-    graph.mark();
+    graph.mark(0);
     graph.sweep([](std::uint64_t, std::uint64_t) {});
     // Survivors must be re-markable (marks cleared).
-    const MarkResult again = graph.mark();
+    const MarkResult again = graph.mark(0);
     EXPECT_EQ(again.live_cells, 1u);
 }
 
@@ -83,8 +81,7 @@ TEST(ObjectGraphTest, ChainedReachability)
     for (int i = 1; i < 50; ++i)
         graph.addCell(static_cast<std::uint64_t>(i) * 8, 8, secs(1),
                       1.0);
-    graph.expireRoots(secs(5));
-    const MarkResult mark = graph.mark();
+    const MarkResult mark = graph.mark(secs(5));
     // Everything still reachable through the edge chain from the root
     // (edge fanout caps may trim the tail, but far more than 1 lives).
     EXPECT_GT(mark.live_cells, 10u);
