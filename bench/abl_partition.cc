@@ -141,7 +141,6 @@ main(int argc, char **argv)
             config.db_cpus =
                 static_cast<std::size_t>(args.getInt("db_cpus", 1));
             config.faults = FaultSchedule::parse(chaos.str());
-            config.db_recovery.force_enabled = true;
             config.db_recovery.checkpoint_interval_s =
                 args.getDouble("ckpt", 5.0);
             config.repl.shards = 2;

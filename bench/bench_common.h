@@ -14,8 +14,9 @@
  *
  * Cluster-aware benches additionally accept the replication axis
  * (see replFromArgs): `--shards N --replicas R --sync-mode
- * {sync,async}`. The defaults (1/0/async) leave the replicated tier
- * disabled and the cluster byte-identical to a pre-repl build.
+ * {sync,async}`. The defaults (1/0/async) are one unreplicated shard
+ * group, the single shared DB box, and arm nothing replication needs:
+ * the cluster stays byte-identical to a pre-repl build.
  *
  * Every bench also writes a machine-readable perf record to
  * `out/BENCH_<name>.json` (schema documented on PerfReport below) so

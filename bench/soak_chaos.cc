@@ -133,7 +133,6 @@ soakOne(std::uint64_t seed,
     config.node.injection_rate = 15.0;
     config.node.driver.ramp_up_s = kRamp;
     config.db_pool.max_connections = 16;
-    config.db_recovery.force_enabled = true;
     config.db_recovery.checkpoint_interval_s = 5.0;
     config.repl.shards = 2;
     config.repl.replicas = 2;

@@ -61,117 +61,104 @@ chargeRecovery(DiskModel &disk, const RecoveryStats &stats, SimTime now)
 
 } // namespace
 
+ArmedSet
+armedFeatures(const ClusterConfig &config)
+{
+    ArmedSet armed;
+    armed.replication = config.repl.enabled();
+    armed.recovery = armed.replication || config.faults.hasDbFault() ||
+        config.db_recovery.force_enabled;
+    armed.resilience = !config.faults.empty() ||
+        config.resilience.force_enabled ||
+        (!armed.replication && config.db_recovery.force_enabled);
+    armed.admission = config.node.admission.enabled();
+    // A fault or a failover blackout must shed load, not wedge
+    // connections: attempts get deadlines and retries.
+    armed.deadline = armed.resilience || armed.replication;
+    armed.retry = armed.deadline;
+    armed.breaker = armed.resilience && !armed.replication;
+    // Saturation at the DB tier must propagate upstream as an error,
+    // not as an unbounded connection queue.
+    armed.bounded_acquire =
+        armed.admission || armed.resilience || armed.replication;
+    armed.lease = armed.replication &&
+        (config.faults.hasPartition() || config.faults.hasSwitchover());
+    return armed;
+}
+
 ClusterUnderTest::ClusterUnderTest(
     const ClusterConfig &config,
     std::shared_ptr<const WorkloadProfiles> profiles,
     std::shared_ptr<const MethodRegistry> registry, std::uint64_t seed)
-    : config_(config), profiles_(std::move(profiles)),
-      registry_(std::move(registry)),
+    : config_(config), armed_(armedFeatures(config)),
+      profiles_(std::move(profiles)), registry_(std::move(registry)),
       fabric_(config.fabric, config.nodes, seed ^ 0x4e7ull),
-      lb_(config.lb, config.nodes), db_scheduler_(config.db_cpus),
-      db_disk_(config.db_disk), seed_(seed),
+      lb_(config.lb, config.nodes), seed_(seed),
       retry_(config.resilience.retry), retry_rng_(seed ^ 0x7e7a1ull),
+      shard_map_(config.repl.shards),
+      failover_(queue_, config.repl.failover),
       route_rng_(seed ^ 0x5a4dull)
 {
     assert(profiles_ && registry_ && config_.nodes > 0);
 
-    repl_on_ = config_.repl.enabled();
-    if (repl_on_) {
-        // Sharded/replicated tier: the key space splits across shard
-        // groups, each populated for its share of the aggregate IR.
-        // The legacy single shared box (db_app_) is never built.
-        shard_map_ =
-            std::make_unique<repl::ShardMap>(config_.repl.shards);
-        failover_ = std::make_unique<repl::FailoverController>(
-            queue_, config_.repl.failover);
-        shard_outages_.resize(shard_map_->shardCount());
-        Rng shard_seeder(seed ^ 0xdb0ull);
-        for (std::size_t s = 0; s < shard_map_->shardCount(); ++s) {
-            repl::ShardGroupConfig sc;
-            sc.db = config_.node.db;
-            sc.injection_rate = config_.totalInjectionRate() /
-                static_cast<double>(shard_map_->shardCount());
-            sc.cpus = config_.db_cpus;
-            sc.disk = config_.db_disk;
-            sc.replicas = config_.repl.replicas;
-            sc.replica = config_.repl.replica;
-            sc.sync = config_.repl.sync;
-            shards_.push_back(std::make_unique<repl::ShardGroup>(
-                queue_, sc, shard_seeder()));
+    // The key space splits across shard groups, each populated for
+    // its share of the aggregate IR, as the real benchmark scales its
+    // initial database with load. The unreplicated tier is one group,
+    // the shared DB box, and keeps that box's own DB seed.
+    Rng shard_seeder(seed ^ 0xdb0ull);
+    for (std::size_t s = 0; s < shard_map_.shardCount(); ++s) {
+        repl::ShardGroupConfig sc;
+        sc.db = config_.node.db;
+        sc.injection_rate = config_.totalInjectionRate() /
+            static_cast<double>(shard_map_.shardCount());
+        sc.cpus = config_.db_cpus;
+        sc.quantum_us = config_.db_quantum_us;
+        sc.disk = config_.db_disk;
+        sc.recovery = armed_.recovery;
+        sc.replicas = config_.repl.replicas;
+        sc.replica = config_.repl.replica;
+        sc.sync = config_.repl.sync;
+        shards_.push_back(std::make_unique<repl::ShardGroup>(
+            queue_, sc,
+            armed_.replication ? shard_seeder() : seed ^ 0xdb0ull));
+    }
+    shard_outages_.resize(shards_.size());
+    if (armed_.lease) {
+        stale_remnants_.resize(shards_.size());
+        for (std::size_t s = 0; s < shards_.size(); ++s) {
+            shards_[s]->armLease(
+                config_.repl.lease, [this, s](std::size_t r) {
+                    return fabric_.reachable(
+                        servingEndpoint(s),
+                        NetEndpoint::dbReplica(s, r));
+                });
         }
-        // Lease/fencing machinery arms only when the schedule can
-        // split the fabric or hand a primary off; an unleased group
-        // is byte-identical to a build without partition support.
-        lease_on_ = config_.faults.hasPartition() ||
-            config_.faults.hasSwitchover() ||
-            config_.repl.lease.force_enabled;
-        if (lease_on_) {
-            stale_remnants_.resize(shards_.size());
-            for (std::size_t s = 0; s < shards_.size(); ++s) {
-                shards_[s]->armLease(
-                    config_.repl.lease, [this, s](std::size_t r) {
-                        return fabric_.reachable(
-                            servingEndpoint(s),
-                            NetEndpoint::dbReplica(s, r));
-                    });
-            }
-        }
-    } else {
-        // The shared DB node is populated for the aggregate IR, as the
-        // real benchmark scales its initial database with load.
-        db_app_ = std::make_unique<Jas2004Application>(
-            config_.node.db, config_.totalInjectionRate(),
-            seed ^ 0xdb0ull);
     }
 
-    // In repl mode the per-shard machinery (group auditors, failover,
-    // per-shard ARIES fallback) replaces the legacy single-box one.
-    db_recovery_on_ = !repl_on_ &&
-        (config_.faults.hasDbFault() ||
-         config_.db_recovery.force_enabled);
-    // A DB fault needs the resilient EJB->DB path (fail-fast checks,
-    // per-attempt deadlines) to survive the outage.
-    resilience_on_ = !config_.faults.empty() ||
-        config_.resilience.force_enabled || db_recovery_on_;
-    if (db_recovery_on_) {
-        if (config_.db_recovery.audit)
-            db_app_->enableAudit();
-        db_app_->database().enableRecovery();
-    }
     // Admission control arms the whole backpressure ladder: the
     // balancer's in-flight cap, the per-node accept queue (built by
-    // each SystemUnderTest), and a bounded EJB->DB pool acquire on
-    // the plain path below. Default (none) leaves all of it off.
-    adm_on_ = config_.node.admission.enabled();
-    if (adm_on_)
+    // each SystemUnderTest), and a bounded EJB->DB pool acquire.
+    if (armed_.admission)
         lb_.setInFlightCap(config_.node.admission.lb_inflight_cap);
 
     ConnectionPoolConfig pool_config = config_.db_pool;
-    if (adm_on_ && !resilience_on_ && !repl_on_ &&
+    if (armed_.bounded_acquire &&
         pool_config.acquire_timeout_us <= 0.0 &&
         config_.resilience.pool_acquire_timeout_s > 0.0) {
-        // Saturation at the DB tier must propagate upstream as an
-        // error, not as an unbounded connection queue.
         pool_config.acquire_timeout_us =
             config_.resilience.pool_acquire_timeout_s * 1e6;
     }
-    if (resilience_on_ || repl_on_) {
-        // The sharded path always runs with attempt deadlines and a
-        // bounded pool wait: a failover blackout must shed load, not
-        // wedge connections.
+    if (armed_.deadline) {
         double timeout_s = config_.resilience.db_timeout_s;
         if (timeout_s <= 0.0)
             timeout_s = 2.0;
         db_timeout_us_ = secs(timeout_s);
-        if (pool_config.acquire_timeout_us <= 0.0 &&
-            config_.resilience.pool_acquire_timeout_s > 0.0) {
-            pool_config.acquire_timeout_us =
-                config_.resilience.pool_acquire_timeout_s * 1e6;
-        }
     }
-    if (resilience_on_) {
+    if (armed_.resilience) {
         health_ = std::make_unique<HealthChecker>(
             config_.resilience.health, config_.nodes);
+    }
+    if (armed_.breaker) {
         breaker_ = std::make_unique<CircuitBreaker>(
             config_.resilience.breaker);
     }
@@ -191,7 +178,7 @@ ClusterUnderTest::ClusterUnderTest(
             config_.node, profiles_, registry_, seeder(), &queue_,
             [this, n](RequestType type, double noise,
                       SystemUnderTest::DbDone done) {
-                remoteDb(n, type, noise, std::move(done));
+                startShardCall(n, type, noise, std::move(done));
             }));
         SystemUnderTest &sut = *nodes_[n];
         sut.setCompletionHook(
@@ -222,7 +209,7 @@ ClusterUnderTest::start(SimTime end)
 
     if (injector_)
         injector_->arm();
-    if (resilience_on_) {
+    if (armed_.resilience) {
         // Health probes ride the LB->node links, so detection latency
         // is part of the simulation. None of this exists on a healthy
         // run: the first probe is the first extra event.
@@ -231,20 +218,16 @@ ClusterUnderTest::start(SimTime end)
         for (std::size_t n = 0; n < nodes_.size(); ++n)
             queue_.scheduleAfter(interval, [this, n] { probeNode(n); });
     }
-    if (db_recovery_on_ &&
+    if (armed_.recovery &&
         config_.db_recovery.checkpoint_interval_s > 0.0) {
+        // Retention-mode WALs need the truncation pressure of fuzzy
+        // checkpoints; on a replicated tier the floor keeps standbys
+        // safe.
         queue_.scheduleAfter(
             secs(config_.db_recovery.checkpoint_interval_s),
-            [this] { checkpointTick(); });
+            [this] { shardCheckpointTick(); });
     }
-    if (repl_on_ && config_.db_recovery.checkpoint_interval_s > 0.0) {
-        // Shards always checkpoint: retention-mode WALs need the
-        // truncation pressure, and the floor keeps standbys safe.
-        queue_.scheduleAfter(
-            secs(config_.db_recovery.checkpoint_interval_s),
-            [this] { replCheckpointTick(); });
-    }
-    if (lease_on_) {
+    if (armed_.lease) {
         // Heartbeat rounds start now; the lease monitor shares their
         // cadence (it can only promote after lapse + detect_s, so
         // detection latency is the monitor grain plus that grace).
@@ -330,26 +313,6 @@ ClusterUnderTest::onNodeComplete(std::size_t node,
 }
 
 void
-ClusterUnderTest::dbBurst(double burst_us, std::function<void()> then)
-{
-    const double quantum = config_.db_quantum_us;
-    const SimTime now = queue_.now();
-    if (burst_us <= quantum) {
-        queue_.scheduleAt(
-            db_scheduler_.run(now, burst_us, Component::Db2).completion,
-            std::move(then));
-        return;
-    }
-    const SimTime slice_end =
-        db_scheduler_.run(now, quantum, Component::Db2).completion;
-    const double remaining = burst_us - quantum;
-    queue_.scheduleAt(slice_end,
-                      [this, remaining, then = std::move(then)]() mutable {
-                          dbBurst(remaining, std::move(then));
-                      });
-}
-
-void
 ClusterUnderTest::onNodeFailure(std::size_t node,
                                 const Request &request, SimTime at,
                                 ErrorKind kind)
@@ -359,72 +322,6 @@ ClusterUnderTest::onNodeFailure(std::size_t node,
     lb_.complete(node);
     tracker_.error(request, at, static_cast<std::uint32_t>(node),
                    kind);
-}
-
-void
-ClusterUnderTest::remoteDb(std::size_t node, RequestType type,
-                           double noise,
-                           SystemUnderTest::DbDone done)
-{
-    if (repl_on_) {
-        startShardCall(node, type, noise, std::move(done));
-        return;
-    }
-    if (resilience_on_) {
-        auto call = std::make_shared<DbCall>();
-        call->node = node;
-        call->type = type;
-        call->noise = noise;
-        call->done = std::move(done);
-        startDbAttempt(call);
-        return;
-    }
-    if (adm_on_) {
-        // Backpressure: the pool acquire is bounded, so DB-tier
-        // saturation surfaces as a PoolTimeout error upstream
-        // instead of an unbounded connection queue. The shared done
-        // fires exactly once — the pool guarantees one callback.
-        auto shared_done = std::make_shared<SystemUnderTest::DbDone>(
-            std::move(done));
-        pools_[node]->acquire(
-            [this, node, type, noise, shared_done](SimTime ready) {
-                plainDbQuery(node, type, noise,
-                             std::move(*shared_done), ready);
-            },
-            [shared_done](SimTime) {
-                (*shared_done)(TxnDbOutcome{},
-                               ErrorKind::PoolTimeout);
-            });
-        return;
-    }
-    // JDBC-style: hold a pooled connection for the whole round trip.
-    pools_[node]->acquire([this, node, type, noise,
-                           done = std::move(done)](SimTime ready) {
-        plainDbQuery(node, type, noise, std::move(done), ready);
-    });
-}
-
-void
-ClusterUnderTest::plainDbQuery(std::size_t node, RequestType type,
-                               double noise,
-                               SystemUnderTest::DbDone done,
-                               SimTime ready)
-{
-    const SimTime at_db = fabric_.nodeDb(node).deliver(
-        ready, static_cast<std::uint64_t>(config_.query_bytes));
-    queue_.scheduleAt(at_db, [this, node, type, noise,
-                              done = std::move(done)]() mutable {
-        auto outcome = std::make_shared<TxnDbOutcome>(
-            db_app_->runTransaction(type));
-        const TxnProfile &profile = Jas2004Application::profile(type);
-        const double burst =
-            profile.db_us * noise + outcome->cost.cpu_us;
-        dbBurst(burst, [this, node, outcome,
-                        done = std::move(done)]() mutable {
-            finishDbTransaction(node, std::move(outcome),
-                                std::move(done));
-        });
-    });
 }
 
 SimTime
@@ -450,209 +347,6 @@ ClusterUnderTest::chargeTxnDisk(DiskModel &disk,
         io_done = io.completion;
     }
     return io_done;
-}
-
-void
-ClusterUnderTest::finishDbTransaction(
-    std::size_t node, std::shared_ptr<TxnDbOutcome> outcome,
-    SystemUnderTest::DbDone done)
-{
-    const SimTime io_done =
-        chargeTxnDisk(db_disk_, *outcome, queue_.now());
-
-    // Response crosses back to the node; the connection frees once
-    // the response has arrived and the EJB tier resumes.
-    const SimTime at_node = fabric_.nodeDb(node).deliver(
-        io_done,
-        static_cast<std::uint64_t>(config_.db_response_bytes),
-        NetworkLink::Direction::Reverse);
-    queue_.scheduleAt(at_node, [this, node, outcome,
-                                done = std::move(done)] {
-        pools_[node]->release();
-        done(*outcome, ErrorKind::None);
-    });
-}
-
-// ---- resilient EJB->DB path ----------------------------------------
-//
-// Only reached when resilience_on_: attempts pass the circuit
-// breaker, bound their pool wait, arm a per-attempt deadline from the
-// moment the connection is granted (which also reclaims connections
-// whose query or response was lost on a degraded link), and retry
-// with deterministic exponential backoff until the budget runs out.
-
-void
-ClusterUnderTest::startDbAttempt(const std::shared_ptr<DbCall> &call)
-{
-    if (db_down_ || db_recovering_) {
-        // Fail fast: the cluster knows the DB tier is off. Not a
-        // breaker failure -- this is a known outage, not a timeout.
-        settleDbFailure(call,
-                        db_recovering_ ? ErrorKind::RecoveryWait
-                                       : ErrorKind::NodeDown,
-                        /*breaker_failure=*/false);
-        return;
-    }
-    if (fabric_.partitioned() &&
-        !fabric_.reachable(NetEndpoint::node(call->node),
-                           NetEndpoint::dbPrimary(0))) {
-        // Legacy single-box tier: `db0` names the shared DB node. A
-        // node cut off from it fails fast, and not as a breaker
-        // failure -- the partition is a known condition, not a
-        // timeout worth tripping on.
-        fabric_.notePartitionDrop();
-        settleDbFailure(call, ErrorKind::Partitioned,
-                        /*breaker_failure=*/false);
-        return;
-    }
-    if (!breaker_->allowRequest(queue_.now())) {
-        settleDbFailure(call, ErrorKind::DbCircuitOpen,
-                        /*breaker_failure=*/false);
-        return;
-    }
-    // Every allowed attempt settles the breaker exactly once: a pool
-    // timeout counts as a failure (an exhausted pool usually means
-    // the DB tier is the thing that is slow).
-    pools_[call->node]->acquire(
-        [this, call](SimTime ready) { runDbAttempt(call, ready); },
-        [this, call](SimTime) {
-            settleDbFailure(call, ErrorKind::PoolTimeout,
-                            /*breaker_failure=*/true);
-        });
-}
-
-void
-ClusterUnderTest::runDbAttempt(const std::shared_ptr<DbCall> &call,
-                               SimTime ready)
-{
-    const std::size_t node = call->node;
-    auto settled = std::make_shared<bool>(false);
-
-    // Per-attempt deadline, measured from connection grant. Firing
-    // first means the query or its response is lost or late: tear
-    // the connection down (freeing the slot) and fail the attempt.
-    queue_.scheduleAt(ready + db_timeout_us_, [this, call, settled] {
-        if (*settled)
-            return;
-        *settled = true;
-        pools_[call->node]->release();
-        settleDbFailure(call, ErrorKind::DbTimeout,
-                        /*breaker_failure=*/true);
-    });
-
-    NetworkLink &link = fabric_.nodeDb(node);
-    const bool lost = link.drawDrop();
-    const SimTime at_db = link.deliver(
-        ready, static_cast<std::uint64_t>(config_.query_bytes));
-    if (lost)
-        return; // query vanished on the wire; the deadline cleans up
-    queue_.scheduleAt(at_db, [this, call, settled] {
-        if (*settled)
-            return;
-        if (db_down_ || db_recovering_) {
-            // The DB died while the query was on the wire.
-            *settled = true;
-            pools_[call->node]->release();
-            settleDbFailure(call,
-                            db_recovering_ ? ErrorKind::RecoveryWait
-                                           : ErrorKind::NodeDown,
-                            /*breaker_failure=*/false);
-            return;
-        }
-        if (fabric_.partitioned() &&
-            !fabric_.reachable(NetEndpoint::node(call->node),
-                               NetEndpoint::dbPrimary(0))) {
-            // The fabric split while the query was on the wire.
-            *settled = true;
-            pools_[call->node]->release();
-            fabric_.notePartitionDrop();
-            settleDbFailure(call, ErrorKind::Partitioned,
-                            /*breaker_failure=*/false);
-            return;
-        }
-        call->epoch = db_epoch_;
-        auto outcome = std::make_shared<TxnDbOutcome>(
-            db_app_->runTransaction(call->type));
-        if (db_recovery_on_ && outcome->audit_token != 0)
-            auditor_.noteCommitted(outcome->audit_token,
-                                   outcome->commit_lsn);
-        const TxnProfile &profile =
-            Jas2004Application::profile(call->type);
-        const double burst =
-            profile.db_us * call->noise + outcome->cost.cpu_us;
-        dbBurst(burst, [this, call, settled, outcome] {
-            finishDbAttempt(call, settled, outcome);
-        });
-    });
-}
-
-void
-ClusterUnderTest::finishDbAttempt(
-    const std::shared_ptr<DbCall> &call,
-    const std::shared_ptr<bool> &settled,
-    const std::shared_ptr<TxnDbOutcome> &outcome)
-{
-    const SimTime io_done =
-        chargeTxnDisk(db_disk_, *outcome, queue_.now());
-    if (db_recovery_on_ && outcome->wal_issued_lsn > 0) {
-        // The force becomes durable when its write completes; a crash
-        // before then loses the tail. The epoch guard drops confirms
-        // that were in flight when the DB died.
-        const std::uint64_t issued = outcome->wal_issued_lsn;
-        const std::uint64_t epoch = db_epoch_;
-        queue_.scheduleAt(io_done, [this, issued, epoch] {
-            if (epoch == db_epoch_ && !db_down_)
-                db_app_->database().confirmWalDurable(issued);
-        });
-    }
-
-    NetworkLink &link = fabric_.nodeDb(call->node);
-    const bool lost = link.drawDrop();
-    const SimTime at_node = link.deliver(
-        io_done,
-        static_cast<std::uint64_t>(config_.db_response_bytes),
-        NetworkLink::Direction::Reverse);
-    if (lost)
-        return; // response vanished; the deadline cleans up
-    queue_.scheduleAt(at_node, [this, call, settled, outcome] {
-        if (*settled)
-            return; // deadline already reclaimed the connection
-        if (db_recovery_on_ && call->epoch != db_epoch_)
-            return; // DB crashed under this txn; never ack it --
-                    // the per-attempt deadline reclaims the slot
-        *settled = true;
-        pools_[call->node]->release();
-        breaker_->recordSuccess(queue_.now());
-        if (db_recovery_on_ && outcome->audit_token != 0)
-            auditor_.noteAcked(outcome->audit_token);
-        call->done(*outcome, ErrorKind::None);
-    });
-}
-
-void
-ClusterUnderTest::settleDbFailure(const std::shared_ptr<DbCall> &call,
-                                  ErrorKind kind, bool breaker_failure)
-{
-    if (breaker_failure)
-        breaker_->recordFailure(queue_.now());
-    if (retry_.allowRetry(call->attempt, queue_.now())) {
-        tracker_.recordRetry(kind);
-        const SimTime backoff =
-            retry_.backoffUs(call->attempt, retry_rng_);
-        ++call->attempt;
-        queue_.scheduleAfter(backoff,
-                             [this, call] { startDbAttempt(call); });
-        return;
-    }
-    // RecoveryWait and Partitioned stay visible through retries: the
-    // error table should attribute the failure to recovery / the
-    // split, not to the retry budget.
-    const bool attributable = kind == ErrorKind::RecoveryWait ||
-        kind == ErrorKind::Partitioned;
-    call->done(TxnDbOutcome{},
-               call->attempt > 1 && !attributable
-                   ? ErrorKind::DbRetriesExhausted
-                   : kind);
 }
 
 // ---- fault application ---------------------------------------------
@@ -709,22 +403,14 @@ ClusterUnderTest::applyFault(const FaultEvent &event)
         return;
       }
       case FaultKind::DbSlow: {
-        if (repl_on_) {
-            for (auto &group : shards_)
-                group->disk().setServiceMultiplier(event.disk_mult);
-        } else {
-            db_disk_.setServiceMultiplier(event.disk_mult);
-        }
+        for (auto &group : shards_)
+            group->disk().setServiceMultiplier(event.disk_mult);
         tracker_.noteDegraded(
             now, event.duration > 0 ? now + event.duration : 0);
         if (event.duration > 0) {
             queue_.scheduleAfter(event.duration, [this] {
-                if (repl_on_) {
-                    for (auto &group : shards_)
-                        group->disk().setServiceMultiplier(1.0);
-                } else {
-                    db_disk_.setServiceMultiplier(1.0);
-                }
+                for (auto &group : shards_)
+                    group->disk().setServiceMultiplier(1.0);
             });
         }
         return;
@@ -735,11 +421,7 @@ ClusterUnderTest::applyFault(const FaultEvent &event)
       }
       case FaultKind::DbCrash:
       case FaultKind::DbTornWrite: {
-        if (repl_on_) {
-            applyShardFault(event);
-            return;
-        }
-        crashDbTier(event);
+        applyShardFault(event);
         return;
       }
       case FaultKind::Partition: {
@@ -747,8 +429,7 @@ ClusterUnderTest::applyFault(const FaultEvent &event)
         return;
       }
       case FaultKind::Switchover: {
-        if (repl_on_)
-            applySwitchover(event);
+        applySwitchover(event);
         return;
       }
     }
@@ -790,7 +471,7 @@ void
 ClusterUnderTest::healPartition()
 {
     fabric_.clearPartition();
-    if (!lease_on_)
+    if (!armed_.lease)
         return;
     for (std::size_t s = 0; s < shards_.size(); ++s) {
         StaleRemnant &rem = stale_remnants_[s];
@@ -834,7 +515,7 @@ ClusterUnderTest::applySwitchover(const FaultEvent &event)
         event.shard == FaultEvent::kNoTarget ? 0 : event.shard;
     if (shard >= shards_.size())
         return; // targets a shard this cluster doesn't have
-    failover_->plannedSwitchover(
+    failover_.plannedSwitchover(
         shard, *shards_[shard],
         [this, shard](const repl::FailoverOutcome &o) {
             tracker_.noteSwitchover(static_cast<std::uint32_t>(shard),
@@ -929,7 +610,7 @@ ClusterUnderTest::leaseMonitorTick()
         rem.valid = true;
         stale_remnants_[s] = rem;
 
-        failover_->partitionPromote(
+        failover_.partitionPromote(
             s, group, candidate, watermark,
             [this, s](const repl::FailoverOutcome &o) {
                 tracker_.noteFailoverBlackout(
@@ -942,99 +623,17 @@ ClusterUnderTest::leaseMonitorTick()
         [this] { leaseMonitorTick(); });
 }
 
-// ---- DB crash consistency -------------------------------------------
-
-void
-ClusterUnderTest::checkpointTick()
-{
-    if (db_recovery_on_ && !db_down_ && !db_recovering_) {
-        const CheckpointStats stats = db_app_->database().checkpoint();
-        ++checkpoints_;
-        checkpoint_pages_ += stats.pages_flushed;
-        const std::uint64_t bytes =
-            stats.pages_flushed * 4096 + stats.log_bytes_forced;
-        if (bytes > 0) {
-            // The checkpoint's force becomes durable when its write
-            // lands (epoch-guarded like every confirm).
-            const std::uint64_t issued =
-                db_app_->database().wal().issuedLsn();
-            const std::uint64_t epoch = db_epoch_;
-            const IoResult io = db_disk_.write(queue_.now(), bytes);
-            queue_.scheduleAt(io.completion, [this, issued, epoch] {
-                if (epoch == db_epoch_ && !db_down_)
-                    db_app_->database().confirmWalDurable(issued);
-            });
-        }
-    }
-    queue_.scheduleAfter(
-        secs(config_.db_recovery.checkpoint_interval_s),
-        [this] { checkpointTick(); });
-}
-
-void
-ClusterUnderTest::crashDbTier(const FaultEvent &event)
-{
-    if (!db_recovery_on_ || db_down_ || db_recovering_)
-        return; // already down; a second crash is a no-op
-    ++db_epoch_;
-    ++db_crashes_;
-    db_down_ = true;
-    db_crash_at_ = queue_.now();
-    db_app_->database().crash(event.kind == FaultKind::DbTornWrite);
-    noteCrashSurvivors(auditor_, db_app_->database());
-
-    if (event.restart_after > 0) {
-        queue_.scheduleAfter(event.restart_after,
-                             [this] { beginDbRecovery(); });
-    }
-}
-
-void
-ClusterUnderTest::beginDbRecovery()
-{
-    assert(db_down_ && !db_recovering_);
-    db_down_ = false;
-    db_recovering_ = true;
-    last_recovery_ = db_app_->database().recover();
-
-    // The tier stays out of rotation (RecoveryWait) until the
-    // recovery I/O and replay both end.
-    db_restart_at_ = queue_.now();
-    const RecoveryCost cost =
-        chargeRecovery(db_disk_, last_recovery_, db_restart_at_);
-    queue_.scheduleAt(cost.io_done, [this, cpu = cost.replay_cpu_us] {
-        dbBurst(cpu, [this] { finishDbRecovery(); });
-    });
-}
-
-void
-ClusterUnderTest::finishDbRecovery()
-{
-    assert(db_recovering_);
-    db_recovering_ = false;
-    const SimTime now = queue_.now();
-    db_replay_us_ += now - db_restart_at_;
-    tracker_.noteDegraded(db_crash_at_, now);
-    tracker_.noteDbRecovery(db_crash_at_, now);
-    // The recovery checkpoint's write is covered by the I/O recovery
-    // just charged, so its force is durable by construction here.
-    db_app_->database().confirmWalDurable(
-        db_app_->database().wal().issuedLsn());
-    if (db_app_->auditEnabled()) {
-        last_audit_ =
-            auditor_.audit(db_app_->database(), db_app_->auditTable());
-        audited_ = true;
-    }
-}
-
-// ---- sharded / replicated DB tier (jasim::repl) ---------------------
+// ---- the EJB->DB call pipeline ----------------------------------------
 //
-// Only reached when repl_on_: every EJB->DB call draws a routing key,
-// lands on the owning shard group, and runs with the resilient-path
-// discipline (bounded pool wait, per-attempt deadline, deterministic
-// retry backoff). A blacked-out shard fails fast with FailoverWait;
-// in-flight completions are dropped by the generation guard, exactly
-// like the legacy path's epoch guard.
+// Every EJB->DB call draws a routing key, lands on the owning shard
+// group, and runs as a JDBC-style round trip holding a pooled
+// connection. The armed set decides the rest: attempts pass the
+// circuit breaker (`breaker`), arm a per-attempt deadline from the
+// moment the connection is granted (`deadline`), which also reclaims
+// connections whose query or response was lost or withheld, and
+// retry with deterministic exponential backoff (`retry`). A
+// blacked-out shard fails fast; in-flight completions are dropped by
+// the generation guard.
 
 void
 ClusterUnderTest::startShardCall(std::size_t node, RequestType type,
@@ -1045,8 +644,8 @@ ClusterUnderTest::startShardCall(std::size_t node, RequestType type,
     call->node = node;
     call->type = type;
     call->noise = noise;
-    call->shard = shard_map_->shardOf(route_rng_());
-    if (lease_on_ && !shards_[call->shard]->draining()) {
+    call->shard = shard_map_.shardOf(route_rng_());
+    if (armed_.lease && !shards_[call->shard]->draining()) {
         // Drain accounting brackets the whole call (across retries):
         // inflightEnd fires exactly when the call settles, whether
         // with an ack or a final failure. Calls arriving mid-drain
@@ -1066,24 +665,42 @@ ClusterUnderTest::startShardCall(std::size_t node, RequestType type,
     startShardAttempt(call);
 }
 
+ErrorKind
+ClusterUnderTest::outageError(std::size_t shard) const
+{
+    switch (shard_outages_[shard].phase) {
+      case ShardOutage::Phase::Crashed:
+        return ErrorKind::NodeDown;
+      case ShardOutage::Phase::Replaying:
+        return ErrorKind::RecoveryWait;
+      case ShardOutage::Phase::None:
+        break;
+    }
+    return ErrorKind::FailoverWait; // promoting a replica or draining
+}
+
 void
 ClusterUnderTest::startShardAttempt(
     const std::shared_ptr<DbCall> &call)
 {
     if (shards_[call->shard]->down() ||
         shards_[call->shard]->draining()) {
-        // Fail fast: the shard is blacked out (failing over, or down
-        // replaying its WAL on the unreplicated fallback) or draining
-        // for a planned switchover.
-        settleShardFailure(call, ErrorKind::FailoverWait);
+        // Fail fast: the cluster knows the shard is off -- crashed,
+        // replaying its WAL, promoting a replica, or draining for a
+        // planned switchover.
+        settleShardFailure(call, outageError(call->shard));
         return;
     }
-    if (lease_on_ && fabric_.partitioned() &&
+    if (fabric_.partitioned() &&
         !nodeReachesShard(call->node, call->shard)) {
         // The partition map cuts this node off from the member
         // serving the shard: the send fails fast, no wire traffic.
         fabric_.notePartitionDrop();
         settleShardFailure(call, ErrorKind::Partitioned);
+        return;
+    }
+    if (breaker_ && !breaker_->allowRequest(queue_.now())) {
+        settleShardFailure(call, ErrorKind::DbCircuitOpen);
         return;
     }
     pools_[call->node]->acquire(
@@ -1099,15 +716,19 @@ ClusterUnderTest::runShardAttempt(const std::shared_ptr<DbCall> &call,
 {
     auto settled = std::make_shared<bool>(false);
 
-    // Per-attempt deadline from connection grant; it also reclaims
-    // connections orphaned by a mid-flight blackout or a lost packet.
-    queue_.scheduleAt(ready + db_timeout_us_, [this, call, settled] {
-        if (*settled)
-            return;
-        *settled = true;
-        pools_[call->node]->release();
-        settleShardFailure(call, ErrorKind::DbTimeout);
-    });
+    if (armed_.deadline) {
+        // Per-attempt deadline, measured from connection grant.
+        // Firing first means the query or its response is lost, late
+        // or withheld: tear the connection down (freeing the slot)
+        // and fail the attempt.
+        queue_.scheduleAt(ready + db_timeout_us_, [this, call, settled] {
+            if (*settled)
+                return;
+            *settled = true;
+            pools_[call->node]->release();
+            settleShardFailure(call, ErrorKind::DbTimeout);
+        });
+    }
 
     NetworkLink &link = fabric_.nodeDb(call->node);
     const bool lost = link.drawDrop();
@@ -1120,13 +741,13 @@ ClusterUnderTest::runShardAttempt(const std::shared_ptr<DbCall> &call,
             return;
         repl::ShardGroup &group = *shards_[call->shard];
         if (group.down()) {
-            // The primary died while the query was on the wire.
+            // The shard went down while the query was on the wire.
             *settled = true;
             pools_[call->node]->release();
-            settleShardFailure(call, ErrorKind::FailoverWait);
+            settleShardFailure(call, outageError(call->shard));
             return;
         }
-        if (lease_on_ && fabric_.partitioned() &&
+        if (fabric_.partitioned() &&
             !nodeReachesShard(call->node, call->shard)) {
             // The fabric split while the query was on the wire.
             *settled = true;
@@ -1145,33 +766,10 @@ ClusterUnderTest::runShardAttempt(const std::shared_ptr<DbCall> &call,
             Jas2004Application::profile(call->type);
         const double burst =
             profile.db_us * call->noise + outcome->cost.cpu_us;
-        shardBurst(call->shard, burst, [this, call, settled, outcome] {
+        group.burst(burst, [this, call, settled, outcome] {
             finishShardAttempt(call, settled, outcome);
         });
     });
-}
-
-void
-ClusterUnderTest::shardBurst(std::size_t shard, double burst_us,
-                             std::function<void()> then)
-{
-    const double quantum = config_.db_quantum_us;
-    const SimTime now = queue_.now();
-    CpuScheduler &sched = shards_[shard]->scheduler();
-    if (burst_us <= quantum) {
-        queue_.scheduleAt(
-            sched.run(now, burst_us, Component::Db2).completion,
-            std::move(then));
-        return;
-    }
-    const SimTime slice_end =
-        sched.run(now, quantum, Component::Db2).completion;
-    const double remaining = burst_us - quantum;
-    queue_.scheduleAt(
-        slice_end,
-        [this, shard, remaining, then = std::move(then)]() mutable {
-            shardBurst(shard, remaining, std::move(then));
-        });
 }
 
 void
@@ -1189,6 +787,13 @@ ClusterUnderTest::finishShardAttempt(
     // the commit's log force.
     const SimTime io_done =
         chargeTxnDisk(group.disk(), *outcome, queue_.now());
+
+    if (!armed_.recovery) {
+        // Nothing to confirm, ship or outlive: the response goes on
+        // the wire now, leaving once the I/O is done.
+        deliverShardResponse(call, settled, outcome, io_done);
+        return;
+    }
 
     if (outcome->wal_issued_lsn > 0) {
         // The force is durable when its write lands; that same moment
@@ -1239,7 +844,7 @@ ClusterUnderTest::sendShardResponse(
         return;
     if (call->generation != shards_[call->shard]->generation())
         return;
-    if (lease_on_) {
+    if (armed_.lease) {
         // A member that cannot prove its lease must not ack: the
         // response is withheld and the attempt deadline reclaims the
         // slot. Same if the partition cut the response path.
@@ -1251,22 +856,34 @@ ClusterUnderTest::sendShardResponse(
             return;
         }
     }
+    deliverShardResponse(call, settled, outcome, queue_.now());
+}
+
+void
+ClusterUnderTest::deliverShardResponse(
+    const std::shared_ptr<DbCall> &call,
+    const std::shared_ptr<bool> &settled,
+    const std::shared_ptr<TxnDbOutcome> &outcome, SimTime send_at)
+{
+    // The response crosses back to the node; the connection frees
+    // once it has arrived and the EJB tier resumes.
     NetworkLink &link = fabric_.nodeDb(call->node);
     const bool lost = link.drawDrop();
     const SimTime at_node = link.deliver(
-        queue_.now(),
-        static_cast<std::uint64_t>(config_.db_response_bytes),
+        send_at, static_cast<std::uint64_t>(config_.db_response_bytes),
         NetworkLink::Direction::Reverse);
     if (lost)
         return; // response vanished; the deadline cleans up
     queue_.scheduleAt(at_node, [this, call, settled, outcome] {
         if (*settled)
-            return;
+            return; // deadline already reclaimed the connection
         repl::ShardGroup &group = *shards_[call->shard];
         if (call->generation != group.generation())
             return;
         *settled = true;
         pools_[call->node]->release();
+        if (breaker_)
+            breaker_->recordSuccess(queue_.now());
         if (outcome->audit_token != 0)
             group.auditor().noteAcked(outcome->audit_token);
         call->done(*outcome, ErrorKind::None);
@@ -1277,7 +894,15 @@ void
 ClusterUnderTest::settleShardFailure(
     const std::shared_ptr<DbCall> &call, ErrorKind kind)
 {
-    if (retry_.allowRetry(call->attempt, queue_.now())) {
+    // Every attempt the breaker allowed settles it exactly once: a
+    // pool timeout counts as a failure (an exhausted pool usually
+    // means the DB tier is the thing that is slow); a known outage or
+    // split does not.
+    if (breaker_ &&
+        (kind == ErrorKind::PoolTimeout || kind == ErrorKind::DbTimeout))
+        breaker_->recordFailure(queue_.now());
+    if (armed_.retry &&
+        retry_.allowRetry(call->attempt, queue_.now())) {
         tracker_.recordRetry(kind);
         const SimTime backoff =
             retry_.backoffUs(call->attempt, retry_rng_);
@@ -1286,10 +911,11 @@ ClusterUnderTest::settleShardFailure(
             backoff, [this, call] { startShardAttempt(call); });
         return;
     }
-    // FailoverWait and Partitioned stay visible through retries, like
-    // RecoveryWait on the legacy path: attribute the failure to the
-    // blackout / the split, not to the retry budget.
-    const bool attributable = kind == ErrorKind::FailoverWait ||
+    // Outages and splits stay visible through retries: the error
+    // table should attribute the failure to the recovery, the
+    // blackout or the split, not to the retry budget.
+    const bool attributable = kind == ErrorKind::RecoveryWait ||
+        kind == ErrorKind::FailoverWait ||
         kind == ErrorKind::Partitioned;
     call->done(TxnDbOutcome{},
                call->attempt > 1 && !attributable
@@ -1297,7 +923,7 @@ ClusterUnderTest::settleShardFailure(
                    : kind);
 }
 
-// ---- repl-mode faults & checkpoints ---------------------------------
+// ---- DB faults & checkpoints -----------------------------------------
 
 void
 ClusterUnderTest::applyShardFault(const FaultEvent &event)
@@ -1328,7 +954,7 @@ ClusterUnderTest::applyShardFault(const FaultEvent &event)
     // Primary fault. With a live replica the shard fails over -- for
     // a torn write too: the tear hits the primary's WAL device, and
     // everything above the promotion watermark is discarded anyway.
-    if (failover_->primaryCrashed(
+    if (failover_.primaryCrashed(
             shard, group, [this, shard](const repl::FailoverOutcome &o) {
                 tracker_.noteFailoverBlackout(
                     static_cast<std::uint32_t>(shard), o.crash_at,
@@ -1350,7 +976,9 @@ ClusterUnderTest::crashShardTier(std::size_t shard, bool torn,
         return; // already down; a second crash is a no-op
     ++db_crashes_;
     group.beginBlackout();
-    shard_outages_[shard].crash_at = queue_.now();
+    ShardOutage &outage = shard_outages_[shard];
+    outage.phase = ShardOutage::Phase::Crashed;
+    outage.crash_at = queue_.now();
     group.database().crash(torn);
     noteCrashSurvivors(group.auditor(), group.database());
 
@@ -1366,17 +994,17 @@ ClusterUnderTest::beginShardRecovery(std::size_t shard)
 {
     repl::ShardGroup &group = *shards_[shard];
     ShardOutage &outage = shard_outages_[shard];
-    outage.last = group.database().recover();
-    last_recovery_ = outage.last;
+    outage.phase = ShardOutage::Phase::Replaying;
+    last_recovery_ = group.database().recover();
 
-    // Same recovery cost model as the legacy path, on the shard's own
-    // disk and CPUs.
+    // The shard stays out of rotation (RecoveryWait) until the
+    // recovery I/O and replay both end, on its own disk and CPUs.
     outage.restart_at = queue_.now();
     const RecoveryCost cost =
-        chargeRecovery(group.disk(), outage.last, outage.restart_at);
+        chargeRecovery(group.disk(), last_recovery_, outage.restart_at);
     queue_.scheduleAt(cost.io_done,
                       [this, shard, cpu = cost.replay_cpu_us] {
-                          shardBurst(shard, cpu, [this, shard] {
+                          shards_[shard]->burst(cpu, [this, shard] {
                               finishShardRecovery(shard);
                           });
                       });
@@ -1388,6 +1016,7 @@ ClusterUnderTest::finishShardRecovery(std::size_t shard)
     repl::ShardGroup &group = *shards_[shard];
     ShardOutage &outage = shard_outages_[shard];
     const SimTime now = queue_.now();
+    outage.phase = ShardOutage::Phase::None;
     db_replay_us_ += now - outage.restart_at;
     tracker_.noteDegraded(outage.crash_at, now);
     tracker_.noteDbRecovery(outage.crash_at, now);
@@ -1402,7 +1031,7 @@ ClusterUnderTest::finishShardRecovery(std::size_t shard)
 }
 
 void
-ClusterUnderTest::replCheckpointTick()
+ClusterUnderTest::shardCheckpointTick()
 {
     for (std::size_t s = 0; s < shards_.size(); ++s) {
         repl::ShardGroup &group = *shards_[s];
@@ -1433,11 +1062,11 @@ ClusterUnderTest::replCheckpointTick()
     }
     queue_.scheduleAfter(
         secs(config_.db_recovery.checkpoint_interval_s),
-        [this] { replCheckpointTick(); });
+        [this] { shardCheckpointTick(); });
 }
 
 AuditReport
-ClusterUnderTest::clusterAuditNow() const
+ClusterUnderTest::auditNow() const
 {
     AuditReport total;
     for (const auto &group : shards_) {

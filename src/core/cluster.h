@@ -13,6 +13,12 @@
  * runs are exactly as deterministic as single-box runs. The shared DB
  * tier (or an undersized balancer) is the emergent scaling bottleneck
  * the abl_cluster_scaling bench sweeps for.
+ *
+ * The DB tier is always a set of repl::ShardGroups -- by default one
+ * group with no replicas, the single shared DB box -- and every call
+ * runs one pipeline (startShardCall ... settleShardFailure). What
+ * differs between a healthy box, a faulted one and a replicated tier
+ * is data: the ArmedSet that armedFeatures() derives from the config.
  */
 
 #ifndef JASIM_CORE_CLUSTER_H
@@ -33,19 +39,17 @@
 
 namespace jasim {
 
-/** Crash-consistency knobs for the shared DB tier. */
+/** Crash-consistency knobs for the DB tier. */
 struct DbRecoveryConfig
 {
     /** Fuzzy-checkpoint cadence (0 disables checkpointing). */
     double checkpoint_interval_s = 30.0;
 
-    /** Stamp write txns with audit tokens and reconcile post-crash. */
-    bool audit = true;
-
     /**
-     * Arm recovery even with no dbcrash/tornwrite in the schedule
-     * (for armed-baseline overhead measurements). A schedule
-     * containing a DB fault arms it implicitly.
+     * Arm recovery on the unreplicated tier even with no
+     * dbcrash/tornwrite in the schedule (for armed-baseline overhead
+     * measurements). A DB fault in the schedule, or a replicated
+     * tier, arms it implicitly.
      */
     bool force_enabled = false;
 };
@@ -68,7 +72,7 @@ struct ClusterConfig
     /** Each node's connection pool to the DB tier. */
     ConnectionPoolConfig db_pool;
 
-    /** The shared database node. */
+    /** Every DB box (shard primary) of the tier. */
     std::size_t db_cpus = 4;
     DiskConfig db_disk;          //!< RAM disk by default
     double db_quantum_us = 2000.0;
@@ -92,9 +96,9 @@ struct ClusterConfig
     DbRecoveryConfig db_recovery;
 
     /**
-     * Sharded/replicated DB tier (jasim::repl). The default --
-     * shards=1, replicas=0 -- leaves the legacy single shared DB box
-     * byte-identical to a build without replication support.
+     * The DB tier's shape (jasim::repl). The default -- shards=1,
+     * replicas=0 -- is one unreplicated shard group: the single
+     * shared DB box.
      */
     repl::ReplConfig repl;
 
@@ -104,6 +108,36 @@ struct ClusterConfig
         return node.injection_rate * static_cast<double>(nodes);
     }
 };
+
+/** The features a cluster runs with; every other one is inert. */
+struct ArmedSet
+{
+    bool replication = false;     //!< >1 shard, or >=1 replica
+    bool recovery = false;        //!< WAL retention, audit, checkpoints
+    bool resilience = false;      //!< LB health probes and ejection
+    bool admission = false;       //!< the balancer's in-flight cap
+    bool deadline = false;        //!< per-attempt EJB->DB deadline
+    bool retry = false;           //!< backoff retries of failed attempts
+    bool breaker = false;         //!< circuit breaker before attempts
+    bool bounded_acquire = false; //!< pool acquires time out
+    bool lease = false;           //!< per-shard leases, fencing tokens
+
+    bool operator==(const ArmedSet &) const = default;
+};
+
+/**
+ * The one place a config arms cluster features:
+ *  - recovery: a replicated tier, a dbcrash/tornwrite verb, or
+ *    db_recovery.force_enabled;
+ *  - resilience: any fault verb, resilience.force_enabled, or
+ *    db_recovery.force_enabled on the unreplicated tier;
+ *  - deadline and retry: resilience or a replicated tier;
+ *  - breaker: resilience on the unreplicated tier;
+ *  - bounded_acquire: admission, resilience or a replicated tier;
+ *  - lease: a replicated tier and a partition/switchover verb.
+ * A disarmed feature schedules no event and draws no RNG value.
+ */
+ArmedSet armedFeatures(const ClusterConfig &config);
 
 /** The assembled cluster. */
 class ClusterUnderTest
@@ -122,6 +156,7 @@ class ClusterUnderTest
 
     EventQueue &queue() { return queue_; }
     const ClusterConfig &config() const { return config_; }
+    const ArmedSet &armed() const { return armed_; }
     std::size_t nodeCount() const { return nodes_.size(); }
     SystemUnderTest &node(std::size_t i) { return *nodes_[i]; }
     const SystemUnderTest &node(std::size_t i) const
@@ -131,9 +166,6 @@ class ClusterUnderTest
     LoadBalancer &loadBalancer() { return lb_; }
     NetworkFabric &fabric() { return fabric_; }
     ConnectionPool &dbPool(std::size_t node) { return *pools_[node]; }
-    CpuScheduler &dbScheduler() { return db_scheduler_; }
-    DiskModel &dbDisk() { return db_disk_; }
-    Jas2004Application &dbApplication() { return *db_app_; }
 
     /**
      * Aggregate tracker: completions are recorded when the response
@@ -145,9 +177,6 @@ class ClusterUnderTest
     /** The cluster driver; null until start(). */
     const Driver *driver() const { return driver_.get(); }
 
-    /** True when `--admission` armed any part of the shed ladder. */
-    bool admissionEnabled() const { return adm_on_; }
-
     /** Retry policy state (token-bucket budget counters). */
     const RetryPolicy &retryPolicy() const { return retry_; }
 
@@ -157,11 +186,9 @@ class ClusterUnderTest
         return tracker_.jops(from, to);
     }
 
-    /** DB-node CPU utilization over [0, now); shard mean in repl mode. */
+    /** Mean shard-primary CPU utilization over [0, now). */
     double dbUtilization() const
     {
-        if (!repl_on_)
-            return db_scheduler_.utilization(queue_.now());
         double sum = 0.0;
         for (const auto &group : shards_)
             sum += group->scheduler().utilization(queue_.now());
@@ -173,23 +200,16 @@ class ClusterUnderTest
 
     // ---- fault injection & resilience ----
 
-    /** True when the schedule (or force_enabled) armed the machinery. */
-    bool resilienceEnabled() const { return resilience_on_; }
-
     /** Null on healthy runs. */
     const FaultInjector *injector() const { return injector_.get(); }
+    /** Null unless the breaker is armed. */
     CircuitBreaker *breaker() { return breaker_.get(); }
     const CircuitBreaker *breaker() const { return breaker_.get(); }
+    /** Null unless resilience is armed. */
     HealthChecker *healthChecker() { return health_.get(); }
     const HealthChecker *healthChecker() const { return health_.get(); }
 
     // ---- DB crash consistency ----
-
-    /** True when a DB fault verb (or force_enabled) armed recovery. */
-    bool dbRecoveryEnabled() const { return db_recovery_on_; }
-
-    /** True from a DB crash until its recovery completes. */
-    bool dbDown() const { return db_down_ || db_recovering_; }
 
     std::uint64_t dbCrashCount() const { return db_crashes_; }
     std::uint64_t checkpointCount() const { return checkpoints_; }
@@ -208,19 +228,10 @@ class ClusterUnderTest
     const AuditReport &lastAudit() const { return last_audit_; }
     bool audited() const { return audited_; }
 
-    /** Reconcile the audit table right now (e.g. at end of run). */
-    AuditReport auditNow() const
-    {
-        if (repl_on_)
-            return clusterAuditNow();
-        return auditor_.audit(db_app_->database(),
-                              db_app_->auditTable());
-    }
+    /** Field-wise sum of every shard's audit, reconciled right now. */
+    AuditReport auditNow() const;
 
-    // ---- sharded / replicated DB tier (jasim::repl) ----
-
-    /** True when config.repl asked for >1 shard or >=1 replica. */
-    bool replicationEnabled() const { return repl_on_; }
+    // ---- the DB tier: shard groups (jasim::repl) ----
 
     std::size_t shardCount() const { return shards_.size(); }
     repl::ShardGroup &shard(std::size_t s) { return *shards_[s]; }
@@ -228,25 +239,14 @@ class ClusterUnderTest
     {
         return *shards_[s];
     }
-    const repl::ShardMap &shardMap() const { return *shard_map_; }
+    const repl::ShardMap &shardMap() const { return shard_map_; }
 
-    /** Null outside repl mode. */
     const repl::FailoverController *failoverController() const
     {
-        return failover_.get();
+        return &failover_;
     }
 
-    /** Field-wise sum of every shard's audit (repl mode only). */
-    AuditReport clusterAuditNow() const;
-
-    // ---- partition tolerance (lease/fencing, armed by schedule) ----
-
-    /**
-     * True when a partition/switchover verb (or lease.force_enabled)
-     * armed the per-shard lease machinery. Without it the replicated
-     * tier runs with the PR 6 semantics, byte-identically.
-     */
-    bool leaseEnabled() const { return lease_on_; }
+    // ---- partition tolerance (armed lease) ----
 
     /**
      * Endpoint of the member currently serving a shard (the primary
@@ -263,15 +263,13 @@ class ClusterUnderTest
 
   private:
     ClusterConfig config_;
+    ArmedSet armed_;
     std::shared_ptr<const WorkloadProfiles> profiles_;
     std::shared_ptr<const MethodRegistry> registry_;
 
     EventQueue queue_;
     NetworkFabric fabric_;
     LoadBalancer lb_;
-    CpuScheduler db_scheduler_;
-    DiskModel db_disk_;
-    std::unique_ptr<Jas2004Application> db_app_;
     std::vector<std::unique_ptr<ConnectionPool>> pools_;
     std::vector<std::unique_ptr<SystemUnderTest>> nodes_;
     ResponseTracker tracker_;
@@ -280,8 +278,6 @@ class ClusterUnderTest
     SimTime lb_free_ = 0; //!< balancer single-server serializer
     SimTime db_disk_blocked_us_ = 0;
 
-    bool resilience_on_ = false;
-    bool adm_on_ = false; //!< admission/backpressure ladder armed
     std::unique_ptr<FaultInjector> injector_;
     std::unique_ptr<HealthChecker> health_;
     std::unique_ptr<CircuitBreaker> breaker_;
@@ -289,30 +285,19 @@ class ClusterUnderTest
     Rng retry_rng_;           //!< backoff jitter (own forked stream)
     SimTime db_timeout_us_ = 0;
 
-    bool db_recovery_on_ = false;
-    bool db_down_ = false;       //!< crashed, restart not yet begun
-    bool db_recovering_ = false; //!< restarted, replaying the WAL
-    std::uint64_t db_epoch_ = 0; //!< bumped at each DB crash
-    SimTime db_crash_at_ = 0;
-    SimTime db_restart_at_ = 0;
     SimTime db_replay_us_ = 0;
     std::uint64_t db_crashes_ = 0;
     std::uint64_t checkpoints_ = 0;
     std::uint64_t checkpoint_pages_ = 0;
     RecoveryStats last_recovery_;
-    DurabilityAuditor auditor_;
     AuditReport last_audit_;
     bool audited_ = false;
 
-    // ---- replicated DB tier state (only used when repl_on_) ----
-    bool repl_on_ = false;
-    std::unique_ptr<repl::ShardMap> shard_map_;
+    // ---- the DB tier ----
+    repl::ShardMap shard_map_;
     std::vector<std::unique_ptr<repl::ShardGroup>> shards_;
-    std::unique_ptr<repl::FailoverController> failover_;
+    repl::FailoverController failover_;
     Rng route_rng_; //!< shard-routing key draws (own forked stream)
-
-    // ---- partition tolerance state (only used when lease_on_) ----
-    bool lease_on_ = false;
 
     /**
      * What a deposed primary still holds above the promotion
@@ -333,12 +318,18 @@ class ClusterUnderTest
     std::uint64_t stale_rewinds_ = 0;
     std::uint64_t stale_rewind_bytes_ = 0;
 
-    /** Per-shard outage bookkeeping for the replicas==0 fallback. */
+    /** Per-shard blocking crash->recovery, when no replica promotes. */
     struct ShardOutage
     {
+        enum class Phase : std::uint8_t
+        {
+            None,      //!< serving, or blacked out by a failover
+            Crashed,   //!< down, restart not yet begun
+            Replaying, //!< restarted, replaying the WAL
+        };
+        Phase phase = Phase::None;
         SimTime crash_at = 0;
         SimTime restart_at = 0;
-        RecoveryStats last;
     };
     std::vector<ShardOutage> shard_outages_;
 
@@ -349,8 +340,7 @@ class ClusterUnderTest
         RequestType type = RequestType::Browse;
         double noise = 1.0;
         std::size_t attempt = 1;
-        std::uint64_t epoch = 0; //!< DB epoch when the txn executed
-        std::size_t shard = 0;   //!< owning shard (repl mode)
+        std::size_t shard = 0;        //!< owning shard
         std::uint64_t generation = 0; //!< shard generation at execute
         SystemUnderTest::DbDone done;
     };
@@ -361,48 +351,20 @@ class ClusterUnderTest
                         SimTime finish);
     void onNodeFailure(std::size_t node, const Request &request,
                        SimTime at, ErrorKind kind);
-    void remoteDb(std::size_t node, RequestType type, double noise,
-                  SystemUnderTest::DbDone done);
-    /** Plain (non-resilient) DB round trip, connection in hand. */
-    void plainDbQuery(std::size_t node, RequestType type,
-                      double noise, SystemUnderTest::DbDone done,
-                      SimTime ready);
-    void finishDbTransaction(std::size_t node,
-                             std::shared_ptr<TxnDbOutcome> outcome,
-                             SystemUnderTest::DbDone done);
-
-    /** Run a DB-node CPU burst in scheduler quanta, then `then`. */
-    void dbBurst(double burst_us, std::function<void()> then);
 
     /**
-     * Charge `disk` (the DB node's or a shard's) for one txn's reads,
-     * page cleaning and log force; returns the I/O-done time.
+     * Charge `disk` (a shard primary's) for one txn's reads, page
+     * cleaning and log force; returns the I/O-done time.
      */
     SimTime chargeTxnDisk(DiskModel &disk, const TxnDbOutcome &outcome,
                           SimTime now);
-
-    // resilient EJB->DB path (only reached when resilience_on_)
-    void startDbAttempt(const std::shared_ptr<DbCall> &call);
-    void runDbAttempt(const std::shared_ptr<DbCall> &call,
-                      SimTime ready);
-    void finishDbAttempt(const std::shared_ptr<DbCall> &call,
-                         const std::shared_ptr<bool> &settled,
-                         const std::shared_ptr<TxnDbOutcome> &outcome);
-    void settleDbFailure(const std::shared_ptr<DbCall> &call,
-                         ErrorKind kind, bool breaker_failure);
 
     void applyFault(const FaultEvent &event);
     void degradeLinks(const FaultEvent &event, bool restore);
     void probeNode(std::size_t node);
     void applyProbeResult(std::size_t node, bool healthy);
 
-    // DB crash consistency (only reached when db_recovery_on_)
-    void checkpointTick();
-    void crashDbTier(const FaultEvent &event);
-    void beginDbRecovery();
-    void finishDbRecovery();
-
-    // sharded EJB->DB path (only reached when repl_on_)
+    // the EJB->DB call pipeline
     void startShardCall(std::size_t node, RequestType type,
                         double noise, SystemUnderTest::DbDone done);
     void startShardAttempt(const std::shared_ptr<DbCall> &call);
@@ -416,19 +378,23 @@ class ClusterUnderTest
         const std::shared_ptr<DbCall> &call,
         const std::shared_ptr<bool> &settled,
         const std::shared_ptr<TxnDbOutcome> &outcome);
+    void deliverShardResponse(
+        const std::shared_ptr<DbCall> &call,
+        const std::shared_ptr<bool> &settled,
+        const std::shared_ptr<TxnDbOutcome> &outcome, SimTime send_at);
     void settleShardFailure(const std::shared_ptr<DbCall> &call,
                             ErrorKind kind);
-    void shardBurst(std::size_t shard, double burst_us,
-                    std::function<void()> then);
+    /** The fail-fast error of a shard that is down or draining. */
+    ErrorKind outageError(std::size_t shard) const;
 
-    // repl-mode fault handling: replica-scoped crash/restart, primary
-    // failover, and the unreplicated per-shard crash+recover fallback
+    // DB faults: replica-scoped crash/restart, primary failover, and
+    // the blocking per-shard crash+recover when no replica promotes
     void applyShardFault(const FaultEvent &event);
     void crashShardTier(std::size_t shard, bool torn,
                         SimTime restart_after);
     void beginShardRecovery(std::size_t shard);
     void finishShardRecovery(std::size_t shard);
-    void replCheckpointTick();
+    void shardCheckpointTick();
 
     // partition tolerance (only reached when the schedule can split
     // the fabric or hand a primary off)

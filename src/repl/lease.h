@@ -42,8 +42,6 @@ struct LeaseConfig
     double lease_s = 2.0;         //!< lease length
     double renew_s = 0.5;         //!< heartbeat round interval
     double heartbeat_bytes = 64;  //!< per-heartbeat wire cost
-    /** Arm leases even without partition/switchover verbs. */
-    bool force_enabled = false;
 };
 
 /**

@@ -1,6 +1,7 @@
 #include "repl/replicated_db.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace jasim::repl {
 
@@ -11,10 +12,13 @@ ShardGroup::ShardGroup(EventQueue &queue,
       scheduler_(config.cpus), disk_(config.disk)
 {
     // Shipping needs WAL retention and failover gates on the audit:
-    // both are always armed on a shard primary. Audit first, so the
+    // both are armed on every replicated primary. Audit first, so the
     // empty audit table is part of the stable baseline.
-    app_.enableAudit();
-    app_.database().enableRecovery();
+    assert(config.recovery || config.replicas == 0);
+    if (config.recovery) {
+        app_.enableAudit();
+        app_.database().enableRecovery();
+    }
 
     Rng seeder(seed ^ 0x4e95ull);
     for (std::size_t r = 0; r < config.replicas; ++r) {
@@ -25,6 +29,26 @@ ShardGroup::ShardGroup(EventQueue &queue,
     }
     if (!replicas_.empty())
         app_.database().setTruncationFloor(0);
+}
+
+void
+ShardGroup::burst(double burst_us, std::function<void()> then)
+{
+    const SimTime now = queue_.now();
+    if (burst_us <= config_.quantum_us) {
+        queue_.scheduleAt(
+            scheduler_.run(now, burst_us, Component::Db2).completion,
+            std::move(then));
+        return;
+    }
+    const SimTime slice_end =
+        scheduler_.run(now, config_.quantum_us, Component::Db2)
+            .completion;
+    const double remaining = burst_us - config_.quantum_us;
+    queue_.scheduleAt(slice_end,
+                      [this, remaining, then = std::move(then)]() mutable {
+                          burst(remaining, std::move(then));
+                      });
 }
 
 void

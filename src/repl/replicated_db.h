@@ -2,10 +2,12 @@
  * @file
  * A shard group: one primary database plus R log-shipping replicas.
  *
- * The group bundles everything one shard of the replicated DB tier
- * owns -- the primary's application/database, CPU scheduler, data
- * disk, durability auditor, and the replica streams -- together with
- * the ack rule that distinguishes the two replication modes:
+ * The group bundles everything one shard of the DB tier owns -- the
+ * primary's application/database, CPU scheduler, data disk, durability
+ * auditor, and the replica streams -- together with the ack rule that
+ * distinguishes the two replication modes. The cluster's default tier,
+ * the single shared DB box, is one group with no replicas and, unless
+ * a DB fault arms it, no WAL retention or audit.
  *
  *   - async: a commit acks when the primary's own WAL force
  *     completes; replication lag is invisible to clients but acked
@@ -62,7 +64,7 @@ struct ReplConfig
     FailoverConfig failover;
     LeaseConfig lease;        //!< armed by partition/switchover verbs
 
-    /** Anything beyond the single unreplicated box of PR 5? */
+    /** Anything beyond one unreplicated shard group? */
     bool enabled() const { return shards > 1 || replicas > 0; }
 };
 
@@ -72,7 +74,14 @@ struct ShardGroupConfig
     DbConfig db;
     double injection_rate = 10.0; //!< population share of this shard
     std::size_t cpus = 4;
+    double quantum_us = 2000.0;   //!< CPU burst slice (burst())
     DiskConfig disk;
+    /**
+     * WAL retention and the durability audit, which crash recovery,
+     * shipping and failover all need. Only an unreplicated group may
+     * run without them.
+     */
+    bool recovery = true;
     std::size_t replicas = 0;
     ReplicaConfig replica;
     bool sync = false;
@@ -96,6 +105,14 @@ class ShardGroup
     const DurabilityAuditor &auditor() const { return auditor_; }
 
     bool syncMode() const { return config_.sync; }
+
+    /**
+     * Run a CPU burst on the primary's scheduler in quanta of
+     * `quantum_us`, then `then`. The slice continuation captures 48
+     * bytes, so it fits the event kernel's inline buffer.
+     */
+    void burst(double burst_us, std::function<void()> then);
+
     std::size_t replicaCount() const { return replicas_.size(); }
     LogShipStream &replica(std::size_t i) { return *replicas_[i]; }
     const LogShipStream &replica(std::size_t i) const

@@ -57,7 +57,7 @@ TEST(ClusterOverloadTest, DefaultRunBuildsNoController)
     Shared shared;
     ClusterUnderTest cluster(zeroCostCluster(2, 5.0), shared.profiles,
                              shared.registry, 7);
-    EXPECT_FALSE(cluster.admissionEnabled());
+    EXPECT_FALSE(cluster.armed().admission);
     EXPECT_EQ(cluster.node(0).admission(), nullptr);
     EXPECT_EQ(cluster.node(1).admission(), nullptr);
     EXPECT_EQ(cluster.loadBalancer().inFlightCap(), 0u);
@@ -85,7 +85,7 @@ TEST(ClusterOverloadTest, AdaptiveShedsAndBoundsTailUnderBurst)
     // The unprotected run queues without bound and sheds nothing.
     EXPECT_EQ(none.tracker().shedCount(), 0u);
     // The protected run converts the overload into explicit sheds...
-    EXPECT_TRUE(adaptive.admissionEnabled());
+    EXPECT_TRUE(adaptive.armed().admission);
     const std::uint64_t rejected =
         adaptive.tracker().errorCount(ErrorKind::Rejected);
     EXPECT_GT(rejected, 0u);
@@ -117,7 +117,7 @@ TEST(ClusterOverloadTest, LbCapShedsAtTheBalancer)
     Shared shared;
     ClusterUnderTest cluster(burstyCluster("none:lb_cap=24"),
                              shared.profiles, shared.registry, 13);
-    EXPECT_TRUE(cluster.admissionEnabled());
+    EXPECT_TRUE(cluster.armed().admission);
     EXPECT_EQ(cluster.node(0).admission(), nullptr);
     EXPECT_EQ(cluster.loadBalancer().inFlightCap(), 24u);
     cluster.start(secs(25));

@@ -132,8 +132,8 @@ TEST(ClusterTest, EveryNodeStackRunsItsOwnJvmAndScheduler)
         EXPECT_EQ(cluster.node(n).scheduler().busyBy(Component::Db2),
                   0u);
     }
-    EXPECT_GT(cluster.dbScheduler().busyBy(Component::Db2), 0u);
-    EXPECT_GT(cluster.dbApplication().rowsLoaded(), 0u);
+    EXPECT_GT(cluster.shard(0).scheduler().busyBy(Component::Db2), 0u);
+    EXPECT_GT(cluster.shard(0).application().rowsLoaded(), 0u);
 }
 
 TEST(ClusterTest, TinyDbPoolQueuesButLosesNothing)
@@ -172,6 +172,87 @@ TEST(ClusterTest, TwoNodesCarryTwiceTheLoadOfOne)
     const double jops_one = one.jops(secs(10), secs(60));
     const double jops_two = two.jops(secs(10), secs(60));
     EXPECT_NEAR(jops_two, 2.0 * jops_one, 0.15 * jops_two);
+}
+
+TEST(ClusterTest, ArmedFeaturesFollowTheConfig)
+{
+    const auto with = [](auto edit) {
+        ClusterConfig config;
+        edit(config);
+        return config;
+    };
+    const auto schedule = [&](const char *spec) {
+        return with([spec](ClusterConfig &c) {
+            c.faults = FaultSchedule::parse(spec);
+        });
+    };
+    // What any fault (or forced resilience) arms on the single box.
+    const ArmedSet faulted = {.resilience = true,
+                              .deadline = true,
+                              .retry = true,
+                              .breaker = true,
+                              .bounded_acquire = true};
+    ArmedSet faulted_recovery = faulted;
+    faulted_recovery.recovery = true;
+    const ArmedSet replicated = {.replication = true,
+                                 .recovery = true,
+                                 .deadline = true,
+                                 .retry = true,
+                                 .bounded_acquire = true};
+    ArmedSet partitioned = replicated;
+    partitioned.resilience = true;
+    partitioned.lease = true;
+    struct Case
+    {
+        const char *name;
+        ClusterConfig config;
+        ArmedSet want;
+    };
+    const Case cases[] = {
+        {"default", ClusterConfig{}, {}},
+        {"empty schedule", schedule(""), {}},
+        {"node crash", schedule("crash@5:node=0,restart=1"), faulted},
+        {"db crash", schedule("dbcrash@5:restart=1"), faulted_recovery},
+        {"db_recovery.force_enabled",
+         with([](ClusterConfig &c) { c.db_recovery.force_enabled = true; }),
+         faulted_recovery},
+        {"resilience.force_enabled",
+         with([](ClusterConfig &c) { c.resilience.force_enabled = true; }),
+         faulted},
+        {"admission",
+         with([](ClusterConfig &c) {
+             c.node.admission = adm::AdmissionConfig::parse(
+                 "adaptive:cap=32,min=2");
+         }),
+         {.admission = true, .bounded_acquire = true}},
+        {"shards=2", with([](ClusterConfig &c) { c.repl.shards = 2; }),
+         replicated},
+        {"replicas=1", with([](ClusterConfig &c) { c.repl.replicas = 1; }),
+         replicated},
+        {"replicated + partition",
+         with([](ClusterConfig &c) {
+             c.repl.replicas = 2;
+             c.faults = FaultSchedule::parse(
+                 "partition@6:sides=db0|0,1,db0.0,db0.1,dur=8");
+         }),
+         partitioned},
+    };
+    Shared shared;
+    for (const Case &c : cases) {
+        const ArmedSet got = armedFeatures(c.config);
+        EXPECT_TRUE(got == c.want) << c.name;
+        // The cluster runs with exactly the derived set, and builds
+        // the breaker and health checker only when they are armed.
+        ClusterConfig config = c.config;
+        config.nodes = 1;
+        config.node.injection_rate = 5.0;
+        ClusterUnderTest cluster(config, shared.profiles,
+                                 shared.registry, 7);
+        EXPECT_TRUE(cluster.armed() == got) << c.name;
+        EXPECT_EQ(cluster.breaker() != nullptr, got.breaker) << c.name;
+        EXPECT_EQ(cluster.healthChecker() != nullptr, got.resilience)
+            << c.name;
+    }
 }
 
 } // namespace

@@ -46,7 +46,7 @@ TEST(ClusterFaultsTest, HealthyRunArmsNothing)
     Shared shared;
     ClusterUnderTest cluster(zeroCostCluster(2, 5.0), shared.profiles,
                              shared.registry, 7);
-    EXPECT_FALSE(cluster.resilienceEnabled());
+    EXPECT_FALSE(cluster.armed().resilience);
     EXPECT_EQ(cluster.injector(), nullptr);
     EXPECT_EQ(cluster.breaker(), nullptr);
     EXPECT_EQ(cluster.healthChecker(), nullptr);
@@ -98,7 +98,7 @@ TEST(ClusterFaultsTest, CrashEjectsRestartReadmits)
     cluster.start(secs(30));
     cluster.advanceTo(secs(40));
 
-    ASSERT_TRUE(cluster.resilienceEnabled());
+    ASSERT_TRUE(cluster.armed().resilience);
     EXPECT_EQ(cluster.injector()->fired(), 1u);
 
     // Requests on / routed to the dead node fail as NodeDown.
@@ -163,7 +163,7 @@ TEST(ClusterFaultsTest, StarvedDbTripsBreakerAndFailsFast)
 
     ClusterUnderTest cluster(config, shared.profiles,
                              shared.registry, 31);
-    ASSERT_TRUE(cluster.resilienceEnabled());
+    ASSERT_TRUE(cluster.armed().resilience);
     EXPECT_EQ(cluster.injector(), nullptr); // no scripted faults
     cluster.start(secs(20));
     cluster.advanceTo(secs(30));

@@ -39,8 +39,8 @@ TEST(ClusterRecoveryTest, HealthyRunArmsNoRecovery)
     Shared shared;
     ClusterUnderTest cluster(lightCluster(), shared.profiles,
                              shared.registry, 7);
-    EXPECT_FALSE(cluster.dbRecoveryEnabled());
-    EXPECT_FALSE(cluster.dbDown());
+    EXPECT_FALSE(cluster.armed().recovery);
+    EXPECT_FALSE(cluster.shard(0).down());
     cluster.start(secs(10));
     cluster.advanceTo(secs(15));
     EXPECT_EQ(cluster.dbCrashCount(), 0u);
@@ -58,12 +58,12 @@ TEST(ClusterRecoveryTest, DbCrashRecoversAndKeepsServing)
 
     ClusterUnderTest cluster(config, shared.profiles,
                              shared.registry, 13);
-    ASSERT_TRUE(cluster.dbRecoveryEnabled());
+    ASSERT_TRUE(cluster.armed().recovery);
     cluster.start(secs(30));
     cluster.advanceTo(secs(40));
 
     EXPECT_EQ(cluster.dbCrashCount(), 2u);
-    EXPECT_FALSE(cluster.dbDown()); // both recoveries completed
+    EXPECT_FALSE(cluster.shard(0).down()); // both recoveries completed
     EXPECT_EQ(cluster.tracker().dbRecoveryCount(), 2u);
     EXPECT_GT(cluster.tracker().dbRecoveryUs(), 0u);
     EXPECT_GT(cluster.dbReplayUs(), 0u);
@@ -96,7 +96,27 @@ TEST(ClusterRecoveryTest, RecoveryWaitCountedWhileReplaying)
     // Down-window failures surface too (retried into exhaustion).
     EXPECT_GT(cluster.tracker().errorCount(),
               cluster.tracker().errorCount(ErrorKind::RecoveryWait));
-    EXPECT_FALSE(cluster.dbDown());
+    EXPECT_FALSE(cluster.shard(0).down());
+}
+
+TEST(ClusterRecoveryTest, CrashVerbsAimedAtMissingMembersAreIgnored)
+{
+    // The single box is shard group 0 with no replicas: a verb aimed
+    // at a replica or at another shard names a member it does not
+    // have, and is ignored as on any tier.
+    Shared shared;
+    for (const char *spec :
+         {"dbcrash@12:replica=0,restart=1", "dbcrash@12:shard=3,restart=1"}) {
+        ClusterConfig config = lightCluster();
+        config.faults = FaultSchedule::parse(spec);
+        ClusterUnderTest cluster(config, shared.profiles,
+                                 shared.registry, 7);
+        cluster.start(secs(20));
+        cluster.advanceTo(secs(25));
+        EXPECT_EQ(cluster.dbCrashCount(), 0u) << spec;
+        EXPECT_EQ(cluster.tracker().errorCount(), 0u) << spec;
+        EXPECT_GT(cluster.tracker().totalCompleted(), 100u) << spec;
+    }
 }
 
 TEST(ClusterRecoveryTest, ReplayGrowsWithCheckpointInterval)
@@ -199,7 +219,7 @@ TEST(ClusterRecoveryTest, ForceEnabledArmsWithoutFaults)
 
     ClusterUnderTest cluster(config, shared.profiles,
                              shared.registry, 29);
-    ASSERT_TRUE(cluster.dbRecoveryEnabled());
+    ASSERT_TRUE(cluster.armed().recovery);
     cluster.start(secs(15));
     cluster.advanceTo(secs(20));
 

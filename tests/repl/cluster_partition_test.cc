@@ -41,7 +41,7 @@ TEST(ClusterPartitionTest, ScheduleFreeRunsLeaveLeasesUnarmed)
     Shared shared;
     ClusterUnderTest cluster(partitionCluster(2, true, ""),
                              shared.profiles, shared.registry, 7);
-    EXPECT_FALSE(cluster.leaseEnabled());
+    EXPECT_FALSE(cluster.armed().lease);
     cluster.start(secs(10));
     cluster.advanceTo(secs(12));
     // No lease machinery ran: zero heartbeats, zero partition drops.
@@ -62,7 +62,7 @@ TEST(ClusterPartitionTest, PartitionPromotesTheQuorumSide)
             2, /*sync=*/true,
             "partition@6:sides=db0|0,1,db0.0,db0.1,dur=8"),
         shared.profiles, shared.registry, 7);
-    ASSERT_TRUE(cluster.leaseEnabled());
+    ASSERT_TRUE(cluster.armed().lease);
     cluster.start(secs(20));
     cluster.advanceTo(secs(25));
 
@@ -85,7 +85,7 @@ TEST(ClusterPartitionTest, PartitionPromotesTheQuorumSide)
 
     // Sync guarantee across partition + heal: zero lost-acked, by
     // construction (quorum acks intersect the promoted majority).
-    const AuditReport audit = cluster.clusterAuditNow();
+    const AuditReport audit = cluster.auditNow();
     EXPECT_GT(audit.acked_total, 0u);
     EXPECT_EQ(audit.lost_acked, 0u);
     EXPECT_EQ(audit.resurrected, 0u);
@@ -122,7 +122,7 @@ TEST(ClusterPartitionTest, EvenSplitWithoutQuorumNeverPromotes)
     EXPECT_GT(cluster.tracker().errorCount(), 0u);
     EXPECT_GE(cluster.shard(0).lease().lapses(), 1u);
     // Nothing acked was lost -- the whole point of lapsing.
-    const AuditReport audit = cluster.clusterAuditNow();
+    const AuditReport audit = cluster.auditNow();
     EXPECT_EQ(audit.lost_acked, 0u);
     // After the heal the lease renews and service resumes.
     EXPECT_GT(cluster.jops(secs(15), secs(20)), 0.0);
@@ -134,7 +134,7 @@ TEST(ClusterPartitionTest, PlannedSwitchoverBlackoutUnderOneLease)
     ClusterUnderTest cluster(
         partitionCluster(2, /*sync=*/true, "switchover@8:shard=0"),
         shared.profiles, shared.registry, 7);
-    ASSERT_TRUE(cluster.leaseEnabled());
+    ASSERT_TRUE(cluster.armed().lease);
     cluster.start(secs(20));
     cluster.advanceTo(secs(25));
 
@@ -152,7 +152,7 @@ TEST(ClusterPartitionTest, PlannedSwitchoverBlackoutUnderOneLease)
     EXPECT_LE(t.failoverBlackoutUs(0),
               secs(ClusterConfig{}.repl.lease.lease_s));
 
-    const AuditReport audit = cluster.clusterAuditNow();
+    const AuditReport audit = cluster.auditNow();
     EXPECT_GT(audit.acked_total, 0u);
     EXPECT_EQ(audit.lost_acked, 0u);
     EXPECT_EQ(audit.duplicates, 0u);

@@ -42,8 +42,8 @@ TEST(ClusterReplTest, DefaultsLeaveReplicationDisabled)
     ClusterConfig config = replCluster(1, 0, false, "");
     ClusterUnderTest cluster(config, shared.profiles, shared.registry,
                              7);
-    EXPECT_FALSE(cluster.replicationEnabled());
-    EXPECT_EQ(cluster.shardCount(), 0u); // legacy single box
+    EXPECT_FALSE(cluster.armed().replication);
+    EXPECT_EQ(cluster.shardCount(), 1u); // the single box is group 0
 }
 
 TEST(ClusterReplTest, HealthyShardedRunServesAndAuditsClean)
@@ -51,13 +51,13 @@ TEST(ClusterReplTest, HealthyShardedRunServesAndAuditsClean)
     Shared shared;
     ClusterUnderTest cluster(replCluster(2, 1, false, ""),
                              shared.profiles, shared.registry, 7);
-    ASSERT_TRUE(cluster.replicationEnabled());
+    ASSERT_TRUE(cluster.armed().replication);
     ASSERT_EQ(cluster.shardCount(), 2u);
     cluster.start(secs(20));
     cluster.advanceTo(secs(25));
 
     EXPECT_GT(cluster.tracker().totalCompleted(), 0u);
-    const AuditReport audit = cluster.clusterAuditNow();
+    const AuditReport audit = cluster.auditNow();
     EXPECT_GT(audit.acked_total, 0u);
     EXPECT_TRUE(audit.pass());
     // Both shards carried load and replicated it.
@@ -87,7 +87,7 @@ TEST(ClusterReplTest, PrimaryCrashFailsOverWithBoundedBlackout)
     EXPECT_DOUBLE_EQ(t.shardAvailability(1, secs(20)), 1.0);
 
     // The sync guarantee end to end: no acked commit lost.
-    const AuditReport audit = cluster.clusterAuditNow();
+    const AuditReport audit = cluster.auditNow();
     EXPECT_GT(audit.acked_total, 0u);
     EXPECT_EQ(audit.lost_acked, 0u);
     EXPECT_EQ(audit.resurrected, 0u);
@@ -117,22 +117,34 @@ TEST(ClusterReplTest, ReplicaCrashDoesNotBlackOutTheShard)
 TEST(ClusterReplTest, UnreplicatedShardFallsBackToBlockingRecovery)
 {
     Shared shared;
-    ClusterUnderTest cluster(
-        replCluster(2, 0, false, "dbcrash@8:shard=0,restart=1"),
-        shared.profiles, shared.registry, 7);
+    ClusterConfig config =
+        replCluster(2, 0, false, "dbcrash@8:shard=0,restart=1");
+    // A spinning WAL device makes the replay long enough that calls
+    // observably fail fast while it runs.
+    config.db_disk.kind = DiskConfig::Kind::Spinning;
+    config.db_disk.spindles = 2;
+    ClusterUnderTest cluster(config, shared.profiles, shared.registry, 7);
     cluster.start(secs(20));
     cluster.advanceTo(secs(25));
 
     EXPECT_EQ(cluster.tracker().failoverCount(), 0u);
     EXPECT_EQ(cluster.dbCrashCount(), 1u);
     EXPECT_EQ(cluster.tracker().dbRecoveryCount(), 1u);
-    // The shard's recovery is charged, like the legacy tier's: the
+    // The shard's recovery is charged, like the single box's: the
     // retained WAL is read back and the outage lasts simulated time.
     EXPECT_GT(cluster.dbReplayUs(), 0u);
     EXPECT_GT(cluster.lastRecovery().replay_bytes, 0u);
     EXPECT_TRUE(cluster.audited());
     EXPECT_TRUE(cluster.lastAudit().pass());
     EXPECT_GT(cluster.jops(secs(12), secs(20)), 0.0);
+    // A replica-less shard has nothing to promote: while it replays
+    // its WAL, calls fail fast with RecoveryWait, never FailoverWait.
+    const ResponseTracker &t = cluster.tracker();
+    EXPECT_GT(t.retryCount(ErrorKind::RecoveryWait) +
+                  t.errorCount(ErrorKind::RecoveryWait),
+              0u);
+    EXPECT_EQ(t.retryCount(ErrorKind::FailoverWait), 0u);
+    EXPECT_EQ(t.errorCount(ErrorKind::FailoverWait), 0u);
 }
 
 TEST(ClusterReplTest, ReplicatedRunsAreDeterministic)
