@@ -8,7 +8,8 @@
 #  - `--fastpath=0` must produce BIT-IDENTICAL stdout to `--fastpath`
 #    on a memory-bound bench — the fast path's whole contract (and
 #    micro_memwalk itself exits 1 if its arms' checksums diverge);
-#  - pinned sha256 goldens for fig08_l1d, a healthy abl_cluster_scaling
+#  - pinned sha256 goldens for fig08_l1d (with window jobs overlapped,
+#    and inline under --jobs 0), a healthy abl_cluster_scaling
 #    run, and the scaled-down abl_recovery, abl_replication,
 #    abl_partition, abl_burst, abl_faults and soak_chaos runs;
 #  - pinned jbench digests for its three workloads at two seeds.
@@ -39,6 +40,10 @@ echo "== perf-smoke: memory-path microbenchmark (A/B fastpath) =="
 "$BUILD/bench/micro_memwalk"
 
 echo "== perf-smoke: abl_l2size serial vs --jobs 4 =="
+# --jobs 1 runs each point's window jobs on helper threads that overlap
+# its DES. WindowSimConfig::overlap is off once the workers fill every
+# hardware thread, so on a host with at most four --jobs 4 runs them
+# inline, and this also compares overlap off with on.
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 args=(steady=30 ramp=10 seed=99)
@@ -63,6 +68,13 @@ if ! cmp -s "$tmp/fp_on.txt" "$tmp/fp_off.txt"; then
     exit 1
 fi
 echo "exactness: --fastpath output is bit-identical to --fastpath=0"
+
+echo "== perf-smoke: fig08_l1d window jobs inline (--jobs 0) =="
+# The default run above overlaps each window job with the DES on two
+# helper threads; `--jobs 0` (one worker per hardware thread) turns
+# that off on any multi-core host, so the inline loop must match the
+# same pinned golden below.
+"$BUILD/bench/fig08_l1d" "${fp_args[@]}" --jobs 0 >"$tmp/fp_inline.txt"
 
 echo "== perf-smoke: cluster with no --faults vs empty --faults =="
 # The fault machinery's whole contract: an empty schedule arms
@@ -147,8 +159,9 @@ check_golden() {
     fi
 }
 check_golden "$tmp/fp_on.txt" "$FIG08_GOLDEN" fig08_l1d
+check_golden "$tmp/fp_inline.txt" "$FIG08_GOLDEN" "fig08_l1d --jobs 0"
 check_golden "$tmp/nofaults.txt" "$CLUSTER_GOLDEN" abl_cluster_scaling
-echo "goldens: fig08_l1d and abl_cluster_scaling match the pre-recovery digests"
+echo "goldens: fig08_l1d (window jobs overlapped and inline) and abl_cluster_scaling match the pre-recovery digests"
 
 echo "== perf-smoke: pinned jbench digests =="
 # The goldens above cannot see the order in which the JVM heap model

@@ -12,9 +12,12 @@
 # + ctest): slower, but every test runs instrumented. Use it when
 # touching lifetime-sensitive code (event closures, fault injection,
 # connection pools). `--san` also adds a ThreadSanitizer build
-# (-DJASIM_TSAN=ON) running test_par — the suite that exercises real
-# cross-thread handoffs (jasim::par sweeps); ASan cannot see data
-# races, TSan can — plus a standalone UBSan build (-DJASIM_UBSAN=ON)
+# (-DJASIM_TSAN=ON) running the suites that exercise real cross-thread
+# handoffs — test_par (jasim::par sweeps and the SPSC ring) and
+# test_core's window-job tests (generation and replay on helper
+# threads, overlapping the DES), picked by --gtest_filter because the
+# full test_core holds multi-second calibration runs; ASan cannot see
+# data races, TSan can — plus a standalone UBSan build (-DJASIM_UBSAN=ON)
 # running the full suite: UBSan alone is near full speed, and it
 # catches signed overflow / misaligned access in arithmetic-heavy code
 # (fencing-token and LSN math, lease expiry) that ASan's shadow-memory
@@ -34,31 +37,36 @@ BUILD="${1:-build}"
 SAN_BUILD="${2:-build-asan}"
 TSAN_BUILD="${3:-build-tsan}"
 UBSAN_BUILD="${4:-build-ubsan}"
+# One compiler per CPU: a bare `-j` starts every translation unit at
+# once, and a from-scratch sanitized build then runs out of memory.
+JOBS="$(nproc)"
 
 echo "== tier-1: standard build =="
 cmake -B "$BUILD" -S . >/dev/null
-cmake --build "$BUILD" -j
-ctest --test-dir "$BUILD" --output-on-failure -j"$(nproc)"
+cmake --build "$BUILD" -j"$JOBS"
+ctest --test-dir "$BUILD" --output-on-failure -j"$JOBS"
 
 if [[ "$SAN_FULL" == 1 ]]; then
     echo "== tier-1: sanitized build (ASan + UBSan, full suite) =="
     cmake -B "$SAN_BUILD" -S . -DJASIM_SANITIZE=ON >/dev/null
-    cmake --build "$SAN_BUILD" -j
-    ctest --test-dir "$SAN_BUILD" --output-on-failure -j"$(nproc)"
+    cmake --build "$SAN_BUILD" -j"$JOBS"
+    ctest --test-dir "$SAN_BUILD" --output-on-failure -j"$JOBS"
 
-    echo "== tier-1: TSan build (par thread handoffs) =="
+    echo "== tier-1: TSan build (par sweeps, SPSC ring, window jobs) =="
     cmake -B "$TSAN_BUILD" -S . -DJASIM_TSAN=ON >/dev/null
-    cmake --build "$TSAN_BUILD" -j --target test_par
+    cmake --build "$TSAN_BUILD" -j"$JOBS" --target test_par test_core
     "$TSAN_BUILD/tests/test_par"
+    "$TSAN_BUILD/tests/test_core" \
+        --gtest_filter='WindowSimulatorTest.*:FastpathGoldenDigestTest.*'
 
     echo "== tier-1: UBSan build (full suite, undefined behaviour only) =="
     cmake -B "$UBSAN_BUILD" -S . -DJASIM_UBSAN=ON >/dev/null
-    cmake --build "$UBSAN_BUILD" -j
-    ctest --test-dir "$UBSAN_BUILD" --output-on-failure -j"$(nproc)"
+    cmake --build "$UBSAN_BUILD" -j"$JOBS"
+    ctest --test-dir "$UBSAN_BUILD" --output-on-failure -j"$JOBS"
 else
     echo "== tier-1: sanitized build (ASan + UBSan) =="
     cmake -B "$SAN_BUILD" -S . -DJASIM_SANITIZE=ON >/dev/null
-    cmake --build "$SAN_BUILD" -j --target test_net test_fault test_db test_repl test_adm test_driver test_core test_jvm
+    cmake --build "$SAN_BUILD" -j"$JOBS" --target test_net test_fault test_db test_repl test_adm test_driver test_core test_jvm
     "$SAN_BUILD/tests/test_net"
     "$SAN_BUILD/tests/test_fault"
     "$SAN_BUILD/tests/test_db"

@@ -1,13 +1,41 @@
 #include "core/experiment.h"
 
 #include <cassert>
+#include <sstream>
+#include <stdexcept>
 
 #include "hpm/counter_group.h"
 
 namespace jasim {
 
+void
+ExperimentConfig::validate() const
+{
+    const auto require = [](bool ok, const char *key, auto value,
+                            const char *rule) {
+        if (ok)
+            return;
+        std::ostringstream message;
+        message << key << "=" << value << ": " << rule;
+        throw std::invalid_argument(message.str());
+    };
+    // Up to 1e9 s each, so their sum in microseconds fits SimTime.
+    const auto length = [&](const char *key, double value) {
+        require(value >= 0.0 && value <= 1e9, key, value,
+                "a run length must be 0 to 1e9 seconds");
+    };
+    length("ramp", ramp_up_s);
+    length("steady", steady_s);
+    length("rampdown", ramp_down_s);
+    require(window_s >= 1e-6 && window_s <= 1e9, "window", window_s,
+            "the HPM window must be 1 us to 1e9 seconds");
+    require(window.sample_insts >= 1, "insts", window.sample_insts,
+            "a window must sample at least 1 instruction");
+}
+
 Experiment::Experiment(const ExperimentConfig &config) : config_(config)
 {
+    config_.validate();
     profiles_ =
         std::make_shared<const WorkloadProfiles>(config.seed ^ 0x9a0full);
     registry_ = std::make_shared<const MethodRegistry>(
@@ -15,8 +43,12 @@ Experiment::Experiment(const ExperimentConfig &config) : config_(config)
         config.seed ^ 0x3e9ull);
     sut_ = std::make_unique<SystemUnderTest>(config.sut, profiles_,
                                              registry_, config.seed);
+    // No window job runs with the micro simulation off, so start no
+    // helper threads for one.
+    WindowSimConfig window = config.window;
+    window.overlap = window.overlap && config.micro_enabled;
     window_sim_ = std::make_unique<WindowSimulator>(
-        config.window, profiles_, config.seed ^ 0x51ull);
+        window, profiles_, config.seed ^ 0x51ull);
 }
 
 ExperimentResult
@@ -40,9 +72,27 @@ Experiment::run()
     auto prev_busy = sut_->scheduler().busySnapshot();
     SimTime prev_disk_blocked = sut_->diskBlockedUs();
 
+    // A steady window's micro simulation is a job that runs while the
+    // DES advances through the next window. It is collected, and
+    // folded in window order, before the next job is submitted.
+    bool in_flight = false;
+    const auto fold = [&] {
+        WindowRecord &record = result.windows.back();
+        record.stats = window_sim_->collect();
+        result.total.merge(record.stats);
+        const double scale =
+            window_sim_->scaleFor(record.stats, record.mix.busy_us);
+        CounterSet counters;
+        record.stats.exportTo(counters, scale);
+        result.hpm->recordWindow(record.end, counters.snapshot());
+        in_flight = false;
+    };
+
     for (SimTime t = 0; t < total; t += window) {
         const SimTime window_end = std::min(t + window, total);
         sut_->advanceTo(window_end);
+        if (in_flight)
+            fold();
 
         const auto busy = sut_->scheduler().busySnapshot();
         std::array<SimTime, componentCount> busy_delta{};
@@ -82,18 +132,13 @@ Experiment::run()
             record.end = window_end;
             record.mix = mix;
             record.vm = vm;
-            record.stats = window_sim_->simulateWindow(
-                mix, sut_->gcLiveBytes());
-            result.total.merge(record.stats);
-
-            const double scale =
-                window_sim_->scaleFor(record.stats, mix.busy_us);
-            CounterSet counters;
-            record.stats.exportTo(counters, scale);
-            result.hpm->recordWindow(window_end, counters.snapshot());
+            window_sim_->submit(mix, sut_->gcLiveBytes());
             result.windows.push_back(std::move(record));
+            in_flight = true;
         }
     }
+    if (in_flight)
+        fold();
 
     // --- summaries ---------------------------------------------------
     if (config_.micro_enabled) {

@@ -57,6 +57,15 @@ struct ExperimentConfig
     {
         return secs(ramp_up_s + steady_s + ramp_down_s);
     }
+
+    /**
+     * Throw std::invalid_argument, naming the field as `key=value`,
+     * when a ramp or steady length is negative, NaN or over 1e9 s, the
+     * HPM window is outside 1 us to 1e9 s, or a window samples no
+     * instruction. A zero window never ends run()'s loop, and a time
+     * outside SimTime's range is undefined on conversion.
+     */
+    void validate() const;
 };
 
 /** One recorded steady-state window. */
@@ -113,9 +122,14 @@ struct ExperimentResult
 class Experiment
 {
   public:
+    /** Throws std::invalid_argument for a config validate() rejects. */
     explicit Experiment(const ExperimentConfig &config);
 
-    /** Execute the full run and assemble the result. */
+    /**
+     * Execute the full run and assemble the result. Each steady
+     * window's micro simulation overlaps the DES's next window (see
+     * WindowSimConfig::overlap); windows are folded in order.
+     */
     ExperimentResult run();
 
     SystemUnderTest &sut() { return *sut_; }

@@ -2,8 +2,26 @@
 
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
+
+#include "par/spsc_ring.h"
 
 namespace jasim {
+
+namespace {
+
+/**
+ * Ring slots between generation and replay: 8192 48-byte instructions,
+ * 384 KiB, reused across windows. Replay is the slower half, so the
+ * ring runs full and its size only sets how often the generator
+ * sleeps.
+ */
+constexpr std::size_t ringSlots = 8192;
+
+/** `WindowSimulator::jobs_` value that stops the helper threads. */
+constexpr std::uint64_t stopJobs = ~std::uint64_t{0};
+
+} // namespace
 
 WindowSimulator::WindowSimulator(
     const WindowSimConfig &config,
@@ -32,16 +50,135 @@ WindowSimulator::WindowSimulator(
                 std::move(generator);
         }
     }
+    if (!config_.overlap)
+        return;
+    ring_ = std::make_unique<par::SpscRing<Instr>>(ringSlots);
+    generator_ = std::thread(
+        [this] { serve(&WindowSimulator::generate, generate_error_); });
+    try {
+        replayer_ = std::thread(
+            [this] { serve(&WindowSimulator::replay, replay_error_); });
+    } catch (...) {
+        stop();
+        throw;
+    }
+}
+
+WindowSimulator::~WindowSimulator()
+{
+    // Abort a job still in flight and let both halves see it: a helper
+    // that read the stop signal instead would leave the other blocked
+    // on the ring for good.
+    if (ring_) {
+        ring_->abort();
+        wait();
+    }
+    stop();
+}
+
+void
+WindowSimulator::submit(const WindowMix &mix, std::uint64_t gc_live_bytes)
+{
+    if (submitted_) {
+        throw std::logic_error(
+            "WindowSimulator::submit: the previous window was not "
+            "collected");
+    }
+    submitted_ = true;
+    stats_ = ExecStats{};
+    if (mix.busy_us <= 0.0)
+        return;
+
+    // Keep the mark-phase generators aware of the live-set size.
+    if (mix.gc_active && gc_live_bytes > 0) {
+        for (auto &per_core : generators_) {
+            setGcLiveBytes(
+                *per_core[static_cast<std::size_t>(Component::GcMark)],
+                gc_live_bytes);
+        }
+    }
+    plan(mix);
+
+    if (!ring_) {
+        runInline();
+        return;
+    }
+    // Both helpers are idle: the last collect() waited for them.
+    ring_->reset();
+    running_.store(2, std::memory_order_relaxed);
+    jobs_.fetch_add(1, std::memory_order_release);
+    jobs_.notify_all();
+}
+
+ExecStats
+WindowSimulator::collect()
+{
+    if (!submitted_) {
+        throw std::logic_error(
+            "WindowSimulator::collect: no window was submitted");
+    }
+    submitted_ = false;
+    wait();
+    const std::exception_ptr error =
+        generate_error_ ? generate_error_ : replay_error_;
+    generate_error_ = nullptr;
+    replay_error_ = nullptr;
+    if (error)
+        std::rethrow_exception(error);
+    return stats_;
 }
 
 ExecStats
 WindowSimulator::simulateWindow(const WindowMix &mix,
                                 std::uint64_t gc_live_bytes)
 {
-    ExecStats stats;
-    if (mix.busy_us <= 0.0)
-        return stats;
+    submit(mix, gc_live_bytes);
+    return collect();
+}
 
+void
+WindowSimulator::serve(void (WindowSimulator::*half)(),
+                       std::exception_ptr &error)
+{
+    std::uint64_t seen = 0;
+    for (;;) {
+        jobs_.wait(seen, std::memory_order_acquire);
+        seen = jobs_.load(std::memory_order_acquire);
+        if (seen == stopJobs)
+            return;
+        try {
+            (this->*half)();
+        } catch (...) {
+            // Keep the error for collect(), and wake the other half.
+            error = std::current_exception();
+            ring_->abort();
+        }
+        if (running_.fetch_sub(1, std::memory_order_acq_rel) == 1)
+            running_.notify_all();
+    }
+}
+
+void
+WindowSimulator::wait()
+{
+    for (std::uint32_t n; (n = running_.load(std::memory_order_acquire));)
+        running_.wait(n, std::memory_order_acquire);
+}
+
+void
+WindowSimulator::stop()
+{
+    jobs_.store(stopJobs, std::memory_order_release);
+    jobs_.notify_all();
+    if (generator_.joinable())
+        generator_.join();
+    if (replayer_.joinable())
+        replayer_.join();
+}
+
+void
+WindowSimulator::plan(const WindowMix &mix)
+{
     const std::size_t cores = cores_.size();
 
     // Per-(core, component) instruction budgets.
@@ -55,19 +192,11 @@ WindowSimulator::simulateWindow(const WindowMix &mix,
         }
     }
 
-    // Keep the mark-phase generators aware of the live-set size.
-    if (mix.gc_active && gc_live_bytes > 0) {
-        for (std::size_t core = 0; core < cores; ++core) {
-            setGcLiveBytes(*generators_[core][static_cast<std::size_t>(
-                               Component::GcMark)],
-                           gc_live_bytes);
-        }
-    }
-
     // Interleave across cores in chunks (as SMP hardware does), but
     // within a core run each component's whole budget contiguously:
     // an OS timeslice is millions of instructions, so per-window
     // component switches on one core are rare, not per-chunk.
+    plan_.clear();
     bool work_left = true;
     std::array<std::size_t, 64> comp_cursor{};
     assert(cores <= comp_cursor.size());
@@ -86,15 +215,55 @@ WindowSimulator::simulateWindow(const WindowMix &mix,
             comp_cursor[core] = c;
             const std::size_t run =
                 std::min(config_.chunk, budget[core][c]);
-            StreamGenerator &gen = *generators_[core][c];
-            CoreModel &cpu = *cores_[core];
-            for (std::size_t i = 0; i < run; ++i)
-                cpu.execute(gen.next(), stats);
+            plan_.push_back({core, c, run});
             budget[core][c] -= run;
             work_left = true;
         }
     }
-    return stats;
+}
+
+void
+WindowSimulator::runInline()
+{
+    for (const Run &run : plan_) {
+        StreamGenerator &gen = *generators_[run.core][run.component];
+        CoreModel &cpu = *cores_[run.core];
+        for (std::size_t i = 0; i < run.count; ++i)
+            cpu.execute(gen.next(), stats_);
+    }
+}
+
+void
+WindowSimulator::generate()
+{
+    par::SpscRing<Instr> &ring = *ring_;
+    for (const Run &run : plan_) {
+        StreamGenerator &gen = *generators_[run.core][run.component];
+        for (std::size_t i = 0; i < run.count; ++i) {
+            if (!ring.push(gen.next()))
+                return;
+        }
+    }
+    ring.flush();
+}
+
+void
+WindowSimulator::replay()
+{
+    // Count into a local: stats_ shares cache lines with members the
+    // generator thread reads for every instruction.
+    par::SpscRing<Instr> &ring = *ring_;
+    ExecStats stats;
+    Instr inst;
+    for (const Run &run : plan_) {
+        CoreModel &cpu = *cores_[run.core];
+        for (std::size_t i = 0; i < run.count; ++i) {
+            if (!ring.pop(inst))
+                return;
+            cpu.execute(inst, stats);
+        }
+    }
+    stats_ = stats;
 }
 
 double
@@ -120,13 +289,6 @@ WindowSimulator::jitMethodSamples() const
             samples[m] += s[m];
     }
     return samples;
-}
-
-void
-WindowSimulator::flushTranslation()
-{
-    for (auto &core : cores_)
-        core->flushTranslation();
 }
 
 } // namespace jasim

@@ -138,9 +138,6 @@ class CoreModel
     std::size_t coreId() const { return core_id_; }
     const CoreConfig &config() const { return config_; }
 
-    /** Flush translation state (used by page-size ablations). */
-    void flushTranslation() { xlat_.flush(); }
-
   private:
     std::size_t core_id_;
     CoreConfig config_;

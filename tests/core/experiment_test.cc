@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
+
 #include "core/experiment.h"
 #include "core/figures.h"
 
@@ -20,6 +23,46 @@ quickConfig()
     config.windows_per_group = 2;
     config.seed = 5;
     return config;
+}
+
+TEST(ExperimentTest, RejectsLengthsThatHangOrWrap)
+{
+    // Each would hang run() (a zero window, a window of 2^64 - 1
+    // instructions) or convert a time outside SimTime's range. The
+    // constructor throws before run() can start.
+    const auto rejects = [](auto edit) {
+        ExperimentConfig config = quickConfig();
+        edit(config);
+        EXPECT_THROW(Experiment{config}, std::invalid_argument);
+    };
+    rejects([](ExperimentConfig &c) { c.window_s = 0.0; });
+    rejects([](ExperimentConfig &c) { c.window_s = -1.0; });
+    rejects([](ExperimentConfig &c) { c.window_s = 5e-7; });
+    rejects([](ExperimentConfig &c) { c.window_s = NAN; });
+    rejects([](ExperimentConfig &c) { c.window.sample_insts = 0; });
+    rejects([](ExperimentConfig &c) { c.ramp_up_s = -1.0; });
+    rejects([](ExperimentConfig &c) { c.steady_s = -1.0; });
+    rejects([](ExperimentConfig &c) { c.ramp_down_s = -0.5; });
+    rejects([](ExperimentConfig &c) { c.steady_s = INFINITY; });
+    rejects([](ExperimentConfig &c) { c.ramp_up_s = 1e300; });
+    rejects([](ExperimentConfig &c) { c.window_s = 2e9; });
+}
+
+TEST(ExperimentTest, AcceptsZeroRampDownAndOneMicrosecondWindows)
+{
+    ExperimentConfig config = quickConfig();
+    config.ramp_down_s = 0.0;
+    config.window_s = 1e-6;
+    EXPECT_NO_THROW(config.validate());
+}
+
+TEST(ExperimentTest, StartsNoWindowHelpersWithMicroOff)
+{
+    ExperimentConfig config = quickConfig();
+    config.micro_enabled = false;
+    EXPECT_FALSE(Experiment(config).windowSimulator().config().overlap);
+    config.micro_enabled = true;
+    EXPECT_TRUE(Experiment(config).windowSimulator().config().overlap);
 }
 
 TEST(ExperimentTest, ProducesSteadyStateWindows)

@@ -7,7 +7,8 @@
  * steady-state window's counters and the end-of-run memory counters
  * into a digest, and requires the two digests to be bit-identical.
  * This is the test that licenses shipping the fast path enabled by
- * default.
+ * default. The digest is also pinned, with window jobs overlapping
+ * the DES and inline, so any moved window-simulator bit fails here.
  */
 
 #include <gtest/gtest.h>
@@ -20,8 +21,15 @@
 namespace jasim {
 namespace {
 
+/**
+ * goldenDigest() of digestConfig(), taken before window jobs could run
+ * on helper threads. Change it only with a deliberate change to what
+ * the window simulator computes.
+ */
+constexpr std::uint64_t pinnedDigest = 0x0326e9d2c8971a7full;
+
 ExperimentConfig
-digestConfig(bool fastpath)
+digestConfig(bool fastpath, bool overlap = true)
 {
     ExperimentConfig config;
     config.sut.injection_rate = 6.0;
@@ -34,6 +42,7 @@ digestConfig(bool fastpath)
     config.windows_per_group = 2;
     config.seed = 11;
     config.window.fastpath = fastpath;
+    config.window.overlap = overlap;
     return config;
 }
 
@@ -131,6 +140,15 @@ TEST(FastpathGoldenDigestTest, ExperimentBitIdenticalOnVsOff)
     EXPECT_EQ(off.mru_data_hits, 0u);
     EXPECT_EQ(off.mru_inst_hits, 0u);
     EXPECT_EQ(off.snoop_filter_skips, 0u);
+}
+
+TEST(FastpathGoldenDigestTest, PinnedWithWindowJobsOverlappedAndInline)
+{
+    for (const bool overlap : {true, false}) {
+        Experiment experiment(digestConfig(true, overlap));
+        EXPECT_EQ(goldenDigest(experiment.run()), pinnedDigest)
+            << "overlap " << overlap;
+    }
 }
 
 } // namespace

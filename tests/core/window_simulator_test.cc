@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <stdexcept>
+#include <thread>
+
 #include "core/window_simulator.h"
 
 namespace jasim {
@@ -126,6 +130,116 @@ TEST_F(WindowSimulatorTest, GcWindowsChangeCharacter)
         static_cast<double>(gc_stats.cond_mispredict) /
         static_cast<double>(gc_stats.cond_branches);
     EXPECT_LT(gc_mispredict, app_mispredict);
+}
+
+/** Every ExecStats field equal, bit for bit. */
+void
+expectSameStats(const ExecStats &a, const ExecStats &b)
+{
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.dispatched, b.dispatched);
+    EXPECT_EQ(a.completed, b.completed);
+    EXPECT_EQ(a.completion_cycles, b.completion_cycles);
+    EXPECT_EQ(a.loads, b.loads);
+    EXPECT_EQ(a.stores, b.stores);
+    EXPECT_EQ(a.l1d_load_miss, b.l1d_load_miss);
+    EXPECT_EQ(a.l1d_store_miss, b.l1d_store_miss);
+    EXPECT_EQ(a.loads_from, b.loads_from);
+    EXPECT_EQ(a.l1i_miss, b.l1i_miss);
+    EXPECT_EQ(a.ifetch_from, b.ifetch_from);
+    EXPECT_EQ(a.ierat_miss, b.ierat_miss);
+    EXPECT_EQ(a.derat_miss, b.derat_miss);
+    EXPECT_EQ(a.itlb_miss, b.itlb_miss);
+    EXPECT_EQ(a.dtlb_miss, b.dtlb_miss);
+    EXPECT_EQ(a.branches, b.branches);
+    EXPECT_EQ(a.cond_branches, b.cond_branches);
+    EXPECT_EQ(a.cond_mispredict, b.cond_mispredict);
+    EXPECT_EQ(a.indirect_branches, b.indirect_branches);
+    EXPECT_EQ(a.returns, b.returns);
+    EXPECT_EQ(a.return_mispredict, b.return_mispredict);
+    EXPECT_EQ(a.target_mispredict, b.target_mispredict);
+    EXPECT_EQ(a.btb_miss, b.btb_miss);
+    EXPECT_EQ(a.larx, b.larx);
+    EXPECT_EQ(a.stcx, b.stcx);
+    EXPECT_EQ(a.stcx_fail, b.stcx_fail);
+    EXPECT_EQ(a.syncs, b.syncs);
+    EXPECT_EQ(a.srq_sync_cycles, b.srq_sync_cycles);
+    EXPECT_EQ(a.kernel_sleeps, b.kernel_sleeps);
+    EXPECT_EQ(a.l1d_prefetch, b.l1d_prefetch);
+    EXPECT_EQ(a.l2_prefetch, b.l2_prefetch);
+    EXPECT_EQ(a.stream_alloc, b.stream_alloc);
+}
+
+TEST_F(WindowSimulatorTest, OverlapBitIdenticalOnOneTwoAndFourCores)
+{
+    // abl_scaling's three topologies, through app, GC-active and
+    // mixed windows (so the mark generators' live bytes change).
+    struct Topology
+    {
+        std::size_t cores;
+        std::size_t per_chip;
+    };
+    WindowMix app;
+    app.fraction[static_cast<std::size_t>(Component::WasJit)] = 0.7;
+    app.fraction[static_cast<std::size_t>(Component::Db2)] = 0.3;
+    app.busy_us = 1e6;
+    WindowMix gc = uniformMix();
+    gc.fraction[static_cast<std::size_t>(Component::GcMark)] += 0.3;
+    gc.gc_active = true;
+    const WindowMix mixes[] = {app, gc, uniformMix(), gc, app};
+    const std::uint64_t live[] = {200 << 20, 150 << 20, 0, 300 << 20,
+                                  200 << 20};
+
+    for (const Topology topo : {Topology{1, 1}, Topology{2, 2},
+                                Topology{4, 2}}) {
+        SCOPED_TRACE(testing::Message() << topo.cores << " cores");
+        WindowSimConfig config = config_;
+        config.sample_insts = 20000;
+        config.hierarchy.cores = topo.cores;
+        config.hierarchy.cores_per_chip = topo.per_chip;
+        config.overlap = true;
+        WindowSimulator on(config, profiles_, 7);
+        config.overlap = false;
+        WindowSimulator off(config, profiles_, 7);
+        for (std::size_t w = 0; w < std::size(mixes); ++w) {
+            SCOPED_TRACE(testing::Message() << "window " << w);
+            const ExecStats a = on.simulateWindow(mixes[w], live[w]);
+            const ExecStats b = off.simulateWindow(mixes[w], live[w]);
+            EXPECT_GT(a.completed, 0u);
+            expectSameStats(a, b);
+        }
+        EXPECT_EQ(on.jitMethodSamples(), off.jitMethodSamples());
+    }
+}
+
+TEST_F(WindowSimulatorTest, DestroyedWithAWindowInFlightJoinsCleanly)
+{
+    // Destroy each simulator while its helpers are still waking for
+    // the job (even rounds) or are somewhere inside it (odd rounds), so
+    // the job and the stop signal meet in every order. Before the
+    // destructor aborted the job, one helper could run its half alone
+    // and block on the ring for good.
+    config_.overlap = true;
+    for (int round = 0; round < 300; ++round) {
+        WindowSimulator sim(config_, profiles_, 1);
+        sim.submit(uniformMix(), 200 << 20);
+        if (round % 2 != 0)
+            std::this_thread::sleep_for(std::chrono::microseconds(round));
+    }
+}
+
+TEST_F(WindowSimulatorTest, EachSubmitNeedsOneCollect)
+{
+    for (const bool overlap : {true, false}) {
+        config_.overlap = overlap;
+        WindowSimulator sim(config_, profiles_, 1);
+        EXPECT_THROW(sim.collect(), std::logic_error);
+        sim.submit(uniformMix(), 200 << 20);
+        EXPECT_THROW(sim.submit(uniformMix(), 200 << 20),
+                     std::logic_error);
+        EXPECT_GT(sim.collect().completed, 0u);
+        EXPECT_THROW(sim.collect(), std::logic_error);
+    }
 }
 
 TEST_F(WindowSimulatorTest, DeterministicForSeed)
