@@ -78,7 +78,7 @@ main(int argc, char **argv)
     const Config args = Config::fromArgs(argc, argv);
     ExperimentConfig base = bench::configFromArgs(argc, argv, 90.0);
     base.ramp_up_s = args.getDouble("ramp", 30.0);
-    bench::PerfReport perf("abl_cluster_scaling", /*tracked=*/true);
+    bench::PerfReport perf("abl_cluster_scaling");
 
     FaultSchedule faults;
     try {

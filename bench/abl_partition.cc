@@ -89,7 +89,7 @@ main(int argc, char **argv)
     const Config args = Config::fromArgs(argc, argv);
     ExperimentConfig base = bench::configFromArgs(argc, argv, 16.0);
     base.ramp_up_s = args.getDouble("ramp", 2.0);
-    bench::PerfReport perf("abl_partition", /*tracked=*/true);
+    bench::PerfReport perf("abl_partition");
 
     const std::size_t nodes = base.nodes > 1 ? base.nodes : 4;
     const double per_node_ir = args.getDouble("ir", 150.0);

@@ -28,7 +28,7 @@ struct Point
 {
     std::string disk;
     double interval_s = 0.0; //!< 0 = armed healthy baseline
-    std::string spec;
+    FaultSchedule faults;
 };
 
 /** Everything one point contributes to the report. */
@@ -83,13 +83,27 @@ main(int argc, char **argv)
     chaos << "dbcrash@" << t_crash << ":restart=1;tornwrite@" << t_torn
           << ":restart=1";
     const std::string spec = args.getString("faults", chaos.str());
+    // The armed healthy baseline arms recovery like the chaos points
+    // do, through a DB fault, but one that lands after the run ends.
+    std::ostringstream past_end;
+    past_end << std::fixed << "dbcrash@"
+             << base.ramp_up_s + base.steady_s + 1.0;
+    FaultSchedule chaos_faults, baseline_faults;
+    try {
+        chaos_faults = FaultSchedule::parse(spec);
+        baseline_faults = FaultSchedule::parse(past_end.str());
+    } catch (const std::invalid_argument &e) {
+        std::cerr << "abl_recovery: bad --faults spec: " << e.what()
+                  << "\n";
+        return 2;
+    }
 
     const std::vector<double> intervals = {2.0, 4.0, 8.0, 16.0};
     std::vector<Point> points;
     for (const char *disk : {"ramdisk", "spinning"}) {
-        points.push_back({disk, 0.0, ""}); // armed healthy baseline
+        points.push_back({disk, 0.0, baseline_faults});
         for (const double interval : intervals)
-            points.push_back({disk, interval, spec});
+            points.push_back({disk, interval, chaos_faults});
     }
 
     auto profiles =
@@ -112,8 +126,7 @@ main(int argc, char **argv)
                 config.db_disk.spindles = static_cast<std::size_t>(
                     args.getInt("spindles", 2));
             }
-            config.faults = FaultSchedule::parse(point.spec);
-            config.db_recovery.force_enabled = true;
+            config.faults = point.faults;
             config.db_recovery.checkpoint_interval_s =
                 point.interval_s > 0.0 ? point.interval_s : 8.0;
 

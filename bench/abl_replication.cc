@@ -83,7 +83,7 @@ main(int argc, char **argv)
     const Config args = Config::fromArgs(argc, argv);
     ExperimentConfig base = bench::configFromArgs(argc, argv, 8.0);
     base.ramp_up_s = args.getDouble("ramp", 2.5);
-    bench::PerfReport perf("abl_replication", /*tracked=*/true);
+    bench::PerfReport perf("abl_replication");
 
     const std::size_t nodes = base.nodes > 1 ? base.nodes : 4;
     // Per-node IR: the default aggregate (4 x 150) sits an order of
@@ -100,6 +100,14 @@ main(int argc, char **argv)
     std::ostringstream chaos;
     chaos << "dbcrash@" << t_crash << ":shard=0,restart=2";
     const std::string spec = args.getString("faults", chaos.str());
+    FaultSchedule faults;
+    try {
+        faults = FaultSchedule::parse(spec);
+    } catch (const std::invalid_argument &e) {
+        std::cerr << "abl_replication: bad --faults spec: " << e.what()
+                  << "\n";
+        return 2;
+    }
 
     std::vector<Point> points = {
         {1, 0, false}, // single-DB ceiling (legacy box, ARIES)
@@ -132,8 +140,7 @@ main(int argc, char **argv)
             // the 10x overload ratio are both visible.
             config.db_cpus =
                 static_cast<std::size_t>(args.getInt("db_cpus", 1));
-            config.faults = FaultSchedule::parse(spec);
-            config.db_recovery.force_enabled = true;
+            config.faults = faults;
             config.db_recovery.checkpoint_interval_s =
                 args.getDouble("ckpt", 5.0);
             config.repl.shards = point.shards;

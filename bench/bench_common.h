@@ -19,9 +19,9 @@
  * the cluster stays byte-identical to a pre-repl build.
  *
  * Every bench also writes a machine-readable perf record to
- * `out/BENCH_<name>.json` (schema documented on PerfReport below) so
- * the repo's perf trajectory is tracked run over run; the summary
- * line goes to stderr so stdout stays bit-comparable across runs.
+ * `out/BENCH_<name>.json` (schema documented on PerfReport below);
+ * the summary line goes to stderr so stdout stays bit-comparable
+ * across runs.
  */
 
 #ifndef JASIM_BENCH_BENCH_COMMON_H
@@ -171,15 +171,8 @@ banner(std::ostream &os, const char *figure, const char *claim)
 class PerfReport
 {
   public:
-    /**
-     * @param tracked also write the record to `BENCH_<name>.json` in
-     *        the current directory. `out/` is gitignored, so tracked
-     *        benches (the micro A/B benches) use this to keep the
-     *        repo-level perf trajectory in version control; run them
-     *        from the repo root.
-     */
-    explicit PerfReport(std::string name, bool tracked = false)
-        : name_(std::move(name)), tracked_(tracked),
+    explicit PerfReport(std::string name)
+        : name_(std::move(name)),
           start_(std::chrono::steady_clock::now())
     {
     }
@@ -214,11 +207,20 @@ class PerfReport
         const std::string path = "out/BENCH_" + name_ + ".json";
         {
             std::ofstream out(path);
-            emit(out, jobs, wall, eps);
-        }
-        if (tracked_) {
-            std::ofstream canon("BENCH_" + name_ + ".json");
-            emit(canon, jobs, wall, eps);
+            out.precision(6);
+            out << std::fixed;
+            out << "{\n"
+                << "  \"bench\": \"" << name_ << "\",\n"
+                << "  \"jobs\": " << jobs << ",\n"
+                << "  \"wall_seconds\": " << wall << ",\n"
+                << "  \"events_executed\": " << events_ << ",\n"
+                << "  \"events_per_sec\": " << eps << ",\n"
+                << "  \"metrics\": {";
+            for (std::size_t i = 0; i < metrics_.size(); ++i) {
+                out << (i ? ",\n    \"" : "\n    \"")
+                    << metrics_[i].first << "\": " << metrics_[i].second;
+            }
+            out << (metrics_.empty() ? "}\n" : "\n  }\n") << "}\n";
         }
 
         std::cerr << "[perf] " << name_ << ": "
@@ -229,28 +231,7 @@ class PerfReport
     }
 
   private:
-    void
-    emit(std::ostream &out, std::size_t jobs, double wall,
-         double eps) const
-    {
-        out.precision(6);
-        out << std::fixed;
-        out << "{\n"
-            << "  \"bench\": \"" << name_ << "\",\n"
-            << "  \"jobs\": " << jobs << ",\n"
-            << "  \"wall_seconds\": " << wall << ",\n"
-            << "  \"events_executed\": " << events_ << ",\n"
-            << "  \"events_per_sec\": " << eps << ",\n"
-            << "  \"metrics\": {";
-        for (std::size_t i = 0; i < metrics_.size(); ++i) {
-            out << (i ? ",\n    \"" : "\n    \"") << metrics_[i].first
-                << "\": " << metrics_[i].second;
-        }
-        out << (metrics_.empty() ? "}\n" : "\n  }\n") << "}\n";
-    }
-
     std::string name_;
-    bool tracked_ = false;
     std::chrono::steady_clock::time_point start_;
     std::uint64_t events_ = 0;
     std::vector<std::pair<std::string, double>> metrics_;

@@ -159,7 +159,7 @@ main(int argc, char **argv)
     const std::size_t pumps =
         static_cast<std::size_t>(args.getInt("pumps", 32));
     const int reps = static_cast<int>(args.getInt("reps", 5));
-    bench::PerfReport perf("micro_eventqueue", /*tracked=*/true);
+    bench::PerfReport perf("micro_eventqueue");
 
     // Interleave the two kernels (A/B per rep) so a noise burst hits
     // both rather than biasing one; keep each kernel's best rep.

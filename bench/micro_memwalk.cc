@@ -21,9 +21,8 @@
  *
  *   ./micro_memwalk [insts=1200000] [reps=7] [seed=42]
  *
- * Writes out/BENCH_micro_memwalk.json and, because this bench is part
- * of the tracked perf trajectory, BENCH_micro_memwalk.json in the
- * current directory (run it from the repo root).
+ * Writes out/BENCH_micro_memwalk.json with both accesses/sec figures
+ * and the speedup (see bench_common.h for the schema).
  */
 
 #include <chrono>
@@ -271,7 +270,7 @@ main(int argc, char **argv)
     const int reps = static_cast<int>(args.getInt("reps", 7));
     const std::uint64_t seed =
         static_cast<std::uint64_t>(args.getInt("seed", 42));
-    bench::PerfReport perf("micro_memwalk", /*tracked=*/true);
+    bench::PerfReport perf("micro_memwalk");
 
     TraceMix mix;
     mix.load_pct =

@@ -201,7 +201,7 @@ main(int argc, char **argv)
     const ExperimentConfig base = bench::configFromArgs(argc, argv);
     const std::size_t n_seeds =
         static_cast<std::size_t>(args.getInt("seeds", 20));
-    bench::PerfReport perf("soak_chaos", /*tracked=*/false);
+    bench::PerfReport perf("soak_chaos");
 
     auto profiles =
         std::make_shared<const WorkloadProfiles>(base.seed ^ 0x50a4ull);

@@ -39,86 +39,9 @@ echo "== perf-smoke: memory-path microbenchmark (A/B fastpath) =="
 # Exits nonzero on its own if the two arms' checksums diverge.
 "$BUILD/bench/micro_memwalk"
 
-echo "== perf-smoke: abl_l2size serial vs --jobs 4 =="
-# --jobs 1 runs each point's window jobs on helper threads that overlap
-# its DES. WindowSimConfig::overlap is off once the workers fill every
-# hardware thread, so on a host with at most four --jobs 4 runs them
-# inline, and this also compares overlap off with on.
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
-args=(steady=30 ramp=10 seed=99)
-"$BUILD/bench/abl_l2size" "${args[@]}" --jobs 1 >"$tmp/serial.txt"
-cp out/BENCH_abl_l2size.json out/BENCH_abl_l2size_serial.json
-"$BUILD/bench/abl_l2size" "${args[@]}" --jobs 4 >"$tmp/par.txt"
 
-if ! cmp -s "$tmp/serial.txt" "$tmp/par.txt"; then
-    echo "FAIL: --jobs 4 output differs from --jobs 1 (determinism broken):" >&2
-    diff "$tmp/serial.txt" "$tmp/par.txt" >&2 || true
-    exit 1
-fi
-echo "determinism: --jobs 4 output is bit-identical to --jobs 1"
-
-echo "== perf-smoke: fig08_l1d --fastpath vs --fastpath=0 =="
-fp_args=(steady=30 ramp=10 seed=99)
-"$BUILD/bench/fig08_l1d" "${fp_args[@]}" --fastpath >"$tmp/fp_on.txt"
-"$BUILD/bench/fig08_l1d" "${fp_args[@]}" --fastpath=0 >"$tmp/fp_off.txt"
-if ! cmp -s "$tmp/fp_on.txt" "$tmp/fp_off.txt"; then
-    echo "FAIL: --fastpath output differs from --fastpath=0 (exactness broken):" >&2
-    diff "$tmp/fp_on.txt" "$tmp/fp_off.txt" >&2 || true
-    exit 1
-fi
-echo "exactness: --fastpath output is bit-identical to --fastpath=0"
-
-echo "== perf-smoke: fig08_l1d window jobs inline (--jobs 0) =="
-# The default run above overlaps each window job with the DES on two
-# helper threads; `--jobs 0` (one worker per hardware thread) turns
-# that off on any multi-core host, so the inline loop must match the
-# same pinned golden below.
-"$BUILD/bench/fig08_l1d" "${fp_args[@]}" --jobs 0 >"$tmp/fp_inline.txt"
-
-echo "== perf-smoke: cluster with no --faults vs empty --faults =="
-# The fault machinery's whole contract: an empty schedule arms
-# nothing, so a healthy cluster run must be BIT-IDENTICAL whether the
-# flag is absent or explicitly empty.
-cl_args=(nodes=2 steady=20 ramp=5 seed=7)
-"$BUILD/bench/abl_cluster_scaling" "${cl_args[@]}" >"$tmp/nofaults.txt"
-"$BUILD/bench/abl_cluster_scaling" "${cl_args[@]}" --faults= >"$tmp/emptyfaults.txt"
-if ! cmp -s "$tmp/nofaults.txt" "$tmp/emptyfaults.txt"; then
-    echo "FAIL: empty --faults output differs from no --faults (healthy-run identity broken):" >&2
-    diff "$tmp/nofaults.txt" "$tmp/emptyfaults.txt" >&2 || true
-    exit 1
-fi
-echo "fault gating: empty --faults output is bit-identical to no --faults"
-
-echo "== perf-smoke: cluster with replication disabled vs absent =="
-# The replicated tier's gating contract: an explicit `--shards 1
-# --replicas 0` is the default tier, one unreplicated shard group (the
-# single shared DB box), and must be BIT-IDENTICAL to a run with no
-# replication flags at all (and therefore to the pinned
-# pre-replication golden below).
-"$BUILD/bench/abl_cluster_scaling" "${cl_args[@]}" --shards 1 --replicas 0 >"$tmp/replofF.txt"
-if ! cmp -s "$tmp/nofaults.txt" "$tmp/replofF.txt"; then
-    echo "FAIL: --shards 1 --replicas 0 output differs from no replication flags (default-tier identity broken):" >&2
-    diff "$tmp/nofaults.txt" "$tmp/replofF.txt" >&2 || true
-    exit 1
-fi
-echo "repl gating: --shards 1 --replicas 0 output is bit-identical to no replication flags"
-
-echo "== perf-smoke: cluster with overload flags disarmed vs absent =="
-# The overload machinery's gating contract (jasim::adm + the arrival
-# modulator): `--arrival fixed --admission none` must construct
-# nothing — no modulator, no controller, not one extra RNG draw — so
-# the run must be BIT-IDENTICAL to one with neither flag (and
-# therefore to the pinned CLUSTER golden below).
-"$BUILD/bench/abl_cluster_scaling" "${cl_args[@]}" --arrival fixed --admission none >"$tmp/admoff.txt"
-if ! cmp -s "$tmp/nofaults.txt" "$tmp/admoff.txt"; then
-    echo "FAIL: --arrival fixed --admission none output differs from no overload flags (adm gating broken):" >&2
-    diff "$tmp/nofaults.txt" "$tmp/admoff.txt" >&2 || true
-    exit 1
-fi
-echo "adm gating: --arrival fixed --admission none output is bit-identical to no overload flags"
-
-echo "== perf-smoke: pinned stdout goldens =="
 # Pinned healthy-run digests: compiled-in-but-disarmed machinery must
 # cost a healthy run NOTHING — not one byte of output may move.
 # Regenerate deliberately (and re-pin) only when a PR intends to
@@ -158,10 +81,72 @@ check_golden() {
         exit 1
     fi
 }
+
+echo "== perf-smoke: abl_l2size serial vs --jobs 4 =="
+# --jobs 1 runs each point's window jobs on helper threads that overlap
+# its DES. WindowSimConfig::overlap is off once the workers fill every
+# hardware thread, so on a host with at most four --jobs 4 runs them
+# inline, and this also compares overlap off with on.
+args=(steady=30 ramp=10 seed=99)
+"$BUILD/bench/abl_l2size" "${args[@]}" --jobs 1 >"$tmp/serial.txt"
+cp out/BENCH_abl_l2size.json out/BENCH_abl_l2size_serial.json
+"$BUILD/bench/abl_l2size" "${args[@]}" --jobs 4 >"$tmp/par.txt"
+
+if ! cmp -s "$tmp/serial.txt" "$tmp/par.txt"; then
+    echo "FAIL: --jobs 4 output differs from --jobs 1 (determinism broken):" >&2
+    diff "$tmp/serial.txt" "$tmp/par.txt" >&2 || true
+    exit 1
+fi
+echo "determinism: --jobs 4 output is bit-identical to --jobs 1"
+
+echo "== perf-smoke: fig08_l1d --fastpath vs --fastpath=0 =="
+# The fast path's whole contract: `--fastpath=0` must produce the same
+# bytes as `--fastpath`, so both runs must match the pinned golden.
+fp_args=(steady=30 ramp=10 seed=99)
+"$BUILD/bench/fig08_l1d" "${fp_args[@]}" --fastpath >"$tmp/fp_on.txt"
+"$BUILD/bench/fig08_l1d" "${fp_args[@]}" --fastpath=0 >"$tmp/fp_off.txt"
 check_golden "$tmp/fp_on.txt" "$FIG08_GOLDEN" fig08_l1d
+check_golden "$tmp/fp_off.txt" "$FIG08_GOLDEN" "fig08_l1d --fastpath=0"
+echo "exactness: --fastpath and --fastpath=0 both match the pinned golden"
+
+echo "== perf-smoke: fig08_l1d window jobs inline (--jobs 0) =="
+# The default run above overlaps each window job with the DES on two
+# helper threads; `--jobs 0` (one worker per hardware thread) turns
+# that off on any multi-core host, so the inline loop must match the
+# same pinned golden.
+"$BUILD/bench/fig08_l1d" "${fp_args[@]}" --jobs 0 >"$tmp/fp_inline.txt"
 check_golden "$tmp/fp_inline.txt" "$FIG08_GOLDEN" "fig08_l1d --jobs 0"
+echo "window jobs: the inline run matches the pinned golden"
+
+echo "== perf-smoke: cluster with no --faults vs empty --faults =="
+# The fault machinery's whole contract: an empty schedule arms
+# nothing, so a healthy cluster run must be BIT-IDENTICAL whether the
+# flag is absent or explicitly empty: both match the pinned golden.
+cl_args=(nodes=2 steady=20 ramp=5 seed=7)
+"$BUILD/bench/abl_cluster_scaling" "${cl_args[@]}" >"$tmp/nofaults.txt"
+"$BUILD/bench/abl_cluster_scaling" "${cl_args[@]}" --faults= >"$tmp/emptyfaults.txt"
 check_golden "$tmp/nofaults.txt" "$CLUSTER_GOLDEN" abl_cluster_scaling
-echo "goldens: fig08_l1d (window jobs overlapped and inline) and abl_cluster_scaling match the pre-recovery digests"
+check_golden "$tmp/emptyfaults.txt" "$CLUSTER_GOLDEN" "abl_cluster_scaling --faults="
+echo "fault gating: no --faults and empty --faults both match the pinned golden"
+
+echo "== perf-smoke: cluster with replication disabled vs absent =="
+# The replicated tier's gating contract: an explicit `--shards 1
+# --replicas 0` is the default tier, one unreplicated shard group (the
+# single shared DB box), and must be BIT-IDENTICAL to a run with no
+# replication flags at all, and therefore to the pinned golden.
+"$BUILD/bench/abl_cluster_scaling" "${cl_args[@]}" --shards 1 --replicas 0 >"$tmp/replofF.txt"
+check_golden "$tmp/replofF.txt" "$CLUSTER_GOLDEN" "abl_cluster_scaling --shards 1 --replicas 0"
+echo "repl gating: --shards 1 --replicas 0 matches the pinned golden"
+
+echo "== perf-smoke: cluster with overload flags disarmed vs absent =="
+# The overload machinery's gating contract (jasim::adm + the arrival
+# modulator): `--arrival fixed --admission none` must construct
+# nothing — no modulator, no controller, not one extra RNG draw — so
+# the run must be BIT-IDENTICAL to one with neither flag, and
+# therefore to the pinned golden.
+"$BUILD/bench/abl_cluster_scaling" "${cl_args[@]}" --arrival fixed --admission none >"$tmp/admoff.txt"
+check_golden "$tmp/admoff.txt" "$CLUSTER_GOLDEN" "abl_cluster_scaling --arrival fixed --admission none"
+echo "adm gating: --arrival fixed --admission none matches the pinned golden"
 
 echo "== perf-smoke: pinned jbench digests =="
 # The goldens above cannot see the order in which the JVM heap model

@@ -66,11 +66,8 @@ armedFeatures(const ClusterConfig &config)
 {
     ArmedSet armed;
     armed.replication = config.repl.enabled();
-    armed.recovery = armed.replication || config.faults.hasDbFault() ||
-        config.db_recovery.force_enabled;
-    armed.resilience = !config.faults.empty() ||
-        config.resilience.force_enabled ||
-        (!armed.replication && config.db_recovery.force_enabled);
+    armed.recovery = armed.replication || config.faults.hasDbFault();
+    armed.resilience = !config.faults.empty();
     armed.admission = config.node.admission.enabled();
     // A fault or a failover blackout must shed load, not wedge
     // connections: attempts get deadlines and retries.
@@ -142,12 +139,9 @@ ClusterUnderTest::ClusterUnderTest(
         lb_.setInFlightCap(config_.node.admission.lb_inflight_cap);
 
     ConnectionPoolConfig pool_config = config_.db_pool;
-    if (armed_.bounded_acquire &&
-        pool_config.acquire_timeout_us <= 0.0 &&
-        config_.resilience.pool_acquire_timeout_s > 0.0) {
-        pool_config.acquire_timeout_us =
-            config_.resilience.pool_acquire_timeout_s * 1e6;
-    }
+    pool_config.acquire_timeout_us = armed_.bounded_acquire
+        ? config_.resilience.pool_acquire_timeout_s * 1e6
+        : 0.0;
     if (armed_.deadline) {
         double timeout_s = config_.resilience.db_timeout_s;
         if (timeout_s <= 0.0)
@@ -377,11 +371,15 @@ ClusterUnderTest::applyFault(const FaultEvent &event)
         return; // targets a node this cluster doesn't have
 
     const SimTime now = queue_.now();
+    // What a link degrade or a DB slowdown logs.
+    const Outage degraded{OutageKind::Degraded, Outage::kNoTarget, now,
+                          event.duration > 0 ? now + event.duration : 0};
     switch (event.kind) {
       case FaultKind::NodeCrash: {
         const std::size_t node = event.node;
         nodes_[node]->crash();
-        tracker_.noteNodeDown(static_cast<std::uint32_t>(node), now);
+        tracker_.noteOutage({OutageKind::NodeDown,
+                             static_cast<std::uint32_t>(node), now});
         if (event.restart_after > 0) {
             queue_.scheduleAfter(event.restart_after, [this, node] {
                 nodes_[node]->restart();
@@ -393,8 +391,7 @@ ClusterUnderTest::applyFault(const FaultEvent &event)
       }
       case FaultKind::LinkDegrade: {
         degradeLinks(event, /*restore=*/false);
-        tracker_.noteDegraded(
-            now, event.duration > 0 ? now + event.duration : 0);
+        tracker_.noteOutage(degraded);
         if (event.duration > 0) {
             queue_.scheduleAfter(event.duration, [this, event] {
                 degradeLinks(event, /*restore=*/true);
@@ -405,8 +402,7 @@ ClusterUnderTest::applyFault(const FaultEvent &event)
       case FaultKind::DbSlow: {
         for (auto &group : shards_)
             group->disk().setServiceMultiplier(event.disk_mult);
-        tracker_.noteDegraded(
-            now, event.duration > 0 ? now + event.duration : 0);
+        tracker_.noteOutage(degraded);
         if (event.duration > 0) {
             queue_.scheduleAfter(event.duration, [this] {
                 for (auto &group : shards_)
@@ -459,8 +455,8 @@ ClusterUnderTest::applyPartition(const FaultEvent &event)
 {
     const SimTime now = queue_.now();
     fabric_.setPartition(event.sides);
-    tracker_.notePartitionWindow(
-        now, event.duration > 0 ? now + event.duration : 0);
+    tracker_.noteOutage({OutageKind::Partition, Outage::kNoTarget, now,
+                         event.duration > 0 ? now + event.duration : 0});
     if (event.duration > 0) {
         queue_.scheduleAfter(event.duration,
                              [this] { healPartition(); });
@@ -518,8 +514,9 @@ ClusterUnderTest::applySwitchover(const FaultEvent &event)
     failover_.plannedSwitchover(
         shard, *shards_[shard],
         [this, shard](const repl::FailoverOutcome &o) {
-            tracker_.noteSwitchover(static_cast<std::uint32_t>(shard),
-                                    o.blackout_begin, o.promoted_at);
+            tracker_.noteOutage({OutageKind::Switchover,
+                                 static_cast<std::uint32_t>(shard),
+                                 o.blackout_begin, o.promoted_at});
         });
 }
 
@@ -613,9 +610,9 @@ ClusterUnderTest::leaseMonitorTick()
         failover_.partitionPromote(
             s, group, candidate, watermark,
             [this, s](const repl::FailoverOutcome &o) {
-                tracker_.noteFailoverBlackout(
-                    static_cast<std::uint32_t>(s), o.blackout_begin,
-                    o.promoted_at);
+                tracker_.noteOutage({OutageKind::Failover,
+                                     static_cast<std::uint32_t>(s),
+                                     o.blackout_begin, o.promoted_at});
             });
     }
     queue_.scheduleAfter(
@@ -956,9 +953,9 @@ ClusterUnderTest::applyShardFault(const FaultEvent &event)
     // everything above the promotion watermark is discarded anyway.
     if (failover_.primaryCrashed(
             shard, group, [this, shard](const repl::FailoverOutcome &o) {
-                tracker_.noteFailoverBlackout(
-                    static_cast<std::uint32_t>(shard), o.crash_at,
-                    o.promoted_at);
+                tracker_.noteOutage({OutageKind::Failover,
+                                     static_cast<std::uint32_t>(shard),
+                                     o.crash_at, o.promoted_at});
             }))
         return;
     // No replica to promote: blocking crash + ARIES recovery, scoped
@@ -1018,8 +1015,9 @@ ClusterUnderTest::finishShardRecovery(std::size_t shard)
     const SimTime now = queue_.now();
     outage.phase = ShardOutage::Phase::None;
     db_replay_us_ += now - outage.restart_at;
-    tracker_.noteDegraded(outage.crash_at, now);
-    tracker_.noteDbRecovery(outage.crash_at, now);
+    tracker_.noteOutage({OutageKind::DbRecovery,
+                         static_cast<std::uint32_t>(shard), outage.crash_at,
+                         now});
     // The recovery checkpoint's write is covered by the I/O just
     // charged, so its force is durable by construction here. Standby
     // streams (if any) resilver from the next shipped window.

@@ -39,19 +39,15 @@
 
 namespace jasim {
 
-/** Crash-consistency knobs for the DB tier. */
+/**
+ * Crash-consistency knobs for the DB tier. A dbcrash/tornwrite verb
+ * in the schedule, or a replicated tier, arms recovery; an
+ * armed-baseline run schedules its DB fault past the horizon.
+ */
 struct DbRecoveryConfig
 {
     /** Fuzzy-checkpoint cadence (0 disables checkpointing). */
     double checkpoint_interval_s = 30.0;
-
-    /**
-     * Arm recovery on the unreplicated tier even with no
-     * dbcrash/tornwrite in the schedule (for armed-baseline overhead
-     * measurements). A DB fault in the schedule, or a replicated
-     * tier, arms it implicitly.
-     */
-    bool force_enabled = false;
 };
 
 /** Everything configurable about the cluster. */
@@ -69,7 +65,11 @@ struct ClusterConfig
     LbConfig lb;
     FabricConfig fabric;
 
-    /** Each node's connection pool to the DB tier. */
+    /**
+     * Each node's connection pool to the DB tier. Its
+     * `acquire_timeout_us` is ignored: acquires are bounded only when
+     * armed, by `resilience.pool_acquire_timeout_s`.
+     */
     ConnectionPoolConfig db_pool;
 
     /** Every DB box (shard primary) of the tier. */
@@ -126,11 +126,10 @@ struct ArmedSet
 };
 
 /**
- * The one place a config arms cluster features:
- *  - recovery: a replicated tier, a dbcrash/tornwrite verb, or
- *    db_recovery.force_enabled;
- *  - resilience: any fault verb, resilience.force_enabled, or
- *    db_recovery.force_enabled on the unreplicated tier;
+ * The one place a config arms cluster features, from its fault
+ * schedule, its DB tier's shape and its admission spec alone:
+ *  - recovery: a replicated tier or a dbcrash/tornwrite verb;
+ *  - resilience: any fault verb, even one past the horizon;
  *  - deadline and retry: resilience or a replicated tier;
  *  - breaker: resilience on the unreplicated tier;
  *  - bounded_acquire: admission, resilience or a replicated tier;

@@ -217,218 +217,86 @@ ResponseTracker::errorRate() const
 }
 
 void
-ResponseTracker::noteNodeDown(std::uint32_t node, SimTime at)
+ResponseTracker::noteOutage(const Outage &outage)
 {
-    std::vector<Interval> &intervals = down_intervals_[node];
-    // Ignore a second "down" while already down.
-    if (!intervals.empty() && intervals.back().to == 0)
-        return;
-    intervals.push_back(Interval{at, 0});
+    assert(outage.to == 0 || outage.to >= outage.from);
+    if (outage.kind != OutageKind::NodeDown ||
+        openNodeDown(outage.target) == nullptr)
+        outages_.push_back(outage);
 }
 
 void
 ResponseTracker::noteNodeUp(std::uint32_t node, SimTime at)
 {
-    const auto it = down_intervals_.find(node);
-    if (it == down_intervals_.end() || it->second.empty() ||
-        it->second.back().to != 0)
-        return;
-    it->second.back().to = at;
+    if (Outage *open = openNodeDown(node))
+        open->to = at;
 }
 
-SimTime
-ResponseTracker::mergedDownUs(const std::vector<Interval> &intervals,
-                              SimTime horizon)
+Outage *
+ResponseTracker::openNodeDown(std::uint32_t node)
 {
-    std::vector<std::pair<SimTime, SimTime>> windows;
-    windows.reserve(intervals.size());
-    for (const Interval &interval : intervals) {
-        const SimTime from = std::min(interval.from, horizon);
-        const SimTime to = interval.to == 0
-                               ? horizon
-                               : std::min(interval.to, horizon);
-        if (to > from)
-            windows.emplace_back(from, to);
+    for (auto it = outages_.rbegin(); it != outages_.rend(); ++it) {
+        if (it->kind == OutageKind::NodeDown && it->target == node)
+            return it->to == 0 ? &*it : nullptr;
     }
-    std::sort(windows.begin(), windows.end());
-    SimTime total = 0;
-    SimTime open_from = 0, open_to = 0;
-    bool open = false;
-    for (const auto &[from, to] : windows) {
-        if (open && from <= open_to) {
-            open_to = std::max(open_to, to);
-            continue;
-        }
-        if (open)
-            total += open_to - open_from;
-        open_from = from;
-        open_to = to;
-        open = true;
-    }
-    if (open)
-        total += open_to - open_from;
-    return total;
+    return nullptr;
 }
 
-double
-ResponseTracker::availability(std::uint32_t node,
-                              SimTime horizon) const
+namespace {
+
+bool
+matches(const Outage &outage, OutageKinds kinds, std::uint32_t target)
 {
-    if (horizon == 0)
-        return 1.0;
-    const auto it = down_intervals_.find(node);
-    if (it == down_intervals_.end())
-        return 1.0;
-    const SimTime down = mergedDownUs(it->second, horizon);
-    return 1.0 -
-        static_cast<double>(down) / static_cast<double>(horizon);
+    return (kinds & outageBit(outage.kind)) != 0 &&
+        (target == Outage::kNoTarget || outage.target == target);
 }
 
-void
-ResponseTracker::noteDegraded(SimTime from, SimTime to)
-{
-    assert(to == 0 || to >= from);
-    degraded_.push_back(Interval{from, to});
-}
-
-void
-ResponseTracker::noteDbRecovery(SimTime from, SimTime to)
-{
-    assert(to >= from);
-    recoveries_.push_back(Interval{from, to});
-}
-
-SimTime
-ResponseTracker::dbRecoveryUs() const
-{
-    SimTime total = 0;
-    for (const Interval &interval : recoveries_)
-        total += interval.to - interval.from;
-    return total;
-}
-
-void
-ResponseTracker::noteFailoverBlackout(std::uint32_t shard, SimTime from,
-                                      SimTime to)
-{
-    assert(to == 0 || to >= from);
-    failover_blackouts_[shard].push_back(Interval{from, to});
-}
+} // namespace
 
 std::size_t
-ResponseTracker::failoverCount() const
+ResponseTracker::count(OutageKinds kinds) const
 {
-    std::size_t count = 0;
-    for (const auto &[shard, intervals] : failover_blackouts_) {
-        (void)shard;
-        count += intervals.size();
-    }
-    return count;
+    return static_cast<std::size_t>(std::count_if(
+        outages_.begin(), outages_.end(), [kinds](const Outage &o) {
+            return matches(o, kinds, Outage::kNoTarget);
+        }));
 }
 
 SimTime
-ResponseTracker::failoverBlackoutUs() const
+ResponseTracker::closedUs(OutageKinds kinds, std::uint32_t target) const
 {
     SimTime total = 0;
-    for (const auto &[shard, intervals] : failover_blackouts_) {
-        (void)shard;
-        for (const Interval &interval : intervals)
-            total += interval.to == 0 ? 0 : interval.to - interval.from;
+    for (const Outage &o : outages_) {
+        if (matches(o, kinds, target) && o.to != 0)
+            total += o.to - o.from;
     }
     return total;
-}
-
-SimTime
-ResponseTracker::failoverBlackoutUs(std::uint32_t shard) const
-{
-    const auto it = failover_blackouts_.find(shard);
-    if (it == failover_blackouts_.end())
-        return 0;
-    SimTime total = 0;
-    for (const Interval &interval : it->second)
-        total += interval.to == 0 ? 0 : interval.to - interval.from;
-    return total;
-}
-
-double
-ResponseTracker::shardAvailability(std::uint32_t shard,
-                                   SimTime horizon) const
-{
-    if (horizon == 0)
-        return 1.0;
-    const auto it = failover_blackouts_.find(shard);
-    if (it == failover_blackouts_.end())
-        return 1.0;
-    const SimTime down = mergedDownUs(it->second, horizon);
-    return 1.0 -
-        static_cast<double>(down) / static_cast<double>(horizon);
-}
-
-void
-ResponseTracker::notePartitionWindow(SimTime from, SimTime to)
-{
-    assert(to == 0 || to >= from);
-    partitions_.push_back(Interval{from, to});
-}
-
-SimTime
-ResponseTracker::partitionUs(SimTime horizon) const
-{
-    return mergedDownUs(partitions_, horizon);
-}
-
-void
-ResponseTracker::noteSwitchover(std::uint32_t shard, SimTime from,
-                                SimTime to)
-{
-    assert(to == 0 || to >= from);
-    ++switchovers_;
-    failover_blackouts_[shard].push_back(Interval{from, to});
 }
 
 DegradedSummary
-ResponseTracker::degradedSummary(SimTime horizon) const
+ResponseTracker::coverage(OutageKinds kinds, SimTime horizon,
+                          std::uint32_t target) const
 {
-    std::vector<Interval> all = degraded_;
-    for (const auto &[node, intervals] : down_intervals_) {
-        (void)node;
-        all.insert(all.end(), intervals.begin(), intervals.end());
-    }
-    for (const auto &[shard, intervals] : failover_blackouts_) {
-        (void)shard;
-        all.insert(all.end(), intervals.begin(), intervals.end());
-    }
     std::vector<std::pair<SimTime, SimTime>> windows;
-    windows.reserve(all.size());
-    for (const Interval &interval : all) {
-        const SimTime from = std::min(interval.from, horizon);
-        const SimTime to = interval.to == 0
-                               ? horizon
-                               : std::min(interval.to, horizon);
-        if (to > from)
+    for (const Outage &o : outages_) {
+        const SimTime from = std::min(o.from, horizon);
+        const SimTime to = o.to == 0 ? horizon : std::min(o.to, horizon);
+        if (matches(o, kinds, target) && to > from)
             windows.emplace_back(from, to);
     }
     std::sort(windows.begin(), windows.end());
 
     DegradedSummary summary;
-    SimTime open_from = 0, open_to = 0;
-    bool open = false;
+    SimTime merged_to = 0;
     for (const auto &[from, to] : windows) {
-        if (open && from <= open_to) {
-            open_to = std::max(open_to, to);
-            continue;
-        }
-        if (open) {
+        if (summary.intervals == 0 || from > merged_to) {
             ++summary.intervals;
-            summary.degraded_us += open_to - open_from;
+            summary.degraded_us += to - from;
+            merged_to = to;
+        } else if (to > merged_to) {
+            summary.degraded_us += to - merged_to;
+            merged_to = to;
         }
-        open_from = from;
-        open_to = to;
-        open = true;
-    }
-    if (open) {
-        ++summary.intervals;
-        summary.degraded_us += open_to - open_from;
     }
     if (horizon > 0) {
         summary.degraded_fraction =

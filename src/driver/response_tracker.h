@@ -7,11 +7,11 @@
  * requests under 5 s), plus the JOPS metric.
  *
  * Fault-injection runs additionally record failures (per error kind
- * and per node), DB retries, per-node down intervals (availability),
- * and degraded windows (breaker-open / link-degrade / node-down), so
- * chaos benches can report error rate and availability next to
- * throughput. Errors are kept out of the response-time percentiles:
- * a fast failure must not flatter the latency distribution.
+ * and per node), DB retries, and one log of tagged outage windows
+ * that every availability query reads, so chaos benches can report
+ * error rate and availability next to throughput. Errors are kept
+ * out of the response-time percentiles: a fast failure must not
+ * flatter the latency distribution.
  */
 
 #ifndef JASIM_DRIVER_RESPONSE_TRACKER_H
@@ -44,6 +44,38 @@ struct DegradedSummary
     std::size_t intervals = 0; //!< merged degraded windows
     SimTime degraded_us = 0;   //!< total time inside those windows
     double degraded_fraction = 0.0; //!< degraded_us / horizon
+};
+
+/** What an outage window records, and the target each kind names. */
+enum class OutageKind : std::uint8_t
+{
+    NodeDown,   //!< an app node crashed (target: the node)
+    Degraded,   //!< a link degrade or a DB slowdown (no target)
+    DbRecovery, //!< a shard's crash until its recovery ends (shard)
+    Failover,   //!< a crash or partition failover blackout (shard)
+    Switchover, //!< a planned switchover's blackout (shard)
+    Partition,  //!< a fabric partition (no target)
+};
+
+/** A set of OutageKinds, one bit per kind. */
+using OutageKinds = std::uint32_t;
+
+constexpr OutageKinds outageBit(OutageKind kind)
+{
+    return OutageKinds{1} << static_cast<unsigned>(kind);
+}
+
+/** One tagged half-open window [from, to); to == 0: still open. */
+struct Outage
+{
+    /** The target of a kind that names none. */
+    static constexpr std::uint32_t kNoTarget =
+        static_cast<std::uint32_t>(-1);
+
+    OutageKind kind = OutageKind::Degraded;
+    std::uint32_t target = kNoTarget;
+    SimTime from = 0;
+    SimTime to = 0;
 };
 
 /** Collects completions; emits series and verdicts. */
@@ -158,76 +190,89 @@ class ResponseTracker
     /** errors / (errors + completions); 0 when nothing finished. */
     double errorRate() const;
 
-    // ---- availability ----
+    // ---- the outage log ----
 
-    /** Mark a node down/up at `at` (crash / restart observations). */
-    void noteNodeDown(std::uint32_t node, SimTime at);
+    /**
+     * Log one outage window. A node-down for a node that is already
+     * down is ignored: its open window stands until noteNodeUp.
+     */
+    void noteOutage(const Outage &outage);
+
+    /** Close the node's open node-down window at `at` (a restart). */
     void noteNodeUp(std::uint32_t node, SimTime at);
 
     /**
      * Fraction of [0, horizon) the node was up. Nodes never marked
      * down report 1.0.
      */
-    double availability(std::uint32_t node, SimTime horizon) const;
-
-    /** Mark a degraded window (breaker open, link degrade, ...). */
-    void noteDegraded(SimTime from, SimTime to);
-
-    /** Record one DB crash->recovery-complete window. */
-    void noteDbRecovery(SimTime from, SimTime to);
-
-    std::size_t dbRecoveryCount() const { return recoveries_.size(); }
-
-    /** Total time spent inside DB recovery windows. */
-    SimTime dbRecoveryUs() const;
+    double availability(std::uint32_t node, SimTime horizon) const
+    {
+        return 1.0 -
+            coverage(outageBit(OutageKind::NodeDown), horizon, node)
+                .degraded_fraction;
+    }
 
     /**
-     * Merged union of degraded windows, node-down intervals, and
-     * failover blackouts over [0, horizon).
+     * Merged union over [0, horizon) of node-down, degraded,
+     * DB-recovery, failover and switchover windows: every outage but
+     * partitions, which partitionUs() reports on their own. Overlaps
+     * count once.
      */
-    DegradedSummary degradedSummary(SimTime horizon) const;
+    DegradedSummary degradedSummary(SimTime horizon) const
+    {
+        return coverage(~outageBit(OutageKind::Partition), horizon);
+    }
 
-    // ---- failover accounting (replicated DB tier) ----
+    std::size_t dbRecoveryCount() const
+    {
+        return count(outageBit(OutageKind::DbRecovery));
+    }
+
+    /** Summed length of the DB recovery windows. */
+    SimTime dbRecoveryUs() const
+    {
+        return closedUs(outageBit(OutageKind::DbRecovery));
+    }
+
+    /** Failover and switchover blackouts (across all shards). */
+    std::size_t failoverCount() const { return count(kBlackout); }
 
     /**
-     * Record one shard blackout: a primary crashed at `from` and a
-     * promoted replica reopened the shard at `to` (0 = still down).
-     * Blackouts join the degraded-window union like any other outage.
+     * Summed length of the closed blackouts, all shards / one shard
+     * (unmerged: two overlapping blackouts both count).
      */
-    void noteFailoverBlackout(std::uint32_t shard, SimTime from,
-                              SimTime to);
-
-    /** Blackout windows recorded (across all shards). */
-    std::size_t failoverCount() const;
-
-    /** Total blackout time, all shards / one shard (to == horizon cap). */
-    SimTime failoverBlackoutUs() const;
-    SimTime failoverBlackoutUs(std::uint32_t shard) const;
+    SimTime failoverBlackoutUs() const { return closedUs(kBlackout); }
+    SimTime failoverBlackoutUs(std::uint32_t shard) const
+    {
+        return closedUs(kBlackout, shard);
+    }
 
     /**
      * Fraction of [0, horizon) the shard was serving (1.0 for shards
      * never blacked out).
      */
-    double shardAvailability(std::uint32_t shard, SimTime horizon) const;
+    double shardAvailability(std::uint32_t shard, SimTime horizon) const
+    {
+        return 1.0 - coverage(kBlackout, horizon, shard).degraded_fraction;
+    }
 
-    // ---- partition / switchover accounting ----
-
-    /** Record one fabric partition window (to == 0: never healed). */
-    void notePartitionWindow(SimTime from, SimTime to);
-
-    std::size_t partitionCount() const { return partitions_.size(); }
+    std::size_t partitionCount() const
+    {
+        return count(outageBit(OutageKind::Partition));
+    }
 
     /** Total partitioned time over [0, horizon), windows merged. */
-    SimTime partitionUs(SimTime horizon) const;
+    SimTime partitionUs(SimTime horizon) const
+    {
+        return coverage(outageBit(OutageKind::Partition), horizon)
+            .degraded_us;
+    }
 
-    /**
-     * Record one planned switchover's blackout. The window joins the
-     * shard's failover blackouts (availability billing) and the
-     * switchover count separately from crash/partition failovers.
-     */
-    void noteSwitchover(std::uint32_t shard, SimTime from, SimTime to);
-
-    std::size_t switchoverCount() const { return switchovers_; }
+    /** Planned switchovers, counted apart from other blackouts. */
+    std::size_t switchoverCount() const
+    {
+        return count(outageBit(OutageKind::Switchover));
+    }
 
   private:
     double bucket_seconds_;
@@ -244,37 +289,43 @@ class ResponseTracker
     };
     std::array<PerType, requestTypeCount> per_type_;
 
-    /** Half-open [from, to) time window; to == 0 means still open. */
-    struct Interval
-    {
-        SimTime from = 0;
-        SimTime to = 0;
-    };
-
     std::uint64_t total_errors_ = 0;
     std::array<std::uint64_t, errorKindCount> errors_by_kind_{};
     std::map<std::uint32_t, std::uint64_t> errors_by_node_;
     std::uint64_t retries_ = 0;
     std::array<std::uint64_t, errorKindCount> retry_causes_{};
-    std::map<std::uint32_t, std::vector<Interval>> down_intervals_;
-    std::vector<Interval> degraded_;
-    std::vector<Interval> recoveries_;
-    std::map<std::uint32_t, std::vector<Interval>> failover_blackouts_;
-    std::vector<Interval> partitions_;
-    std::size_t switchovers_ = 0;
+    std::vector<Outage> outages_; //!< in the order they were noted
 
     static std::size_t idx(RequestType t)
     {
         return static_cast<std::size_t>(t);
     }
 
+    static constexpr OutageKinds kBlackout =
+        outageBit(OutageKind::Failover) |
+        outageBit(OutageKind::Switchover);
+
+    /** The node's open node-down window, or null. */
+    Outage *openNodeDown(std::uint32_t node);
+
+    /** Windows of the given kinds. */
+    std::size_t count(OutageKinds kinds) const;
+
     /**
-     * Total covered time of a set of intervals over [0, horizon),
-     * overlaps merged first so no instant is billed twice (a failover
-     * blackout overlapping a node-down window counts once).
+     * Summed length of the closed windows of the given kinds on
+     * `target` (Outage::kNoTarget: on every target).
      */
-    static SimTime mergedDownUs(const std::vector<Interval> &intervals,
-                                SimTime horizon);
+    SimTime closedUs(OutageKinds kinds,
+                     std::uint32_t target = Outage::kNoTarget) const;
+
+    /**
+     * The one merge: the windows of the given kinds on `target`
+     * (Outage::kNoTarget: on every target), open ones running to the
+     * horizon, clipped to [0, horizon), sorted and merged so no
+     * instant is billed twice.
+     */
+    DegradedSummary coverage(OutageKinds kinds, SimTime horizon,
+                             std::uint32_t target = Outage::kNoTarget) const;
 };
 
 } // namespace jasim

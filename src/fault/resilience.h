@@ -5,11 +5,12 @@
  * One struct bundling every knob of the mechanisms that *respond* to
  * injected faults: LB health checks, the EJB->DB retry policy, the
  * DB-tier circuit breaker, and the per-attempt DB deadline / pool
- * acquire timeout. The machinery is armed only when the cluster has
- * a non-empty fault schedule (or `force_enabled` is set): a healthy
- * run must stay byte-identical to pre-fault builds, so with the
- * machinery off the cluster schedules no probes, arms no timeouts,
- * and draws nothing extra from any RNG stream.
+ * acquire timeout. armedFeatures() arms the machinery only for a
+ * non-empty fault schedule (a replicated tier or admission control
+ * arms parts of it): a healthy run must stay byte-identical to
+ * pre-fault builds, so with the machinery off the cluster schedules
+ * no probes, arms no timeouts, and draws nothing extra from any RNG
+ * stream.
  */
 
 #ifndef JASIM_FAULT_RESILIENCE_H
@@ -38,16 +39,11 @@ struct ResilienceConfig
     double db_timeout_s = 2.0;
 
     /**
-     * Bound on connection-pool queueing (seconds); <= 0 keeps the
-     * legacy wait-forever behaviour even when the machinery is on.
+     * Bound on connection-pool queueing (seconds) once acquires are
+     * bounded; the only source of the pools' acquire timeout. <= 0
+     * keeps the legacy wait-forever behaviour.
      */
     double pool_acquire_timeout_s = 1.0;
-
-    /**
-     * Arm health checks / timeouts / breaker even with an empty
-     * fault schedule (used by tests and what-if studies).
-     */
-    bool force_enabled = false;
 };
 
 } // namespace jasim

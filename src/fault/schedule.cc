@@ -191,6 +191,8 @@ parseEvent(const std::string &raw)
              event.kind == FaultKind::LinkDegrade ||
              event.kind == FaultKind::PoolKill)) {
             if (value == "all") {
+                if (event.kind != FaultKind::LinkDegrade)
+                    fail("node=all applies to degrade only", token);
                 event.node = FaultEvent::kAllNodes;
             } else {
                 event.node = static_cast<std::size_t>(

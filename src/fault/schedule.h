@@ -56,10 +56,11 @@
  *
  * `shard=` is accepted for dbcrash/tornwrite/switchover only, and
  * `replica=` for dbcrash only (a torn write is a primary WAL-device
- * event); both are rejected for every other kind, like `node=`. Times
- * and durations are seconds (fractions allowed). Unknown kinds,
- * malformed numbers, and unknown keys throw std::invalid_argument
- * with a message naming the offending token.
+ * event); both are rejected for every other kind, like `node=`.
+ * `node=all` is degrade's alone: crash and poolkill take one node.
+ * Times and durations are seconds (fractions allowed). Unknown
+ * kinds, malformed numbers, and unknown keys throw
+ * std::invalid_argument with a message naming the offending token.
  *
  * parse() additionally validates the schedule as a whole: an event
  * that targets a node or shard already down at its timestamp (inside

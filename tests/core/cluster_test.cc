@@ -186,7 +186,7 @@ TEST(ClusterTest, ArmedFeaturesFollowTheConfig)
             c.faults = FaultSchedule::parse(spec);
         });
     };
-    // What any fault (or forced resilience) arms on the single box.
+    // What any fault arms on the single box.
     const ArmedSet faulted = {.resilience = true,
                               .deadline = true,
                               .retry = true,
@@ -213,12 +213,10 @@ TEST(ClusterTest, ArmedFeaturesFollowTheConfig)
         {"empty schedule", schedule(""), {}},
         {"node crash", schedule("crash@5:node=0,restart=1"), faulted},
         {"db crash", schedule("dbcrash@5:restart=1"), faulted_recovery},
-        {"db_recovery.force_enabled",
-         with([](ClusterConfig &c) { c.db_recovery.force_enabled = true; }),
+        // A verb timed long after any run ends arms all the same: the
+        // schedule is the one arming input.
+        {"dbcrash past the horizon", schedule("dbcrash@1000"),
          faulted_recovery},
-        {"resilience.force_enabled",
-         with([](ClusterConfig &c) { c.resilience.force_enabled = true; }),
-         faulted},
         {"admission",
          with([](ClusterConfig &c) {
              c.node.admission = adm::AdmissionConfig::parse(

@@ -1,9 +1,23 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <random>
+
 #include "driver/response_tracker.h"
 
 namespace jasim {
 namespace {
+
+using enum OutageKind;
+constexpr std::uint32_t kNone = Outage::kNoTarget;
+
+/** One outage window; to == 0 leaves it open. */
+Outage
+window(OutageKind kind, std::uint32_t target, SimTime from, SimTime to = 0)
+{
+    return Outage{.kind = kind, .target = target, .from = from, .to = to};
+}
 
 Request
 makeRequest(std::uint64_t id, RequestType type, SimTime arrival)
@@ -204,11 +218,11 @@ TEST(ResponseTrackerTest, AvailabilityClipsDownIntervals)
 {
     ResponseTracker tracker;
     EXPECT_DOUBLE_EQ(tracker.availability(0, secs(100)), 1.0);
-    tracker.noteNodeDown(0, secs(10));
+    tracker.noteOutage(window(NodeDown, 0, secs(10)));
     tracker.noteNodeUp(0, secs(30));
     EXPECT_DOUBLE_EQ(tracker.availability(0, secs(100)), 0.8);
     // A still-open outage counts up to the horizon.
-    tracker.noteNodeDown(1, secs(90));
+    tracker.noteOutage(window(NodeDown, 1, secs(90)));
     EXPECT_DOUBLE_EQ(tracker.availability(1, secs(100)), 0.9);
     // Horizon before the outage started: fully up.
     EXPECT_DOUBLE_EQ(tracker.availability(1, secs(50)), 1.0);
@@ -218,9 +232,10 @@ TEST(ResponseTrackerTest, DegradedSummaryMergesOverlappingWindows)
 {
     ResponseTracker tracker;
     EXPECT_EQ(tracker.degradedSummary(secs(100)).intervals, 0u);
-    tracker.noteDegraded(secs(10), secs(30));
-    tracker.noteDegraded(secs(20), secs(40)); // overlaps the first
-    tracker.noteNodeDown(0, secs(70));
+    tracker.noteOutage(window(Degraded, kNone, secs(10), secs(30)));
+    // Overlaps the first.
+    tracker.noteOutage(window(Degraded, kNone, secs(20), secs(40)));
+    tracker.noteOutage(window(NodeDown, 0, secs(70)));
     tracker.noteNodeUp(0, secs(80));
     const DegradedSummary summary = tracker.degradedSummary(secs(100));
     EXPECT_EQ(summary.intervals, 2u); // [10,40) and [70,80)
@@ -233,8 +248,8 @@ TEST(ResponseTrackerTest, FailoverBlackoutsCountPerShard)
     ResponseTracker tracker;
     EXPECT_EQ(tracker.failoverCount(), 0u);
     EXPECT_EQ(tracker.failoverBlackoutUs(), 0u);
-    tracker.noteFailoverBlackout(0, secs(10), secs(12));
-    tracker.noteFailoverBlackout(1, secs(40), secs(41));
+    tracker.noteOutage(window(Failover, 0, secs(10), secs(12)));
+    tracker.noteOutage(window(Failover, 1, secs(40), secs(41)));
     EXPECT_EQ(tracker.failoverCount(), 2u);
     EXPECT_EQ(tracker.failoverBlackoutUs(), secs(3));
     EXPECT_EQ(tracker.failoverBlackoutUs(0), secs(2));
@@ -246,11 +261,11 @@ TEST(ResponseTrackerTest, ShardAvailabilityClipsBlackouts)
 {
     ResponseTracker tracker;
     EXPECT_DOUBLE_EQ(tracker.shardAvailability(0, secs(100)), 1.0);
-    tracker.noteFailoverBlackout(0, secs(10), secs(30));
+    tracker.noteOutage(window(Failover, 0, secs(10), secs(30)));
     EXPECT_DOUBLE_EQ(tracker.shardAvailability(0, secs(100)), 0.8);
     EXPECT_DOUBLE_EQ(tracker.shardAvailability(1, secs(100)), 1.0);
     // A still-open blackout (to == 0) counts up to the horizon.
-    tracker.noteFailoverBlackout(1, secs(90), 0);
+    tracker.noteOutage(window(Failover, 1, secs(90), 0));
     EXPECT_DOUBLE_EQ(tracker.shardAvailability(1, secs(100)), 0.9);
     // Horizon before the blackout started: fully up.
     EXPECT_DOUBLE_EQ(tracker.shardAvailability(1, secs(50)), 1.0);
@@ -261,9 +276,9 @@ TEST(ResponseTrackerTest, DegradedSummaryMergesFailoverBlackouts)
     // Blackouts join the degraded union exactly like degraded
     // windows and node-down intervals: overlaps merge, gaps count.
     ResponseTracker tracker;
-    tracker.noteDegraded(secs(10), secs(30));
-    tracker.noteFailoverBlackout(0, secs(20), secs(40)); // overlaps
-    tracker.noteFailoverBlackout(1, secs(70), secs(80)); // disjoint
+    tracker.noteOutage(window(Degraded, kNone, secs(10), secs(30)));
+    tracker.noteOutage(window(Failover, 0, secs(20), secs(40))); // overlaps
+    tracker.noteOutage(window(Failover, 1, secs(70), secs(80))); // disjoint
     const DegradedSummary summary = tracker.degradedSummary(secs(100));
     EXPECT_EQ(summary.intervals, 2u); // [10,40) and [70,80)
     EXPECT_EQ(summary.degraded_us, secs(40));
@@ -276,7 +291,7 @@ TEST(ResponseTrackerTest, AllBlackoutWindowStillReportsSentinel)
     // queries must report the explicit no-samples sentinel, never a
     // fake zero latency.
     ResponseTracker tracker;
-    tracker.noteFailoverBlackout(0, 0, secs(100));
+    tracker.noteOutage(window(Failover, 0, 0, secs(100)));
     EXPECT_DOUBLE_EQ(tracker.p99ResponseSeconds(RequestType::Purchase),
                      ResponseTracker::kNoSamples);
     EXPECT_DOUBLE_EQ(tracker.meanResponseSeconds(RequestType::Purchase),
@@ -326,8 +341,8 @@ TEST(ResponseTrackerTest, DbRecoveryIntervalsSummed)
     ResponseTracker tracker;
     EXPECT_EQ(tracker.dbRecoveryCount(), 0u);
     EXPECT_EQ(tracker.dbRecoveryUs(), 0u);
-    tracker.noteDbRecovery(secs(10), secs(13));
-    tracker.noteDbRecovery(secs(20), secs(22));
+    tracker.noteOutage(window(DbRecovery, 0, secs(10), secs(13)));
+    tracker.noteOutage(window(DbRecovery, 0, secs(20), secs(22)));
     EXPECT_EQ(tracker.dbRecoveryCount(), 2u);
     EXPECT_EQ(tracker.dbRecoveryUs(), secs(5));
 }
@@ -337,11 +352,12 @@ TEST(ResponseTrackerTest, AvailabilityMergesOverlappingWindows)
     // A failover blackout overlapping a crash window must be billed
     // once: 10..20 and 15..30 cover 20 s, not 25.
     ResponseTracker tracker;
-    tracker.noteNodeDown(3, secs(10));
+    tracker.noteOutage(window(NodeDown, 3, secs(10)));
     tracker.noteNodeUp(3, secs(20));
-    tracker.noteNodeDown(3, secs(15)); // overlapping observation
+    // Overlapping observation.
+    tracker.noteOutage(window(NodeDown, 3, secs(15)));
     tracker.noteNodeUp(3, secs(30));
-    tracker.noteNodeDown(3, secs(40));
+    tracker.noteOutage(window(NodeDown, 3, secs(40)));
     tracker.noteNodeUp(3, secs(45));
     // Windows: 10..20, 15..30, 40..45 → merged 20 + 5 = 25 s.
     EXPECT_DOUBLE_EQ(tracker.availability(3, secs(100)), 0.75);
@@ -350,9 +366,10 @@ TEST(ResponseTrackerTest, AvailabilityMergesOverlappingWindows)
 TEST(ResponseTrackerTest, ShardAvailabilityMergesOverlaps)
 {
     ResponseTracker tracker;
-    tracker.noteFailoverBlackout(0, secs(10), secs(20));
-    tracker.noteSwitchover(0, secs(15), secs(18)); // inside the first
-    tracker.noteFailoverBlackout(0, secs(40), secs(50));
+    tracker.noteOutage(window(Failover, 0, secs(10), secs(20)));
+    // Inside the first.
+    tracker.noteOutage(window(Switchover, 0, secs(15), secs(18)));
+    tracker.noteOutage(window(Failover, 0, secs(40), secs(50)));
     // Merged downtime: 10 + 10 = 20 s of 100.
     EXPECT_DOUBLE_EQ(tracker.shardAvailability(0, secs(100)), 0.8);
     // Counted separately: one switchover among three windows.
@@ -365,12 +382,159 @@ TEST(ResponseTrackerTest, PartitionWindowsTracked)
     ResponseTracker tracker;
     EXPECT_EQ(tracker.partitionCount(), 0u);
     EXPECT_EQ(tracker.partitionUs(secs(100)), 0u);
-    tracker.notePartitionWindow(secs(10), secs(30));
-    tracker.notePartitionWindow(secs(90), 0); // never healed
+    tracker.noteOutage(window(Partition, kNone, secs(10), secs(30)));
+    tracker.noteOutage(window(Partition, kNone, secs(90), 0)); // never healed
     EXPECT_EQ(tracker.partitionCount(), 2u);
     // Open window runs to the horizon; both clip at it.
     EXPECT_EQ(tracker.partitionUs(secs(100)), secs(30));
     EXPECT_EQ(tracker.partitionUs(secs(20)), secs(10));
+}
+
+TEST(ResponseTrackerTest, OutageQueriesMatchAPerSecondModel)
+{
+    // 200 seeded random scripts of whole-second windows: every kind
+    // and target, open and zero-length windows, windows starting past
+    // the horizon, overlaps within and across kinds, node-downs of a
+    // node already down and restarts of one that is up. Every query
+    // is checked against a model built here: a per-second coverage
+    // array for the merged queries, plain sums and counts otherwise.
+    struct Window
+    {
+        OutageKind kind;
+        std::uint32_t target;
+        std::uint64_t from = 0; //!< seconds
+        std::uint64_t to = 0;   //!< seconds; 0 = still open
+    };
+    constexpr std::uint32_t kTargets = 3; // one more is never hit
+    std::mt19937_64 rng(20261018);
+    const auto draw = [&rng](std::uint64_t n) { return rng() % n; };
+    std::size_t ignored_downs = 0, open = 0, past_horizon = 0;
+
+    for (int script = 0; script < 200; ++script) {
+        ResponseTracker tracker;
+        std::vector<Window> model;
+        // Each node's open node-down window in `model`, if any.
+        std::array<std::optional<std::size_t>, kTargets> down;
+        std::uint64_t now = 1;
+        const std::uint64_t steps = draw(24);
+        for (std::uint64_t i = 0; i < steps; ++i, now += draw(4)) {
+            const std::uint64_t action = draw(7); // six kinds + restart
+            const auto target = static_cast<std::uint32_t>(draw(kTargets));
+            if (action == 6) {
+                tracker.noteNodeUp(target, secs(now));
+                if (down[target]) {
+                    model[*down[target]].to = now;
+                    down[target].reset();
+                }
+                continue;
+            }
+            const auto kind = static_cast<OutageKind>(action);
+            if (kind == NodeDown) {
+                tracker.noteOutage(window(NodeDown, target, secs(now)));
+                if (down[target]) {
+                    ++ignored_downs;
+                    continue;
+                }
+                down[target] = model.size();
+                model.push_back({NodeDown, target, now, 0});
+                continue;
+            }
+            const std::uint32_t on =
+                kind == Degraded || kind == Partition ? kNone : target;
+            const std::uint64_t to = draw(4) == 0 ? 0 : now + draw(12);
+            tracker.noteOutage(window(kind, on, secs(now), secs(to)));
+            model.push_back({kind, on, now, to});
+        }
+
+        // Counts and unmerged sums of closed windows.
+        const auto count = [&model](auto in) {
+            return static_cast<std::size_t>(
+                std::count_if(model.begin(), model.end(), in));
+        };
+        const auto closedUs = [&model](auto in) {
+            std::uint64_t total = 0;
+            for (const Window &w : model) {
+                if (in(w) && w.to != 0)
+                    total += w.to - w.from;
+            }
+            return secs(static_cast<double>(total));
+        };
+        const auto is = [](OutageKind kind) {
+            return [kind](const Window &w) { return w.kind == kind; };
+        };
+        const auto blackout = [](std::uint32_t shard) {
+            return [shard](const Window &w) {
+                return (w.kind == Failover || w.kind == Switchover) &&
+                    (shard == kNone || w.target == shard);
+            };
+        };
+        EXPECT_EQ(tracker.dbRecoveryCount(), count(is(DbRecovery)));
+        EXPECT_EQ(tracker.dbRecoveryUs(), closedUs(is(DbRecovery)));
+        EXPECT_EQ(tracker.failoverCount(), count(blackout(kNone)));
+        EXPECT_EQ(tracker.failoverBlackoutUs(), closedUs(blackout(kNone)));
+        EXPECT_EQ(tracker.partitionCount(), count(is(Partition)));
+        EXPECT_EQ(tracker.switchoverCount(), count(is(Switchover)));
+        for (std::uint32_t shard = 0; shard <= kTargets; ++shard) {
+            EXPECT_EQ(tracker.failoverBlackoutUs(shard),
+                      closedUs(blackout(shard)));
+        }
+        open += count([](const Window &w) { return w.to == 0; });
+
+        for (int k = 0; k < 3; ++k) {
+            const std::uint64_t h = draw(now + 8);
+            const SimTime horizon = secs(static_cast<double>(h));
+            past_horizon +=
+                count([h](const Window &w) { return w.from >= h; });
+            // Seconds of [0, h) some accepted window covers, and the
+            // runs of covered seconds.
+            const auto cover = [&model, h](auto in) {
+                std::vector<bool> covered(h, false);
+                for (const Window &w : model) {
+                    const std::uint64_t end =
+                        w.to == 0 ? h : std::min(w.to, h);
+                    for (std::uint64_t t = w.from; in(w) && t < end; ++t)
+                        covered[t] = true;
+                }
+                std::uint64_t seconds = 0;
+                std::size_t runs = 0;
+                for (std::uint64_t t = 0; t < h; ++t) {
+                    seconds += covered[t];
+                    runs += covered[t] && (t == 0 || !covered[t - 1]);
+                }
+                return std::pair{secs(static_cast<double>(seconds)), runs};
+            };
+            const auto fraction = [horizon](SimTime us) {
+                if (horizon == 0)
+                    return 0.0;
+                return static_cast<double>(us) /
+                    static_cast<double>(horizon);
+            };
+            for (std::uint32_t t = 0; t <= kTargets; ++t) {
+                const auto node = cover([t](const Window &w) {
+                    return w.kind == NodeDown && w.target == t;
+                });
+                EXPECT_DOUBLE_EQ(tracker.availability(t, horizon),
+                                 1.0 - fraction(node.first));
+                EXPECT_DOUBLE_EQ(
+                    tracker.shardAvailability(t, horizon),
+                    1.0 - fraction(cover(blackout(t)).first));
+            }
+            EXPECT_EQ(tracker.partitionUs(horizon),
+                      cover(is(Partition)).first);
+            const auto [degraded_us, runs] = cover(
+                [](const Window &w) { return w.kind != Partition; });
+            const DegradedSummary summary =
+                tracker.degradedSummary(horizon);
+            EXPECT_EQ(summary.intervals, runs) << "script " << script;
+            EXPECT_EQ(summary.degraded_us, degraded_us);
+            EXPECT_DOUBLE_EQ(summary.degraded_fraction,
+                             fraction(degraded_us));
+        }
+    }
+    // The scripts reached the edge cases they are meant to.
+    EXPECT_GT(ignored_downs, 0u);
+    EXPECT_GT(open, 0u);
+    EXPECT_GT(past_horizon, 0u);
 }
 
 TEST(ResponseTrackerTest, PartitionedErrorsCountLikeAnyKind)

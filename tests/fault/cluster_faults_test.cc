@@ -154,7 +154,8 @@ TEST(ClusterFaultsTest, StarvedDbTripsBreakerAndFailsFast)
 {
     Shared shared;
     ClusterConfig config = zeroCostCluster(1, 5.0);
-    config.resilience.force_enabled = true;
+    // A verb past the horizon arms resilience and never fires.
+    config.faults = FaultSchedule::parse("poolkill@60:node=0");
     // A deadline no DB transaction can meet: every attempt times out.
     config.resilience.db_timeout_s = 1e-4;
     config.resilience.retry.base_backoff_us = 5000.0;
@@ -164,9 +165,9 @@ TEST(ClusterFaultsTest, StarvedDbTripsBreakerAndFailsFast)
     ClusterUnderTest cluster(config, shared.profiles,
                              shared.registry, 31);
     ASSERT_TRUE(cluster.armed().resilience);
-    EXPECT_EQ(cluster.injector(), nullptr); // no scripted faults
     cluster.start(secs(20));
     cluster.advanceTo(secs(30));
+    EXPECT_EQ(cluster.injector()->fired(), 0u);
 
     // Timeouts, then the breaker trips and rejects at the door.
     EXPECT_GT(cluster.tracker().retryCount(ErrorKind::DbTimeout), 0u);
@@ -178,6 +179,28 @@ TEST(ClusterFaultsTest, StarvedDbTripsBreakerAndFailsFast)
     EXPECT_GT(cluster.tracker().errorRate(), 0.5);
     // Fast-failing kept the pool healthy: no permanently-held conns.
     EXPECT_EQ(cluster.dbPool(0).waiting(), 0u);
+}
+
+TEST(ClusterFaultsTest, UnarmedPoolIgnoresCallerAcquireTimeout)
+{
+    // Nothing arms bounded acquires here, so a timeout set on the
+    // pool config directly must not bound one: callers queue on the
+    // single connection and every request completes.
+    Shared shared;
+    ClusterConfig config = zeroCostCluster(1, 5.0);
+    config.db_pool.max_connections = 1;
+    config.db_pool.acquire_timeout_us = 1.0;
+
+    ClusterUnderTest cluster(config, shared.profiles,
+                             shared.registry, 41);
+    ASSERT_FALSE(cluster.armed().bounded_acquire);
+    cluster.start(secs(20));
+    cluster.advanceTo(secs(30));
+
+    EXPECT_GT(cluster.dbPool(0).stats().waits, 0u);
+    EXPECT_EQ(cluster.dbPool(0).stats().timeouts, 0u);
+    EXPECT_EQ(cluster.tracker().errorCount(ErrorKind::PoolTimeout), 0u);
+    EXPECT_EQ(cluster.tracker().errorCount(), 0u);
 }
 
 TEST(ClusterFaultsTest, PoolKillIsTransparentToCallers)

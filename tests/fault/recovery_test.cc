@@ -75,6 +75,27 @@ TEST(ClusterRecoveryTest, DbCrashRecoversAndKeepsServing)
     EXPECT_GT(cluster.jops(secs(25), secs(30)), 0.0);
 }
 
+TEST(ClusterRecoveryTest, DbCrashIsOneOutageWindow)
+{
+    // The crash-to-recovered window is logged once, as a DB recovery,
+    // and the degraded union sees exactly that window.
+    Shared shared;
+    ClusterConfig config = lightCluster();
+    config.faults = FaultSchedule::parse("dbcrash@10:restart=1");
+
+    ClusterUnderTest cluster(config, shared.profiles,
+                             shared.registry, 13);
+    cluster.start(secs(20));
+    cluster.advanceTo(secs(25));
+
+    const ResponseTracker &t = cluster.tracker();
+    EXPECT_EQ(t.dbRecoveryCount(), 1u);
+    EXPECT_GT(t.dbRecoveryUs(), secs(1)); // the restart delay, then replay
+    const DegradedSummary summary = t.degradedSummary(secs(25));
+    EXPECT_EQ(summary.intervals, 1u);
+    EXPECT_EQ(summary.degraded_us, t.dbRecoveryUs());
+}
+
 TEST(ClusterRecoveryTest, RecoveryWaitCountedWhileReplaying)
 {
     Shared shared;
@@ -210,11 +231,13 @@ TEST(ClusterRecoveryTest, ChaosRunsAreDeterministic)
     EXPECT_EQ(a.auditNow().surviving, b.auditNow().surviving);
 }
 
-TEST(ClusterRecoveryTest, ForceEnabledArmsWithoutFaults)
+TEST(ClusterRecoveryTest, CrashPastTheHorizonArmsWithoutFiring)
 {
+    // The armed-baseline recipe: a dbcrash scheduled after the run
+    // ends arms recovery, and the run itself stays healthy.
     Shared shared;
     ClusterConfig config = lightCluster();
-    config.db_recovery.force_enabled = true;
+    config.faults = FaultSchedule::parse("dbcrash@21");
     config.db_recovery.checkpoint_interval_s = 3.0;
 
     ClusterUnderTest cluster(config, shared.profiles,
@@ -223,6 +246,7 @@ TEST(ClusterRecoveryTest, ForceEnabledArmsWithoutFaults)
     cluster.start(secs(15));
     cluster.advanceTo(secs(20));
 
+    EXPECT_EQ(cluster.injector()->fired(), 0u);
     EXPECT_EQ(cluster.dbCrashCount(), 0u);
     EXPECT_GT(cluster.checkpointCount(), 2u);
     EXPECT_GT(cluster.checkpointPagesFlushed(), 0u);

@@ -128,6 +128,24 @@ TEST(FaultScheduleTest, RejectsMalformedSpecs)
                  std::invalid_argument);
 }
 
+TEST(FaultScheduleTest, NodeAllIsDegradeOnly)
+{
+    // A crash or poolkill acts on one node's stack or pool, so it must
+    // name one; the rejection names the offending token.
+    for (const char *spec :
+         {"crash@5:node=all,restart=1", "poolkill@5:node=all"}) {
+        try {
+            FaultSchedule::parse(spec);
+            ADD_FAILURE() << spec << " parsed";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(spec), std::string::npos)
+                << e.what();
+        }
+    }
+    EXPECT_EQ(FaultSchedule::parse("degrade@5:node=all").events()[0].node,
+              FaultEvent::kAllNodes);
+}
+
 TEST(FaultScheduleTest, DescribeNamesEveryKind)
 {
     EXPECT_STREQ(faultKindName(FaultKind::NodeCrash), "crash");
