@@ -43,6 +43,7 @@
 #include "core/experiment.h"
 #include "core/figures.h"
 #include "driver/arrival.h"
+#include "jvm/heap_worker.h"
 #include "repl/replicated_db.h"
 #include "sim/config.h"
 #include "stats/render.h"
@@ -119,8 +120,16 @@ configFromArgs(int argc, char **argv, double default_steady_s = 300.0)
     // abl_l2size sweep 1.14x faster at --jobs 2 and 1.11x at --jobs 3,
     // but 1.16x slower at --jobs 4. A sweep whose workers fill every
     // hardware thread (--jobs 0 always does) runs its windows inline.
-    config.window.overlap =
+    const bool idle_cpu =
         config.jobs <= 1 || config.jobs < std::thread::hardware_concurrency();
+    config.window.overlap = idle_cpu;
+    // A cluster's heap worker, one more thread per sweep point, follows
+    // the same rule: on the same host it made an abl_cluster_scaling
+    // nodes=4 ir=30 sweep 1.11x faster at --jobs 1, 1.10x at --jobs 2
+    // and 1.18x at --jobs 3, but 1.02x slower at --jobs 4. It also
+    // needs a CPU besides the event loop's: confined to one CPU, the
+    // default sweep ran 1.06x slower with it.
+    config.sut.heap_worker = idle_cpu && HeapWorker::hasSpareCpu();
 
     // Overload axis: `--arrival <spec>` shapes the open-loop rate,
     // `--admission <spec>` arms the shed/backpressure ladder. The

@@ -9,8 +9,10 @@
 #    on a memory-bound bench — the fast path's whole contract (and
 #    micro_memwalk itself exits 1 if its arms' checksums diverge);
 #  - pinned sha256 goldens for fig08_l1d (with window jobs overlapped,
-#    and inline under --jobs 0), a healthy abl_cluster_scaling
-#    run, and the scaled-down abl_recovery, abl_replication,
+#    and inline under --jobs 0 given two hardware threads), a healthy
+#    abl_cluster_scaling run (with the heap worker given two hardware
+#    threads, and inline under --jobs 0), and the
+#    scaled-down abl_recovery, abl_replication,
 #    abl_partition, abl_burst, abl_faults and soak_chaos runs;
 #  - pinned jbench digests for its three workloads at two seeds.
 #
@@ -109,14 +111,24 @@ check_golden "$tmp/fp_on.txt" "$FIG08_GOLDEN" fig08_l1d
 check_golden "$tmp/fp_off.txt" "$FIG08_GOLDEN" "fig08_l1d --fastpath=0"
 echo "exactness: --fastpath and --fastpath=0 both match the pinned golden"
 
+# The hardware thread count the benches' arming rules read
+# (std::thread::hardware_concurrency: the online CPUs).
+hw_threads="$(getconf _NPROCESSORS_ONLN)"
+
 echo "== perf-smoke: fig08_l1d window jobs inline (--jobs 0) =="
 # The default run above overlaps each window job with the DES on two
 # helper threads; `--jobs 0` (one worker per hardware thread) turns
-# that off on any multi-core host, so the inline loop must match the
-# same pinned golden.
+# that off on a host with two or more hardware threads, so the inline
+# loop must match the same pinned golden. With one hardware thread
+# `--jobs 0` is `--jobs 1`, which overlaps as well, so this stage then
+# checks the overlapped path a second time and says so.
 "$BUILD/bench/fig08_l1d" "${fp_args[@]}" --jobs 0 >"$tmp/fp_inline.txt"
 check_golden "$tmp/fp_inline.txt" "$FIG08_GOLDEN" "fig08_l1d --jobs 0"
-echo "window jobs: the inline run matches the pinned golden"
+if [[ "$hw_threads" -ge 2 ]]; then
+    echo "window jobs: the inline run matches the pinned golden"
+else
+    echo "window jobs: one hardware thread, so --jobs 0 overlapped too; the inline loop went unchecked"
+fi
 
 echo "== perf-smoke: cluster with no --faults vs empty --faults =="
 # The fault machinery's whole contract: an empty schedule arms
@@ -128,6 +140,21 @@ cl_args=(nodes=2 steady=20 ramp=5 seed=7)
 check_golden "$tmp/nofaults.txt" "$CLUSTER_GOLDEN" abl_cluster_scaling
 check_golden "$tmp/emptyfaults.txt" "$CLUSTER_GOLDEN" "abl_cluster_scaling --faults="
 echo "fault gating: no --faults and empty --faults both match the pinned golden"
+
+echo "== perf-smoke: cluster heap allocations inline (--jobs 0) =="
+# On a host with two or more hardware threads the runs above queue
+# each node's heap allocations on the cluster's heap worker thread;
+# `--jobs 0` (one sweep worker per hardware thread) turns it off on any
+# host, so every allocation runs inline on the event loop, and that run
+# must match the same pinned golden. With one hardware thread the runs
+# above are inline too, and this stage says the worker went unchecked.
+"$BUILD/bench/abl_cluster_scaling" "${cl_args[@]}" --jobs 0 >"$tmp/heapinline.txt"
+check_golden "$tmp/heapinline.txt" "$CLUSTER_GOLDEN" "abl_cluster_scaling --jobs 0"
+if [[ "$hw_threads" -ge 2 ]]; then
+    echo "heap worker: the inline run matches the pinned golden"
+else
+    echo "heap worker: one hardware thread, so every run was inline; the worker went unchecked"
+fi
 
 echo "== perf-smoke: cluster with replication disabled vs absent =="
 # The replicated tier's gating contract: an explicit `--shards 1

@@ -13,11 +13,13 @@
 # touching lifetime-sensitive code (event closures, fault injection,
 # connection pools). `--san` also adds a ThreadSanitizer build
 # (-DJASIM_TSAN=ON) running the suites that exercise real cross-thread
-# handoffs — test_par (jasim::par sweeps and the SPSC ring) and
-# test_core's window-job tests (generation and replay on helper
-# threads, overlapping the DES), picked by --gtest_filter because the
-# full test_core holds multi-second calibration runs; ASan cannot see
-# data races, TSan can — plus a standalone UBSan build (-DJASIM_UBSAN=ON)
+# handoffs — test_par (jasim::par sweeps and the SPSC ring), test_jvm's
+# heap-worker tests (allocations queued to a helper thread, inline vs
+# worker) and test_core's window-job tests (generation and replay on
+# helper threads, overlapping the DES) plus its heap-worker cluster
+# runs, picked by --gtest_filter because the full test_core
+# holds multi-second calibration runs; ASan cannot see data races,
+# TSan can — plus a standalone UBSan build (-DJASIM_UBSAN=ON)
 # running the full suite: UBSan alone is near full speed, and it
 # catches signed overflow / misaligned access in arithmetic-heavy code
 # (fencing-token and LSN math, lease expiry) that ASan's shadow-memory
@@ -52,12 +54,13 @@ if [[ "$SAN_FULL" == 1 ]]; then
     cmake --build "$SAN_BUILD" -j"$JOBS"
     ctest --test-dir "$SAN_BUILD" --output-on-failure -j"$JOBS"
 
-    echo "== tier-1: TSan build (par sweeps, SPSC ring, window jobs) =="
+    echo "== tier-1: TSan build (par sweeps, SPSC ring, window jobs, heap worker) =="
     cmake -B "$TSAN_BUILD" -S . -DJASIM_TSAN=ON >/dev/null
-    cmake --build "$TSAN_BUILD" -j"$JOBS" --target test_par test_core
+    cmake --build "$TSAN_BUILD" -j"$JOBS" --target test_par test_jvm test_core
     "$TSAN_BUILD/tests/test_par"
+    "$TSAN_BUILD/tests/test_jvm" --gtest_filter='HeapWorkerTest.*'
     "$TSAN_BUILD/tests/test_core" \
-        --gtest_filter='WindowSimulatorTest.*:FastpathGoldenDigestTest.*'
+        --gtest_filter='WindowSimulatorTest.*:FastpathGoldenDigestTest.*:ClusterTest.*HeapWorker*'
 
     echo "== tier-1: UBSan build (full suite, undefined behaviour only) =="
     cmake -B "$UBSAN_BUILD" -S . -DJASIM_UBSAN=ON >/dev/null

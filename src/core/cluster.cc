@@ -162,6 +162,8 @@ ClusterUnderTest::ClusterUnderTest(
             [this](const FaultEvent &event) { applyFault(event); });
     }
 
+    if (config_.node.heap_worker)
+        heap_worker_ = std::make_unique<HeapWorker>();
     Rng seeder(seed ^ 0x5eedull);
     pools_.reserve(config_.nodes);
     nodes_.reserve(config_.nodes);
@@ -173,7 +175,8 @@ ClusterUnderTest::ClusterUnderTest(
             [this, n](RequestType type, double noise,
                       SystemUnderTest::DbDone done) {
                 startShardCall(n, type, noise, std::move(done));
-            }));
+            },
+            heap_worker_.get()));
         SystemUnderTest &sut = *nodes_[n];
         sut.setCompletionHook(
             [this, n](const Request &request, SimTime finish) {

@@ -31,6 +31,7 @@
 #include "db/durability_audit.h"
 #include "fault/injector.h"
 #include "fault/resilience.h"
+#include "jvm/heap_worker.h"
 #include "net/connection_pool.h"
 #include "net/fabric.h"
 #include "net/load_balancer.h"
@@ -150,8 +151,16 @@ class ClusterUnderTest
     /** Begin injecting load over [0, end). */
     void start(SimTime end);
 
-    /** Advance the shared discrete-event simulation to `horizon`. */
-    void advanceTo(SimTime horizon) { queue_.runUntil(horizon); }
+    /**
+     * Advance the shared discrete-event simulation to `horizon`, and
+     * wait for every allocation queued on the heap worker.
+     */
+    void advanceTo(SimTime horizon)
+    {
+        queue_.runUntil(horizon);
+        if (heap_worker_)
+            heap_worker_->drain();
+    }
 
     EventQueue &queue() { return queue_; }
     const ClusterConfig &config() const { return config_; }
@@ -270,6 +279,8 @@ class ClusterUnderTest
     NetworkFabric fabric_;
     LoadBalancer lb_;
     std::vector<std::unique_ptr<ConnectionPool>> pools_;
+    /** Every node's allocations, FIFO; null unless node.heap_worker. */
+    std::unique_ptr<HeapWorker> heap_worker_;
     std::vector<std::unique_ptr<SystemUnderTest>> nodes_;
     ResponseTracker tracker_;
     std::uint64_t seed_;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "sim/distributions.h"
 
@@ -12,14 +14,15 @@ SystemUnderTest::SystemUnderTest(
     const SutConfig &config,
     std::shared_ptr<const WorkloadProfiles> profiles,
     std::shared_ptr<const MethodRegistry> registry, std::uint64_t seed,
-    EventQueue *external_queue, RemoteDbTier remote_db)
+    EventQueue *external_queue, RemoteDbTier remote_db,
+    HeapWorker *heap_worker)
     : config_(config), profiles_(std::move(profiles)),
       registry_(std::move(registry)),
       owned_queue_(external_queue ? nullptr
                                   : std::make_unique<EventQueue>()),
       queue_(external_queue ? *external_queue : *owned_queue_),
       scheduler_(config.cpus),
-      disk_(config.disk), gc_(config.gc, seed ^ 0x6cull),
+      disk_(config.disk), gc_(config.gc, seed ^ 0x6cull, heap_worker),
       jit_(config.jit, *registry_),
       web_(config.web), ejb_(config.ejb),
       pool_(queue_, config.was_threads, "WebContainer"),
@@ -257,9 +260,16 @@ SystemUnderTest::advanceJob(const std::shared_ptr<Job> &job)
             profile.alloc_bytes * config_.alloc_scale);
         if (!gc_.allocate(alloc_bytes, now)) {
             const SimTime gc_end = runGc(now);
-            const bool ok = gc_.allocate(alloc_bytes, gc_end);
-            assert(ok && "allocation must succeed right after GC");
-            (void)ok;
+            if (!gc_.allocate(alloc_bytes, gc_end)) {
+                const std::uint64_t heap = config_.gc.heap.size_bytes;
+                throw std::runtime_error(
+                    "a heap of " + std::to_string(heap) + " bytes "
+                    "(heap_mb=" + std::to_string(heap >> 20) +
+                    ") is too small: an allocation of " +
+                    std::to_string(alloc_bytes) +
+                    " bytes failed right after a collection left " +
+                    std::to_string(gc_.lastLiveBytes()) + " bytes live");
+            }
             scheduleAdvance(job, gc_end);
             return;
         }

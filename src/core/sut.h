@@ -64,6 +64,15 @@ struct SutConfig
      *  workloads allocate differently; 1.0 = jas2004 calibration). */
     double alloc_scale = 1.0;
 
+    /**
+     * In a cluster, run every node's heap allocations on one
+     * HeapWorker thread, behind the heap's credit bound (see
+     * jvm/heap_worker.h). Off runs them inline on the event loop, the
+     * identity reference; the outputs are the same bits either way. A
+     * lone SystemUnderTest (a box) ignores it and allocates inline.
+     */
+    bool heap_worker = true;
+
     /** Clamp on the interpreted/warm slowdown during JIT warm-up. */
     double max_jit_slowdown = 1.8;
 
@@ -116,13 +125,17 @@ class SystemUnderTest
      * @param remote_db when set, the external data tier that runs
      *        every transaction's DB stage (cluster mode); the node
      *        then builds no local application database.
+     * @param heap_worker when non-null, the worker this node's
+     *        allocations run on (cluster mode: one for all nodes); it
+     *        must outlive the node.
      */
     SystemUnderTest(const SutConfig &config,
                     std::shared_ptr<const WorkloadProfiles> profiles,
                     std::shared_ptr<const MethodRegistry> registry,
                     std::uint64_t seed,
                     EventQueue *external_queue = nullptr,
-                    RemoteDbTier remote_db = {});
+                    RemoteDbTier remote_db = {},
+                    HeapWorker *heap_worker = nullptr);
 
     /** Begin injecting load over [0, end). */
     void start(SimTime end);

@@ -181,12 +181,12 @@ ResponseTracker::p99ResponseSeconds(RequestType type) const
 }
 
 void
-ResponseTracker::error(const Request &request, SimTime finish,
+ResponseTracker::error([[maybe_unused]] const Request &request,
+                       [[maybe_unused]] SimTime finish,
                        std::uint32_t node, ErrorKind kind)
 {
     assert(finish >= request.arrival);
     assert(kind != ErrorKind::None);
-    (void)finish;
     ++total_errors_;
     ++errors_by_kind_[static_cast<std::size_t>(kind)];
     ++errors_by_node_[node];

@@ -5,16 +5,18 @@
 #include <stdexcept>
 #include <string>
 
+#include "jvm/heap_worker.h"
 #include "sim/distributions.h"
 
 namespace jasim {
 
 GarbageCollector::GarbageCollector(const GcConfig &config,
-                                   std::uint64_t seed)
+                                   std::uint64_t seed, HeapWorker *worker)
     : config_(config), heap_(config.heap), graph_(seed ^ 0x9c0full),
       rng_(seed), last_live_bytes_(config.baseline_bytes),
       object_mu_(std::log(config.object_mean_bytes) -
-                 config.object_sigma * config.object_sigma / 2.0)
+                 config.object_sigma * config.object_sigma / 2.0),
+      worker_(worker)
 {
     // Long-lived baseline: application server structures, caches,
     // class metadata. Rooted effectively forever.
@@ -33,6 +35,16 @@ GarbageCollector::GarbageCollector(const GcConfig &config,
                        config_.edge_probability);
         allocated += bytes;
     }
+    credit_ = heap_.credit();
+}
+
+GarbageCollector::~GarbageCollector()
+{
+    // The worker must not touch this collector once it is gone. An
+    // exception a call threw stays with the worker, whose next drain
+    // rethrows it.
+    if (worker_)
+        worker_->wait();
 }
 
 SimTime
@@ -61,6 +73,33 @@ GarbageCollector::drawObjectBytes()
 bool
 GarbageCollector::allocate(std::uint64_t bytes, SimTime now)
 {
+    if (!worker_)
+        return place(bytes, now);
+    const std::uint64_t most = bytes + 63;
+    if (most > credit_) {
+        settle();
+        credit_ = heap_.credit();
+    }
+    if (most > credit_) {
+        const bool placed = place(bytes, now);
+        credit_ = heap_.credit();
+        return placed;
+    }
+    credit_ -= most;
+    worker_->submit(*this, bytes, now);
+    return true;
+}
+
+void
+GarbageCollector::settle() const
+{
+    if (worker_)
+        worker_->drain();
+}
+
+bool
+GarbageCollector::place(std::uint64_t bytes, SimTime now)
+{
     std::uint64_t remaining = bytes;
     while (remaining > 0) {
         const std::uint32_t cell = std::min<std::uint64_t>(
@@ -78,6 +117,7 @@ GarbageCollector::allocate(std::uint64_t bytes, SimTime now)
 GcEvent
 GarbageCollector::collect(SimTime now, GcCause cause)
 {
+    settle();
     GcEvent event;
     event.start = now;
     event.cause = cause;
@@ -124,6 +164,7 @@ GarbageCollector::collect(SimTime now, GcCause cause)
     event.used_after = heap_.usedBytes();
     event.dark_bytes = heap_.darkBytes();
     log_.record(event);
+    credit_ = heap_.credit();
     return event;
 }
 

@@ -28,6 +28,8 @@
 
 namespace jasim {
 
+class HeapWorker;
+
 /** Collector and allocation-behaviour parameters. */
 struct GcConfig
 {
@@ -68,29 +70,66 @@ struct GcConfig
  * The mutator calls allocate(); when it returns false the caller runs
  * collect() and retries (the JVM does this internally; the split keeps
  * the simulation event loop in control of time).
+ *
+ * With a HeapWorker, allocate() queues each call the heap's credit
+ * guarantees on the worker and returns true at once. A call places
+ * cells totalling at most its bytes + 63 (the last cell is at least
+ * 64 bytes), and each cell lowers the credit by at most its size, so
+ * the collector queues calls while their summed bytes + 63 stay within
+ * the credit it last read. The rest run inline once the worker has
+ * caught up.
  */
 class GarbageCollector
 {
   public:
     /**
      * Builds the heap and allocates the startup baseline.
+     * @param worker when non-null, the worker that runs the calls
+     *        allocate() queues; it must outlive the collector.
      * @throws std::invalid_argument when the heap cannot hold
      *         config.baseline_bytes.
      */
-    GarbageCollector(const GcConfig &config, std::uint64_t seed);
+    GarbageCollector(const GcConfig &config, std::uint64_t seed,
+                     HeapWorker *worker = nullptr);
+
+    /** Waits for this collector's queued calls. */
+    ~GarbageCollector();
+
+    GarbageCollector(const GarbageCollector &) = delete;
+    GarbageCollector &operator=(const GarbageCollector &) = delete;
 
     /**
      * Allocate `bytes` of objects at simulated time `now`, splitting
-     * into cells with drawn sizes/lifetimes.
+     * into cells with drawn sizes/lifetimes. With a worker, true may
+     * be returned before the call has run.
      * @return false when the heap is exhausted (GC needed).
      */
     bool allocate(std::uint64_t bytes, SimTime now);
 
-    /** Run a stop-the-world collection; records into the log. */
+    /**
+     * Wait for the worker, then run a stop-the-world collection;
+     * records into the log.
+     */
     GcEvent collect(SimTime now, GcCause cause = GcCause::AllocationFailure);
 
-    const Heap &heap() const { return heap_; }
-    const ObjectGraph &graph() const { return graph_; }
+    /**
+     * The heap and the object graph, once the worker has run every
+     * queued call (an exception one threw is rethrown here): the
+     * worker writes both while calls are queued, so an earlier read
+     * would race with it. Cheap when the worker is idle. The log and
+     * lastLiveBytes() are written only by collect(), on the caller's
+     * thread.
+     */
+    const Heap &heap() const
+    {
+        settle();
+        return heap_;
+    }
+    const ObjectGraph &graph() const
+    {
+        settle();
+        return graph_;
+    }
     const VerboseGcLog &log() const { return log_; }
 
     /** Live bytes found by the most recent mark (baseline before). */
@@ -99,6 +138,8 @@ class GarbageCollector
     const GcConfig &config() const { return config_; }
 
   private:
+    friend class HeapWorker;
+
     GcConfig config_;
     Heap heap_;
     ObjectGraph graph_;
@@ -109,7 +150,21 @@ class GarbageCollector
     double object_mu_;
     /** Blocks of the current sweep, in sweep order; reused. */
     std::vector<Heap::Block> swept_;
+    /**
+     * The event loop's side, on a cache line of its own: the worker
+     * writes the heap, the graph and the RNG above.
+     */
+    alignas(64) HeapWorker *worker_;
+    /** The heap's credit at its last read, less what is queued since. */
+    std::uint64_t credit_ = 0;
 
+    /**
+     * Wait until the worker has run every queued call, rethrowing an
+     * exception one threw; without a worker, nothing.
+     */
+    void settle() const;
+    /** Run one allocate() call here and now. */
+    bool place(std::uint64_t bytes, SimTime now);
     SimTime drawLifetime();
     std::uint32_t drawObjectBytes();
 };

@@ -91,10 +91,12 @@ Heap::indexChunk(std::uint32_t chunk)
     if (c.size < config_.dark_threshold)
         return;
     usable_ += c.size;
-    if (c.size <= maxBinnedBytes)
+    if (c.size <= maxBinnedBytes) {
         pushBin(chunk);
-    else
+    } else {
         large_.insert(Fit{c.size, c.seq, chunk});
+        large_bytes_ += c.size;
+    }
 }
 
 void
@@ -104,10 +106,12 @@ Heap::unindexChunk(std::uint32_t chunk)
     if (c.size < config_.dark_threshold)
         return;
     usable_ -= c.size;
-    if (c.size <= maxBinnedBytes)
+    if (c.size <= maxBinnedBytes) {
         unlinkBin(chunk);
-    else
+    } else {
         large_.erase(Fit{c.size, c.seq, chunk});
+        large_bytes_ -= c.size;
+    }
 }
 
 void
@@ -202,6 +206,7 @@ Heap::allocate(std::uint64_t bytes)
         if (fit == large_.end())
             return std::nullopt;
         chunk = fit->chunk;
+        large_bytes_ -= fit->size;
         // A remainder that is still large stays the smallest large
         // chunk when the chunk was: it keeps its place in the set, and
         // only its key changes.
@@ -230,6 +235,7 @@ Heap::allocate(std::uint64_t bytes)
     c.seq = next_seq_++;
     if (stays) {
         usable_ += c.size;
+        large_bytes_ += c.size;
         stays->size = c.size;
         stays->seq = c.seq;
     } else {
@@ -368,6 +374,7 @@ Heap::compact(std::uint64_t live_bytes)
     word_bits_ = {};
     group_bits_ = 0;
     large_.clear();
+    large_bytes_ = 0;
     usable_ = 0;
     used_ = live_bytes;
     free_ = config_.size_bytes - live_bytes;
@@ -389,6 +396,7 @@ Heap::accountingConsistent() const
     std::uint64_t listed_usable = 0;
     std::size_t binned = 0;
     std::size_t large = 0;
+    std::uint64_t large_bytes = 0;
     std::uint64_t prev_end = 0;
     bool first = true;
     for (const auto &[end, chunk] : ends_) {
@@ -413,6 +421,7 @@ Heap::accountingConsistent() const
         if (fit == large_.end() || fit->chunk != chunk)
             return false;
         ++large;
+        large_bytes += c.size;
     }
 
     // Every bin the bitmap marks: non-empty, one size, insertion
@@ -444,8 +453,8 @@ Heap::accountingConsistent() const
             return false;
     }
     return in_bins == binned && large == large_.size() &&
-        listed == free_ && listed_usable == usable_ &&
-        used_ + free_ == config_.size_bytes;
+        large_bytes == large_bytes_ && listed == free_ &&
+        listed_usable == usable_ && used_ + free_ == config_.size_bytes;
 }
 
 } // namespace jasim

@@ -41,6 +41,7 @@
 #ifndef JASIM_JVM_HEAP_H
 #define JASIM_JVM_HEAP_H
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <map>
@@ -134,6 +135,21 @@ class Heap
     std::size_t freeChunkCount() const { return ends_.size(); }
 
     /**
+     * The allocation credit: the sum, over the usable chunks above
+     * maxBinnedBytes, of their size minus a floor of
+     * max(maxBinnedBytes, dark_threshold). An allocation lowers it by
+     * at most its size, because a remainder that leaves the large set,
+     * binned or dark, is at most the floor. While it is positive, some
+     * chunk fits any request of up to maxBinnedBytes. O(1).
+     */
+    std::uint64_t credit() const
+    {
+        const std::uint64_t floor = std::max<std::uint64_t>(
+            maxBinnedBytes, config_.dark_threshold);
+        return large_bytes_ - large_.size() * floor;
+    }
+
+    /**
      * Compact: slide live data to offset 0, leaving one free block.
      * The caller supplies total live bytes. Returns recovered dark
      * bytes.
@@ -195,6 +211,7 @@ class Heap
     /** Bit g: word_bits_[g] is non-zero. */
     std::uint64_t group_bits_ = 0;
     std::set<Fit> large_; //!< usable chunks above maxBinnedBytes
+    std::uint64_t large_bytes_ = 0; //!< their summed size
     std::uint64_t next_seq_ = 0;
     std::uint64_t used_ = 0;
     std::uint64_t free_ = 0;

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "core/cluster.h"
 
 namespace jasim {
@@ -172,6 +175,127 @@ TEST(ClusterTest, TwoNodesCarryTwiceTheLoadOfOne)
     const double jops_one = one.jops(secs(10), secs(60));
     const double jops_two = two.jops(secs(10), secs(60));
     EXPECT_NEAR(jops_two, 2.0 * jops_one, 0.15 * jops_two);
+}
+
+/** Every output of a tracker, in a fixed order. */
+std::vector<double>
+trackerOutputs(const ResponseTracker &t, SimTime end, std::size_t nodes)
+{
+    std::vector<double> out;
+    const auto put = [&out](auto v) {
+        out.push_back(static_cast<double>(v));
+    };
+    put(t.totalCompleted());
+    put(t.errorCount());
+    put(t.retryCount());
+    put(t.jops(0, end));
+    for (const SlaVerdict &v : t.verdicts()) {
+        put(v.p90_seconds);
+        put(v.p99_seconds);
+        put(v.pass);
+        put(v.completed);
+    }
+    for (std::size_t r = 0; r < requestTypeCount; ++r) {
+        const auto type = static_cast<RequestType>(r);
+        put(t.completedCount(type));
+        put(t.meanResponseSeconds(type));
+        put(t.p99ResponseSeconds(type));
+        const TimeSeries series = t.throughputSeries(type, end);
+        for (const double x : series.values())
+            put(x);
+    }
+    for (std::uint32_t n = 0; n < nodes; ++n) {
+        put(t.completedOnNode(n));
+        put(t.errorsOnNode(n));
+        put(t.nodeJops(n, 0, end));
+    }
+    for (std::size_t k = 0; k < errorKindCount; ++k)
+        put(t.errorCount(static_cast<ErrorKind>(k)));
+    return out;
+}
+
+/** Every field of every collection in a log. */
+std::vector<double>
+gcOutputs(const VerboseGcLog &log)
+{
+    std::vector<double> out;
+    for (const GcEvent &e : log.events()) {
+        for (const double x :
+             {static_cast<double>(e.start), static_cast<double>(e.cause),
+              e.mark_ms, e.sweep_ms, e.compact_ms,
+              static_cast<double>(e.compacted),
+              static_cast<double>(e.used_before),
+              static_cast<double>(e.used_after),
+              static_cast<double>(e.live_bytes),
+              static_cast<double>(e.dark_bytes),
+              static_cast<double>(e.freed_bytes),
+              static_cast<double>(e.live_cells),
+              static_cast<double>(e.reclaimed_cells)})
+            out.push_back(x);
+    }
+    return out;
+}
+
+TEST(ClusterTest, HeapWorkerOnAndOffGiveIdenticalOutputs)
+{
+    // Four nodes on one shared heap worker against four inline heaps.
+    // Small heaps make every node collect several times.
+    Shared shared;
+    const SimTime end = secs(40);
+    std::vector<std::vector<double>> runs[2];
+    for (const bool worker : {false, true}) {
+        ClusterConfig config = zeroCostCluster(4, 5.0);
+        config.node.heap_worker = worker;
+        config.node.gc.heap.size_bytes = 48ull << 20;
+        config.node.gc.baseline_bytes = 16ull << 20;
+        ClusterUnderTest cluster(config, shared.profiles,
+                                 shared.registry, 21);
+        cluster.start(end);
+        cluster.advanceTo(end + secs(5));
+        std::vector<std::vector<double>> &outputs = runs[worker];
+        outputs.push_back(trackerOutputs(cluster.tracker(), end, 4));
+        for (std::size_t n = 0; n < 4; ++n) {
+            const SystemUnderTest &node = cluster.node(n);
+            EXPECT_GE(node.collector().log().events().size(), 3u) << n;
+            outputs.push_back(trackerOutputs(node.tracker(), end, 4));
+            outputs.push_back(gcOutputs(node.collector().log()));
+            outputs.push_back({static_cast<double>(
+                                   node.collector().heap().usedBytes()),
+                               static_cast<double>(
+                                   node.collector().graph().cellCount())});
+        }
+    }
+    ASSERT_EQ(runs[0].size(), runs[1].size());
+    for (std::size_t i = 0; i < runs[0].size(); ++i)
+        EXPECT_EQ(runs[0][i], runs[1][i]) << "output " << i;
+}
+
+TEST(ClusterTest, TooSmallHeapFailsLoudlyWithAndWithoutTheHeapWorker)
+{
+    // One MB above the startup baseline, as SutTest's box: a node's
+    // allocation fails right after a collection, inline or through
+    // the worker, and both raise the same error.
+    Shared shared;
+    std::string messages[2];
+    for (const bool worker : {false, true}) {
+        ClusterConfig config = zeroCostCluster(1, 40.0);
+        config.node.heap_worker = worker;
+        config.node.gc.heap.size_bytes = 121ull << 20;
+        config.node.driver.ramp_up_s = 5.0;
+        ClusterUnderTest cluster(config, shared.profiles,
+                                 shared.registry, 11);
+        cluster.start(secs(15));
+        try {
+            cluster.advanceTo(secs(15));
+            ADD_FAILURE() << "no error with heap_worker=" << worker;
+        } catch (const std::runtime_error &error) {
+            messages[worker] = error.what();
+        }
+    }
+    EXPECT_NE(messages[0].find("(heap_mb=121) is too small"),
+              std::string::npos)
+        << messages[0];
+    EXPECT_EQ(messages[0], messages[1]);
 }
 
 TEST(ClusterTest, ArmedFeaturesFollowTheConfig)

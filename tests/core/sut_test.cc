@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "core/sut.h"
 
 namespace jasim {
@@ -146,6 +149,27 @@ TEST(SutTest, RamDiskKeepsBlockingNegligible)
     ram_sut->advanceTo(secs(30));
     spin_sut->advanceTo(secs(30));
     EXPECT_LT(ram_sut->diskBlockedUs() * 10, spin_sut->diskBlockedUs());
+}
+
+TEST(SutTest, TooSmallHeapFailsLoudly)
+{
+    // One MB above the startup baseline: the live set soon fills the
+    // heap, and an allocation fails right after a collection. The run
+    // must stop with an error naming the heap's size.
+    SutConfig config;
+    config.gc.heap.size_bytes = 121ull << 20;
+    config.driver.ramp_up_s = 5.0;
+    auto sut = makeSut(config);
+    sut->start(secs(15));
+    try {
+        sut->advanceTo(secs(15));
+        ADD_FAILURE() << "no error";
+    } catch (const std::runtime_error &error) {
+        const std::string message = error.what();
+        EXPECT_NE(message.find("(heap_mb=121) is too small"),
+                  std::string::npos)
+            << message;
+    }
 }
 
 } // namespace

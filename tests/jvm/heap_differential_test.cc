@@ -5,8 +5,10 @@
  * batch free (the reference frees the batch one block at a time, in
  * the given order) and compact. After every call they must agree on
  * the offset returned (or the failure), usedBytes, usableBytes,
- * darkBytes and freeChunkCount. Request sizes come from small sets so
- * that chunks of equal size, and with them tie-breaks, are common.
+ * darkBytes, freeChunkCount and the allocation credit, and no
+ * allocate(c) may lower the credit by more than c. Request sizes come
+ * from small sets so that chunks of equal size, and with them
+ * tie-breaks, are common.
  */
 
 #include <gtest/gtest.h>
@@ -31,11 +33,28 @@ class Twin
     {
     }
 
+    /** Calls that used a chunk up, and that placed 64 KiB. */
+    struct Counts
+    {
+        std::size_t exact_fits = 0;
+        std::size_t full_cells = 0;
+    };
+
     std::optional<std::uint64_t> allocate(std::uint64_t bytes)
     {
+        const std::uint64_t credit = heap_.credit();
+        const std::size_t chunks = heap_.freeChunkCount();
         const auto got = heap_.allocate(bytes);
         const auto want = ref_.allocate(bytes);
         EXPECT_EQ(got, want) << "allocate(" << bytes << ")";
+        // The bound the heap worker rests on.
+        EXPECT_LE(heap_.credit(), credit) << "allocate(" << bytes << ")";
+        EXPECT_LE(credit - std::min(credit, heap_.credit()), bytes)
+            << "allocate(" << bytes << ") from credit " << credit;
+        if (got) {
+            counts_.exact_fits += heap_.freeChunkCount() < chunks;
+            counts_.full_cells += bytes == Heap::maxBinnedBytes;
+        }
         return got;
     }
 
@@ -64,14 +83,16 @@ class Twin
         if (heap_.usedBytes() != ref_.usedBytes() ||
             heap_.usableBytes() != ref_.usableBytes() ||
             heap_.darkBytes() != ref_.darkBytes() ||
-            heap_.freeChunkCount() != ref_.freeChunkCount()) {
+            heap_.freeChunkCount() != ref_.freeChunkCount() ||
+            heap_.credit() != ref_.credit()) {
             return ::testing::AssertionFailure()
                 << "used " << heap_.usedBytes() << " vs "
                 << ref_.usedBytes() << ", usable " << heap_.usableBytes()
                 << " vs " << ref_.usableBytes() << ", dark "
                 << heap_.darkBytes() << " vs " << ref_.darkBytes()
                 << ", chunks " << heap_.freeChunkCount() << " vs "
-                << ref_.freeChunkCount();
+                << ref_.freeChunkCount() << ", credit " << heap_.credit()
+                << " vs " << ref_.credit();
         }
         if (!heap_.accountingConsistent())
             return ::testing::AssertionFailure() << "heap inconsistent";
@@ -79,10 +100,12 @@ class Twin
     }
 
     const Heap &heap() const { return heap_; }
+    const Counts &counts() const { return counts_; }
 
   private:
     Heap heap_;
     ReferenceHeap ref_;
+    Counts counts_;
 };
 
 /** One collector-like run: fill, sweep a batch, sometimes compact. */
@@ -95,8 +118,9 @@ struct Script
     int cycles;
 };
 
+/** Runs `script`, adding its Twin's counts to `total`. */
 void
-runScript(const Script &script)
+runScript(const Script &script, Twin::Counts &total)
 {
     HeapConfig config;
     config.size_bytes = script.heap_bytes;
@@ -157,13 +181,17 @@ runScript(const Script &script)
                 << " compact";
         }
     }
+    total.exact_fits += twin.counts().exact_fits;
+    total.full_cells += twin.counts().full_cells;
 }
 
 TEST(HeapDifferentialTest, SweepCyclesMatchReference)
 {
     // Usable chunks up to Heap::maxBinnedBytes sit in bins, larger
-    // ones in a set: scripts 7 to 9 request both sides of that
-    // ceiling, 8 and 9 with a dark threshold above it (no bins).
+    // ones in a set: scripts 7 to 11 request both sides of that
+    // ceiling, 8, 9 and 11 with a dark threshold above it (no bins,
+    // and a credit floor above the ceiling). Every size of scripts 10
+    // and 11 divides their heap, so requests often use a chunk up.
     constexpr std::uint64_t ceiling = Heap::maxBinnedBytes;
     const std::vector<Script> scripts{
         {1, 1ull << 20, 1024, {512, 1024, 1536, 3072}, 25},
@@ -177,12 +205,18 @@ TEST(HeapDifferentialTest, SweepCyclesMatchReference)
         {8, 4ull << 20, 100000, {4096, 70000, 120000}, 15},
         {9, (6ull << 20) + 7, ceiling + 2, {64, 3000, ceiling, 131072},
          12},
+        {10, 1ull << 20, 1024, {ceiling / 4, ceiling / 2, ceiling}, 20},
+        {11, 48 * ceiling, 3 * ceiling / 2,
+         {ceiling / 2, ceiling, 3 * ceiling / 2}, 15},
     };
+    Twin::Counts total;
     for (const Script &script : scripts) {
-        runScript(script);
+        runScript(script, total);
         if (HasFatalFailure())
             return;
     }
+    EXPECT_GT(total.exact_fits, 100u);
+    EXPECT_GT(total.full_cells, 100u);
 }
 
 TEST(HeapDifferentialTest, LargeChunkCarvedAcrossTheCeiling)

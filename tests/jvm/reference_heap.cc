@@ -1,5 +1,6 @@
 #include "reference_heap.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace jasim {
@@ -81,6 +82,20 @@ ReferenceHeap::free(std::uint64_t offset, std::uint64_t bytes)
         eraseChunk(next);
     }
     insertChunk(offset, bytes);
+}
+
+std::uint64_t
+ReferenceHeap::credit() const
+{
+    const std::uint64_t floor = std::max<std::uint64_t>(
+        Heap::maxBinnedBytes, config_.dark_threshold);
+    std::uint64_t credit = 0;
+    for (const auto &[offset, bytes] : chunks_) {
+        if (bytes >= config_.dark_threshold &&
+            bytes > Heap::maxBinnedBytes)
+            credit += bytes - floor;
+    }
+    return credit;
 }
 
 std::uint64_t

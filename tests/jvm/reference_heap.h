@@ -47,6 +47,13 @@ class ReferenceHeap
     std::size_t freeChunkCount() const { return chunks_.size(); }
 
     /**
+     * Heap::credit() recomputed by a walk of every chunk: the usable
+     * chunks above Heap::maxBinnedBytes, each less
+     * max(Heap::maxBinnedBytes, dark_threshold).
+     */
+    std::uint64_t credit() const;
+
+    /**
      * Compact: slide live data to offset 0, leaving one free block.
      * Returns recovered dark bytes.
      */
