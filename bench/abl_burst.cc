@@ -61,10 +61,8 @@ digest(const BurstPoint &p)
     return os.str();
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     bench::banner(std::cout,
                   "Ablation: Overload & Admission Control "
@@ -255,4 +253,12 @@ main(int argc, char **argv)
             deterministic
         ? 0
         : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::guardedMain(argc, argv, run);
 }

@@ -64,10 +64,8 @@ struct ScalePoint
     double min_availability = 1.0;
 };
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     bench::banner(std::cout,
                   "Ablation: Cluster Scaling (future work)",
@@ -200,4 +198,12 @@ main(int argc, char **argv)
 
     perf.write(base.jobs);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::guardedMain(argc, argv, run);
 }

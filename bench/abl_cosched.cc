@@ -72,10 +72,8 @@ runMix(bool shared_writes)
     return result;
 }
 
-} // namespace
-
 int
-main(int, char **)
+run(int, char **)
 {
     bench::banner(std::cout,
                   "Ablation: Thread Co-Scheduling Potential (4.2.3)",
@@ -105,4 +103,12 @@ main(int, char **)
               << "x) -- co-scheduling only helps that kind of "
                  "workload.\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::guardedMain(argc, argv, run);
 }

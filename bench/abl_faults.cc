@@ -78,10 +78,8 @@ struct FaultPoint
     std::uint64_t events = 0;
 };
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     bench::banner(std::cout,
                   "Ablation: Fault Injection (robustness)",
@@ -222,4 +220,12 @@ main(int argc, char **argv)
     perf.note("worst_min_availability", worst.min_availability);
     perf.write(base.jobs);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::guardedMain(argc, argv, run);
 }

@@ -8,8 +8,10 @@
 
 using namespace jasim;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     bench::banner(std::cout, "Ablation: Heap Size vs GC Overhead",
                   "Paper: with a server-sized 1 GB heap, GC is <2% of "
@@ -45,4 +47,12 @@ main(int argc, char **argv)
                  "1 GB study configuration keeps GC near ~1%.\n";
     perf.write(base.jobs);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::guardedMain(argc, argv, run);
 }

@@ -8,8 +8,10 @@
 
 using namespace jasim;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     bench::banner(std::cout, "Ablation: L2 Capacity / L3 Latency (4.3)",
                   "Paper: the working set exceeds the L2; a bigger L2 "
@@ -74,4 +76,12 @@ main(int argc, char **argv)
                  "and a faster L3.\n";
     perf.write(base.jobs);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::guardedMain(argc, argv, run);
 }

@@ -6,8 +6,10 @@
 
 using namespace jasim;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     bench::banner(std::cout, "Ablation: Large Pages (4.2.2)",
                   "Paper: 16 MB pages for the heap raise DTLB hit "
@@ -85,4 +87,12 @@ main(int argc, char **argv)
               << "  (paper: DTLB hits +25%, ITLB hits +15%)\n";
     perf.write(base.jobs);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::guardedMain(argc, argv, run);
 }

@@ -45,10 +45,8 @@ runWith(ExperimentConfig config)
     return out;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     bench::banner(std::cout,
                   "Ablation: Proposed Optimizations (4.2.1 / 4.3)",
@@ -104,4 +102,12 @@ main(int argc, char **argv)
                  "workload shape.\n";
     perf.write(base.jobs);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::guardedMain(argc, argv, run);
 }

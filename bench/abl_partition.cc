@@ -72,10 +72,8 @@ digest(const PartPoint &r)
     return os.str();
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     bench::banner(std::cout,
                   "Ablation: Partition Tolerance (jasim::fault x repl)",
@@ -273,4 +271,12 @@ main(int argc, char **argv)
             clean_rewinds && switchover_ok && deterministic
         ? 0
         : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::guardedMain(argc, argv, run);
 }

@@ -52,10 +52,8 @@ struct RecoveryPoint
     std::uint64_t events = 0;
 };
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     bench::banner(std::cout,
                   "Ablation: Crash Recovery (robustness)",
@@ -222,4 +220,12 @@ main(int argc, char **argv)
     perf.note("audits_pass", audits ? 1.0 : 0.0);
     perf.write(base.jobs);
     return audits ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::guardedMain(argc, argv, run);
 }

@@ -67,10 +67,8 @@ digest(const ReplPoint &r)
     return os.str();
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     bench::banner(std::cout,
                   "Ablation: Sharded Replication (jasim::repl)",
@@ -263,4 +261,12 @@ main(int argc, char **argv)
             deterministic
         ? 0
         : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::guardedMain(argc, argv, run);
 }

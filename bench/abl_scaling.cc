@@ -7,8 +7,10 @@
 
 using namespace jasim;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     bench::banner(std::cout, "Ablation: Core-Count Scaling (future work)",
                   "Paper Section 7 asks how the workload scales with "
@@ -72,4 +74,12 @@ main(int argc, char **argv)
                  "once a second chip exists.\n";
     perf.write(base.jobs);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::guardedMain(argc, argv, run);
 }

@@ -149,6 +149,25 @@ configFromArgs(int argc, char **argv, double default_steady_s = 300.0)
     return config;
 }
 
+/**
+ * A bench's main: run `run(argc, argv)` and turn an exception into
+ * exit code 2 with its message on stderr, as configFromArgs does for
+ * the inputs it rejects. A run that cannot go on (a heap_mb its live
+ * set outgrows, say) then ends with that message, not in
+ * std::terminate.
+ */
+template <typename Run>
+int
+guardedMain(int argc, char **argv, Run &&run)
+{
+    try {
+        return run(argc, argv);
+    } catch (const std::exception &error) {
+        std::cerr << error.what() << "\n";
+        return 2;
+    }
+}
+
 inline void
 banner(std::ostream &os, const char *figure, const char *claim)
 {

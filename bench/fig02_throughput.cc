@@ -6,8 +6,10 @@
 
 using namespace jasim;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     bench::banner(std::cout, "Figure 2: Benchmark Throughput",
                   "Paper: four request-type rates stabilize within ~5 "
@@ -67,4 +69,12 @@ main(int argc, char **argv)
     }
     perf.write(config.jobs);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::guardedMain(argc, argv, run);
 }

@@ -4,8 +4,10 @@
 
 using namespace jasim;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     bench::banner(std::cout, "Figure 3: Garbage Collection Statistics",
                   "Paper: GC every 25-28 s, 300-400 ms pauses, ~1.3% of "
@@ -58,4 +60,12 @@ main(int argc, char **argv)
     }
     table.print(std::cout);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::guardedMain(argc, argv, run);
 }

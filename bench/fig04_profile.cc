@@ -6,8 +6,10 @@
 
 using namespace jasim;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     bench::banner(std::cout,
                   "Figure 4: Profile Breakdown (% of runtime)",
@@ -45,4 +47,12 @@ main(int argc, char **argv)
               << TextTable::pct(ws_ejs_lib * 100.0, 1)
               << "  (paper: ~76%)\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::guardedMain(argc, argv, run);
 }

@@ -4,8 +4,10 @@
 
 using namespace jasim;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     bench::banner(std::cout,
                   "Figure 5: CPI, Speculation Rate, L1 Miss Rate",
@@ -62,4 +64,12 @@ main(int argc, char **argv)
                   "-"});
     table.print(std::cout);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::guardedMain(argc, argv, run);
 }

@@ -4,8 +4,10 @@
 
 using namespace jasim;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     bench::banner(std::cout, "Figure 6: Branch Prediction",
                   "Paper: ~6% conditional mispredictions, ~5% indirect "
@@ -53,4 +55,12 @@ main(int argc, char **argv)
         "higher in GC");
     table.print(std::cout);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::guardedMain(argc, argv, run);
 }

@@ -6,8 +6,10 @@
 
 using namespace jasim;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     bench::banner(std::cout, "Figure 7: TLB Miss Frequency",
                   "Paper: DERAT/IERAT well above DTLB/ITLB (large "
@@ -61,4 +63,12 @@ main(int argc, char **argv)
               << TextTable::pct((1.0 - dtlb / derat) * 100.0)
               << " of DERAT misses (paper: ~75%)\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::guardedMain(argc, argv, run);
 }

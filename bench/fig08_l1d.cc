@@ -4,8 +4,10 @@
 
 using namespace jasim;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     bench::banner(std::cout, "Figure 8: L1 Data Cache Performance",
                   "Paper: ~1 miss per 12 loads, ~1 per 5 stores "
@@ -63,4 +65,12 @@ main(int argc, char **argv)
                   TextTable::num(1.0 / stores, 1), "", "4.5"});
     table.print(std::cout);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::guardedMain(argc, argv, run);
 }

@@ -4,8 +4,10 @@
 
 using namespace jasim;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     bench::banner(std::cout,
                   "Figure 9: Data Loaded From (after an L1 miss)",
@@ -42,4 +44,12 @@ main(int argc, char **argv)
               << TextTable::pct(modified * 100.0, 2)
               << " of L1 misses (paper: insignificant)\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::guardedMain(argc, argv, run);
 }

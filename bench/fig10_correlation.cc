@@ -6,8 +6,10 @@
 
 using namespace jasim;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     bench::banner(std::cout, "Figure 10: CPI Statistical Correlation",
                   "Paper: strong positive r for prefetch streams, "
@@ -50,4 +52,12 @@ main(int argc, char **argv)
                  "every "
               << config.windows_per_group << " windows)\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::guardedMain(argc, argv, run);
 }

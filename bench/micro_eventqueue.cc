@@ -144,10 +144,8 @@ timedRun(std::uint64_t events, std::size_t pumps)
         .count();
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     bench::banner(std::cout, "Micro: event-kernel throughput",
                   "InlineFunction + flat-heap EventQueue vs the "
@@ -196,4 +194,12 @@ main(int argc, char **argv)
     perf.note("speedup", speedup);
     perf.write(1);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::guardedMain(argc, argv, run);
 }

@@ -255,10 +255,8 @@ replay(const std::vector<Op> &ops, bool fastpath)
     return result;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     bench::banner(std::cout, "Micro: memory-path walk throughput",
                   "MRU line/translation memos + presence-filtered "
@@ -327,4 +325,12 @@ main(int argc, char **argv)
               static_cast<double>(snoop_skips));
     perf.write(1);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::guardedMain(argc, argv, run);
 }

@@ -2,12 +2,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include "bench_common.h"
 #include "branch/direction_predictor.h"
 #include "jvm/gc.h"
 #include "mem/cache.h"
 #include "sim/rng.h"
 #include "stats/correlation.h"
 #include "synth/component_profiles.h"
+#include "was/application.h"
 #include "xlat/erat.h"
 
 namespace {
@@ -79,6 +81,35 @@ BM_GcFillAndCollect(benchmark::State &state)
 BENCHMARK(BM_GcFillAndCollect)->Unit(benchmark::kMillisecond);
 
 void
+BM_DbPopulate(benchmark::State &state)
+{
+    // The DB tier's set-up: populate jas2004's five tables at IR 30
+    // (171,000 rows through Database::insert) and build its secondary
+    // indexes, then drop the database.
+    for (auto _ : state) {
+        Jas2004Application app(DbConfig{}, 30.0, 42);
+        benchmark::DoNotOptimize(app.database().table(0).rowCount());
+    }
+}
+BENCHMARK(BM_DbPopulate)->Unit(benchmark::kMillisecond);
+
+void
+BM_DbTransactionMix(benchmark::State &state)
+{
+    // 20,000 transactions of the four request types, drawn uniformly,
+    // against a database populated at IR 30 once.
+    Jas2004Application app(DbConfig{}, 30.0, 42);
+    Rng rng(11);
+    for (auto _ : state) {
+        for (int i = 0; i < 20000; ++i) {
+            benchmark::DoNotOptimize(app.runTransaction(
+                static_cast<RequestType>(rng.below(requestTypeCount))));
+        }
+    }
+}
+BENCHMARK(BM_DbTransactionMix)->Unit(benchmark::kMillisecond);
+
+void
 BM_Pearson(benchmark::State &state)
 {
     Rng rng(6);
@@ -104,4 +135,15 @@ BENCHMARK(BM_StreamGeneratorNext);
 
 } // namespace
 
-BENCHMARK_MAIN();
+int
+main(int argc, char **argv)
+{
+    return bench::guardedMain(argc, argv, [](int argc, char **argv) {
+        benchmark::Initialize(&argc, argv);
+        if (benchmark::ReportUnrecognizedArguments(argc, argv))
+            return 1;
+        benchmark::RunSpecifiedBenchmarks();
+        benchmark::Shutdown();
+        return 0;
+    });
+}

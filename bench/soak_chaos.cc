@@ -184,10 +184,8 @@ soakOne(std::uint64_t seed,
     return r;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     bench::banner(std::cout,
                   "Chaos Soak: randomized fault schedules vs the "
@@ -266,4 +264,12 @@ main(int argc, char **argv)
     return all_safe && all_monotone && all_recovered && deterministic
         ? 0
         : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::guardedMain(argc, argv, run);
 }

@@ -19,10 +19,8 @@ runAt(ExperimentConfig config, double ir, DiskConfig::Kind kind,
     return experiment.run();
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     bench::banner(std::cout, "Table: High-Level Characteristics (4.1)",
                   "Paper: IR47 -> ~100% CPU (80% user / 20% system) "
@@ -64,4 +62,12 @@ main(int argc, char **argv)
                  "to ~100% CPU by IR47; two disks blow up response "
                  "times; many disks approximate the RAM disk.\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::guardedMain(argc, argv, run);
 }

@@ -4,8 +4,10 @@
 
 using namespace jasim;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     bench::banner(std::cout,
                   "Table: Locking, Contentions, SYNC Cost (4.2.4)",
@@ -69,4 +71,12 @@ main(int argc, char **argv)
                      2)
               << "  (paper: GC contains far fewer SYNCs)\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::guardedMain(argc, argv, run);
 }

@@ -4,8 +4,10 @@
 
 using namespace jasim;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     bench::banner(std::cout, "Table: Memory Intensity (4.2.3)",
                   "Paper: a load or store every ~2 retired "
@@ -35,4 +37,12 @@ main(int argc, char **argv)
                   "~50%"});
     table.print(std::cout);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::guardedMain(argc, argv, run);
 }

@@ -6,6 +6,7 @@
  *   ./capacity_planning [irs=10,20,30,40,47,55] [steady=120]
  */
 
+#include <exception>
 #include <iostream>
 #include <sstream>
 
@@ -15,8 +16,10 @@
 
 using namespace jasim;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     const Config args = Config::fromArgs(argc, argv);
     std::vector<double> irs;
@@ -55,4 +58,19 @@ main(int argc, char **argv)
               << "  (the paper ran its HPM study at IR40, ~90% load, "
                  "and saturated near IR47)\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // A run that cannot go on (a heap too small for its live set, say)
+    // ends with its message and exit code 2, not in std::terminate.
+    try {
+        return run(argc, argv);
+    } catch (const std::exception &error) {
+        std::cerr << error.what() << "\n";
+        return 2;
+    }
 }

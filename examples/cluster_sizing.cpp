@@ -18,6 +18,7 @@
  */
 
 #include <algorithm>
+#include <exception>
 #include <iostream>
 #include <vector>
 
@@ -38,10 +39,8 @@ struct SizingPoint
     bool sla = false;
 };
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     const Config args = Config::fromArgs(argc, argv);
     const double target_jops = args.getDouble("target", 250.0);
@@ -132,4 +131,19 @@ main(int argc, char **argv)
                   << "); the shared DB tier is the ceiling -- add DB "
                      "CPUs (db_cpus=N) rather than nodes.\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // A run that cannot go on (a heap too small for its live set, say)
+    // ends with its message and exit code 2, not in std::terminate.
+    try {
+        return run(argc, argv);
+    } catch (const std::exception &error) {
+        std::cerr << error.what() << "\n";
+        return 2;
+    }
 }

@@ -6,6 +6,7 @@
  *   ./gc_tuning [steady=180]
  */
 
+#include <exception>
 #include <iostream>
 
 #include "core/experiment.h"
@@ -14,8 +15,10 @@
 
 using namespace jasim;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     const Config args = Config::fromArgs(argc, argv);
     std::cout << "Heap-size sweep at IR40\n\n";
@@ -51,4 +54,19 @@ main(int argc, char **argv)
            "\nwhich is the paper's rebuttal to the 'GC is unacceptably"
            "\ninefficient' argument.\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // A run that cannot go on (a heap too small for its live set, say)
+    // ends with its message and exit code 2, not in std::terminate.
+    try {
+        return run(argc, argv);
+    } catch (const std::exception &error) {
+        std::cerr << error.what() << "\n";
+        return 2;
+    }
 }

@@ -6,6 +6,7 @@
  *   ./hardware_whatif [steady=120]
  */
 
+#include <exception>
 #include <iostream>
 
 #include "core/experiment.h"
@@ -31,10 +32,8 @@ cpiWith(const Config &args,
     return windowMean(r.windows, WindowMetric::Cpi);
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     const Config args = Config::fromArgs(argc, argv);
     std::cout << "Hardware what-if sweep (CPI at IR40)\n\n";
@@ -79,4 +78,19 @@ main(int argc, char **argv)
                  "need drastic improvement'), but capacity and "
                  "translation changes all help a little.\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // A run that cannot go on (a heap too small for its live set, say)
+    // ends with its message and exit code 2, not in std::terminate.
+    try {
+        return run(argc, argv);
+    } catch (const std::exception &error) {
+        std::cerr << error.what() << "\n";
+        return 2;
+    }
 }

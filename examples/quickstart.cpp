@@ -5,6 +5,7 @@
  *   ./quickstart [ir=40] [steady=120] [seed=42]
  */
 
+#include <exception>
 #include <iostream>
 
 #include "core/experiment.h"
@@ -15,8 +16,10 @@
 
 using namespace jasim;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     const Config args = Config::fromArgs(argc, argv);
 
@@ -63,4 +66,19 @@ main(int argc, char **argv)
 
     printComponentBreakdown(std::cout, *result.profiler);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // A run that cannot go on (a heap too small for its live set, say)
+    // ends with its message and exit code 2, not in std::terminate.
+    try {
+        return run(argc, argv);
+    } catch (const std::exception &error) {
+        std::cerr << error.what() << "\n";
+        return 2;
+    }
 }

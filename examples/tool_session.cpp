@@ -6,6 +6,7 @@
  *   ./tool_session [ir=40] [steady=90]
  */
 
+#include <exception>
 #include <iostream>
 
 #include "core/experiment.h"
@@ -16,8 +17,10 @@
 
 using namespace jasim;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     const Config args = Config::fromArgs(argc, argv);
     ExperimentConfig config;
@@ -51,4 +54,19 @@ main(int argc, char **argv)
     std::cout << "\n";
     printFlatProfile(std::cout, *result.profiler, 8);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // A run that cannot go on (a heap too small for its live set, say)
+    // ends with its message and exit code 2, not in std::terminate.
+    try {
+        return run(argc, argv);
+    } catch (const std::exception &error) {
+        std::cerr << error.what() << "\n";
+        return 2;
+    }
 }

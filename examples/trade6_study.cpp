@@ -9,6 +9,7 @@
  *   ./trade6_study [steady=180]
  */
 
+#include <exception>
 #include <iostream>
 
 #include "core/experiment.h"
@@ -17,8 +18,10 @@
 
 using namespace jasim;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     const Config args = Config::fromArgs(argc, argv);
     std::cout << "Allocation-intensity sweep (Trade6-style variants) "
@@ -49,4 +52,19 @@ main(int argc, char **argv)
            "frequency scales with allocation; pause time does not "
            "(it tracks the live set).\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // A run that cannot go on (a heap too small for its live set, say)
+    // ends with its message and exit code 2, not in std::terminate.
+    try {
+        return run(argc, argv);
+    } catch (const std::exception &error) {
+        std::cerr << error.what() << "\n";
+        return 2;
+    }
 }

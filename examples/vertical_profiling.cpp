@@ -6,6 +6,7 @@
  *   ./vertical_profiling [steady=240]
  */
 
+#include <exception>
 #include <iostream>
 
 #include "core/correlation_analysis.h"
@@ -15,8 +16,10 @@
 
 using namespace jasim;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     const Config args = Config::fromArgs(argc, argv);
     ExperimentConfig config;
@@ -59,4 +62,19 @@ main(int argc, char **argv)
                   << "  (same group: allowed)\n";
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // A run that cannot go on (a heap too small for its live set, say)
+    // ends with its message and exit code 2, not in std::terminate.
+    try {
+        return run(argc, argv);
+    } catch (const std::exception &error) {
+        std::cerr << error.what() << "\n";
+        return 2;
+    }
 }

@@ -1,12 +1,15 @@
 #!/usr/bin/env bash
 # Tier-1 gate: standard build + full test suite, then an
 # ASan+UBSan-instrumented build (-DJASIM_SANITIZE=ON) running the
-# net, fault, db, repl, adm, driver, core and jvm test binaries, which
-# exercise the event-queue closure graph, the cluster's cross-object
-# callback wiring, the WAL-replay/recovery paths, the log-shipping /
-# failover machinery, the admission-control shed callbacks, and the
-# heap's sorted sweep pass (index arithmetic over a reused buffer) —
-# the code most likely to hide lifetime and bounds bugs.
+# net, fault, db, repl, adm, driver, core, jvm, was and sim test
+# binaries, which exercise the event-queue closure graph, the
+# cluster's cross-object callback wiring, the WAL-replay/recovery
+# paths, the DB's flat tables, indexes and buffer pool (slot and
+# probe arithmetic over reused arrays, driven by Jas2004Application's
+# transactions in test_was), the log-shipping / failover machinery,
+# the admission-control shed callbacks, the heap's sorted sweep pass
+# (index arithmetic over a reused buffer) and the Zipf sampler's
+# guide table — the code most likely to hide lifetime and bounds bugs.
 #
 # `--san` widens the sanitized stage to the FULL suite (JASIM_SANITIZE=ON
 # + ctest): slower, but every test runs instrumented. Use it when
@@ -69,7 +72,7 @@ if [[ "$SAN_FULL" == 1 ]]; then
 else
     echo "== tier-1: sanitized build (ASan + UBSan) =="
     cmake -B "$SAN_BUILD" -S . -DJASIM_SANITIZE=ON >/dev/null
-    cmake --build "$SAN_BUILD" -j"$JOBS" --target test_net test_fault test_db test_repl test_adm test_driver test_core test_jvm
+    cmake --build "$SAN_BUILD" -j"$JOBS" --target test_net test_fault test_db test_repl test_adm test_driver test_core test_jvm test_was test_sim
     "$SAN_BUILD/tests/test_net"
     "$SAN_BUILD/tests/test_fault"
     "$SAN_BUILD/tests/test_db"
@@ -78,6 +81,8 @@ else
     "$SAN_BUILD/tests/test_driver"
     "$SAN_BUILD/tests/test_core"
     "$SAN_BUILD/tests/test_jvm"
+    "$SAN_BUILD/tests/test_was"
+    "$SAN_BUILD/tests/test_sim"
 fi
 
 echo "== tier-1: all green =="

@@ -279,7 +279,7 @@ class ClusterUnderTest
     NetworkFabric fabric_;
     LoadBalancer lb_;
     std::vector<std::unique_ptr<ConnectionPool>> pools_;
-    /** Every node's allocations, FIFO; null unless node.heap_worker. */
+    /** Every node's allocations; null unless node.heap_worker. */
     std::unique_ptr<HeapWorker> heap_worker_;
     std::vector<std::unique_ptr<SystemUnderTest>> nodes_;
     ResponseTracker tracker_;

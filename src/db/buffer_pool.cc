@@ -1,6 +1,5 @@
 #include "db/buffer_pool.h"
 
-#include <algorithm>
 #include <cassert>
 
 namespace jasim {
@@ -9,6 +8,33 @@ BufferPool::BufferPool(std::size_t capacity_pages)
     : capacity_(capacity_pages)
 {
     assert(capacity_pages > 0);
+}
+
+void
+BufferPool::unlink(std::uint32_t frame)
+{
+    Frame &f = frames_[frame];
+    if (f.prev == none)
+        head_ = f.next;
+    else
+        frames_[f.prev].next = f.next;
+    if (f.next == none)
+        tail_ = f.prev;
+    else
+        frames_[f.next].prev = f.prev;
+}
+
+void
+BufferPool::pushFront(std::uint32_t frame)
+{
+    Frame &f = frames_[frame];
+    f.prev = none;
+    f.next = head_;
+    if (head_ == none)
+        tail_ = frame;
+    else
+        frames_[head_].prev = frame;
+    head_ = frame;
 }
 
 PinResult
@@ -20,18 +46,23 @@ BufferPool::pin(PageKey key, bool mark_dirty, std::uint64_t recovery_lsn)
         // that might not be on disk yet.
         dpt_.emplace(key, recovery_lsn);
     }
-    const auto it = index_.find(key);
-    if (it != index_.end()) {
+    if (const std::uint32_t *frame = index_.find(packed(key))) {
         result.hit = true;
         ++hits_;
-        it->second->dirty |= mark_dirty;
-        lru_.splice(lru_.begin(), lru_, it->second);
+        frames_[*frame].dirty |= mark_dirty;
+        if (head_ != *frame) {
+            unlink(*frame);
+            pushFront(*frame);
+        }
         return result;
     }
 
     ++misses_;
-    if (lru_.size() >= capacity_) {
-        const Frame &victim = lru_.back();
+    std::uint32_t frame;
+    if (frames_.size() >= capacity_) {
+        // Reuse the LRU victim's frame.
+        frame = tail_;
+        const Frame &victim = frames_[frame];
         result.evicted = true;
         result.victim = victim.key;
         if (victim.dirty) {
@@ -39,33 +70,36 @@ BufferPool::pin(PageKey key, bool mark_dirty, std::uint64_t recovery_lsn)
             ++writebacks_;
         }
         dpt_.erase(victim.key);
-        index_.erase(victim.key);
-        lru_.pop_back();
+        index_.erase(packed(victim.key));
+        unlink(frame);
+        frames_[frame] = Frame{key, none, none, mark_dirty};
+    } else {
+        frame = static_cast<std::uint32_t>(frames_.size());
+        frames_.push_back(Frame{key, none, none, mark_dirty});
     }
-    lru_.push_front(Frame{key, mark_dirty});
-    index_[key] = lru_.begin();
+    pushFront(frame);
+    index_.emplace(packed(key), frame);
     return result;
 }
 
 bool
 BufferPool::resident(PageKey key) const
 {
-    return index_.count(key) != 0;
+    return index_.find(packed(key)) != nullptr;
 }
 
 void
 BufferPool::markClean(PageKey key)
 {
-    const auto it = index_.find(key);
-    if (it != index_.end())
-        it->second->dirty = false;
+    if (const std::uint32_t *frame = index_.find(packed(key)))
+        frames_[*frame].dirty = false;
     dpt_.erase(key);
 }
 
 void
 BufferPool::markAllClean()
 {
-    for (Frame &frame : lru_)
+    for (Frame &frame : frames_)
         frame.dirty = false;
     dpt_.clear();
 }
@@ -85,7 +119,9 @@ BufferPool::minRecoveryLsn() const
 void
 BufferPool::clear()
 {
-    lru_.clear();
+    frames_.clear();
+    head_ = none;
+    tail_ = none;
     index_.clear();
     dpt_.clear();
 }

@@ -13,14 +13,21 @@
  * how far back redo must start, which is what lets fuzzy checkpoints
  * truncate the WAL. Healthy runs pass recovery LSN 0 and the table
  * stays empty -- zero behaviour change.
+ *
+ * The frames and their LRU links live in one array, found through a
+ * flat page map (db/flat_map.h): a pin allocates nothing. Only the
+ * dirty-page table, which checkpoint() and failoverTo() iterate, is
+ * a std::unordered_map.
  */
 
 #ifndef JASIM_DB_BUFFER_POOL_H
 #define JASIM_DB_BUFFER_POOL_H
 
 #include <cstdint>
-#include <list>
 #include <unordered_map>
+#include <vector>
+
+#include "db/flat_map.h"
 
 namespace jasim {
 
@@ -75,7 +82,7 @@ class BufferPool
     bool resident(PageKey key) const;
 
     std::size_t capacity() const { return capacity_; }
-    std::size_t residentPages() const { return lru_.size(); }
+    std::size_t residentPages() const { return frames_.size(); }
 
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
@@ -106,20 +113,34 @@ class BufferPool
     void clear();
 
   private:
+    static constexpr std::uint32_t none = ~std::uint32_t{0};
+
     struct Frame
     {
         PageKey key;
+        std::uint32_t prev = none; //!< toward the most recent
+        std::uint32_t next = none; //!< toward the LRU victim
         bool dirty = false;
     };
 
     std::size_t capacity_;
-    std::list<Frame> lru_; //!< front = most recent
-    std::unordered_map<PageKey, std::list<Frame>::iterator, PageKeyHash>
-        index_;
+    std::vector<Frame> frames_; //!< one per resident page
+    std::uint32_t head_ = none; //!< most recently pinned
+    std::uint32_t tail_ = none; //!< least recently pinned
+    FlatMap<std::uint32_t> index_; //!< packed PageKey -> frame
     DirtyPageTable dpt_;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
     std::uint64_t writebacks_ = 0;
+
+    static std::uint64_t
+    packed(PageKey key)
+    {
+        return (static_cast<std::uint64_t>(key.table) << 32) | key.page;
+    }
+
+    void unlink(std::uint32_t frame);
+    void pushFront(std::uint32_t frame);
 };
 
 } // namespace jasim

@@ -45,9 +45,14 @@ Database::createSecondaryIndex(std::uint32_t table_id,
     TableState &ts = state(table_id);
     const auto col = ts.table->schema().columnIndex(column);
     assert(col && "unknown column");
-    MultiIndex &index = ts.secondary[column];
-    ts.table->scan([&](RowId id, const Row &row) {
-        index.insert(std::get<std::int64_t>(row[*col]), id);
+    assert(ts.table->schema().columns[*col].type == ColumnType::Integer &&
+           "secondary indexes cover integer columns");
+    Secondary *sec = secondaryOn(ts, column);
+    if (!sec)
+        sec = &ts.secondary.emplace_back(Secondary{column, *col, {}});
+    const Table &table = *ts.table;
+    table.forEachLive([&](RowId id) {
+        sec->index.insert(table.integerAt(id, *col), id);
         return true;
     });
 }
@@ -160,22 +165,28 @@ Database::keyOf(const Row &row)
     return std::get<std::int64_t>(row[0]);
 }
 
-void
-Database::indexRemove(TableState &ts, RowId id, const Row &row)
+Database::Secondary *
+Database::secondaryOn(TableState &ts, const std::string &column)
 {
-    for (auto &[column, index] : ts.secondary) {
-        const auto col = ts.table->schema().columnIndex(column);
-        index.erase(std::get<std::int64_t>(row[*col]), id);
+    for (Secondary &sec : ts.secondary) {
+        if (sec.column == column)
+            return &sec;
     }
+    return nullptr;
 }
 
 void
-Database::indexAdd(TableState &ts, RowId id, const Row &row)
+Database::indexRemove(TableState &ts, RowId id)
 {
-    for (auto &[column, index] : ts.secondary) {
-        const auto col = ts.table->schema().columnIndex(column);
-        index.insert(std::get<std::int64_t>(row[*col]), id);
-    }
+    for (Secondary &sec : ts.secondary)
+        sec.index.erase(ts.table->integerAt(id, sec.position), id);
+}
+
+void
+Database::indexAdd(TableState &ts, RowId id)
+{
+    for (Secondary &sec : ts.secondary)
+        sec.index.insert(ts.table->integerAt(id, sec.position), id);
 }
 
 TxnId
@@ -218,7 +229,7 @@ Database::abort(TxnId txn)
         TableState &ts = state(undo->table_id);
         const auto current = ts.table->fetch(undo->row_id);
         if (current) {
-            indexRemove(ts, undo->row_id, *current);
+            indexRemove(ts, undo->row_id);
         }
         if (undo->before) {
             if (current)
@@ -229,7 +240,7 @@ Database::abort(TxnId txn)
                 const RowId id = ts.table->insert(*undo->before);
                 ts.primary.erase(keyOf(*undo->before));
                 ts.primary.insert(keyOf(*undo->before), id);
-                indexAdd(ts, id, *undo->before);
+                indexAdd(ts, id);
                 std::uint64_t clr = 0;
                 if (recovery_on_) {
                     clr = logMutation(txn, WalRecordType::Insert,
@@ -240,7 +251,7 @@ Database::abort(TxnId txn)
                 touchPage(undo->table_id, id.page, true, cost, clr);
                 continue;
             }
-            indexAdd(ts, undo->row_id, *undo->before);
+            indexAdd(ts, undo->row_id);
         } else if (current) {
             // Undo an insert.
             ts.primary.erase(keyOf(*current));
@@ -274,17 +285,16 @@ Database::insert(TxnId txn, std::uint32_t table_id, Row row)
     TableState &ts = state(table_id);
     const std::int64_t key = keyOf(row);
     const std::uint32_t bytes = rowBytes(row);
-    const RowId id = ts.table->insert(std::move(row));
+    const RowId id = ts.table->insert(row);
     const bool unique = ts.primary.insert(key, id);
     assert(unique && "duplicate primary key");
     (void)unique;
-    const auto inserted = ts.table->fetch(id);
-    indexAdd(ts, id, *inserted);
+    indexAdd(ts, id);
 
-    const std::uint64_t lsn =
-        logMutation(txn, WalRecordType::Insert, bytes, table_id, id,
-                    recovery_on_ ? inserted : std::nullopt,
-                    std::nullopt);
+    const std::uint64_t lsn = logMutation(
+        txn, WalRecordType::Insert, bytes, table_id, id,
+        recovery_on_ ? std::optional<Row>(std::move(row)) : std::nullopt,
+        std::nullopt);
     touchPage(table_id, id.page, true, cost, lsn);
     active_[txn].undo.push_back(UndoEntry{table_id, id, std::nullopt});
     ++cost.rows;
@@ -317,20 +327,20 @@ Database::updateByKey(TxnId txn, std::uint32_t table_id,
         cost.cpu_us += 0.8;
         return cost;
     }
-    const auto before = ts.table->fetch(*id);
+    auto before = ts.table->fetch(*id);
     assert(before);
-    indexRemove(ts, *id, *before);
+    indexRemove(ts, *id);
     const std::uint32_t bytes = rowBytes(row);
-    ts.table->update(*id, std::move(row));
-    const auto after = ts.table->fetch(*id);
-    indexAdd(ts, *id, *after);
+    ts.table->update(*id, row);
+    indexAdd(ts, *id);
 
-    const std::uint64_t lsn =
-        logMutation(txn, WalRecordType::Update, bytes, table_id, *id,
-                    recovery_on_ ? after : std::nullopt,
-                    recovery_on_ ? before : std::nullopt);
+    const std::uint64_t lsn = logMutation(
+        txn, WalRecordType::Update, bytes, table_id, *id,
+        recovery_on_ ? std::optional<Row>(std::move(row)) : std::nullopt,
+        recovery_on_ ? before : std::nullopt);
     touchPage(table_id, id->page, true, cost, lsn);
-    active_[txn].undo.push_back(UndoEntry{table_id, *id, before});
+    active_[txn].undo.push_back(
+        UndoEntry{table_id, *id, std::move(before)});
     ++cost.rows;
     cost.cpu_us += 2.5;
     return cost;
@@ -346,9 +356,9 @@ Database::eraseByKey(TxnId txn, std::uint32_t table_id, std::int64_t key)
         cost.cpu_us += 0.8;
         return cost;
     }
-    const auto before = ts.table->fetch(*id);
+    auto before = ts.table->fetch(*id);
     assert(before);
-    indexRemove(ts, *id, *before);
+    indexRemove(ts, *id);
     ts.primary.erase(key);
     ts.table->erase(*id);
 
@@ -357,7 +367,8 @@ Database::eraseByKey(TxnId txn, std::uint32_t table_id, std::int64_t key)
                     table_id, *id, std::nullopt,
                     recovery_on_ ? before : std::nullopt);
     touchPage(table_id, id->page, true, cost, lsn);
-    active_[txn].undo.push_back(UndoEntry{table_id, *id, before});
+    active_[txn].undo.push_back(
+        UndoEntry{table_id, *id, std::move(before)});
     ++cost.rows;
     cost.cpu_us += 2.0;
     return cost;
@@ -369,18 +380,18 @@ Database::selectBySecondary(std::uint32_t table_id,
                             DbCost &cost)
 {
     TableState &ts = state(table_id);
-    const auto index = ts.secondary.find(column);
-    assert(index != ts.secondary.end() && "no such secondary index");
+    const Secondary *sec = secondaryOn(ts, column);
+    assert(sec && "no such secondary index");
     cost.cpu_us += 1.0;
     std::vector<Row> rows;
-    for (const RowId id : index->second.find(key)) {
+    sec->index.forEach(key, [&](RowId id) {
         touchPage(table_id, id.page, false, cost);
-        const auto row = ts.table->fetch(id);
+        auto row = ts.table->fetch(id);
         if (row) {
-            rows.push_back(*row);
+            rows.push_back(std::move(*row));
             ++cost.rows;
         }
-    }
+    });
     return rows;
 }
 
@@ -729,16 +740,11 @@ Database::rebuildIndexes()
 {
     for (TableState &ts : tables_) {
         ts.primary = UniqueIndex{};
-        for (auto &[column, index] : ts.secondary) {
-            (void)column;
-            index = MultiIndex{};
-        }
-        ts.table->scan([&ts](RowId id, const Row &row) {
-            ts.primary.insert(keyOf(row), id);
-            for (auto &[column, index] : ts.secondary) {
-                const auto col = ts.table->schema().columnIndex(column);
-                index.insert(std::get<std::int64_t>(row[*col]), id);
-            }
+        for (Secondary &sec : ts.secondary)
+            sec.index = MultiIndex{};
+        ts.table->forEachLive([&ts](RowId id) {
+            ts.primary.insert(ts.table->integerAt(id, 0), id);
+            indexAdd(ts, id);
             return true;
         });
     }

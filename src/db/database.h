@@ -23,7 +23,6 @@
 #define JASIM_DB_DATABASE_H
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -233,11 +232,19 @@ class Database
     FailoverStats failoverTo(std::uint64_t watermark);
 
   private:
+    /** A secondary index and the position of the column it covers. */
+    struct Secondary
+    {
+        std::string column;
+        std::size_t position;
+        MultiIndex index;
+    };
+
     struct TableState
     {
         std::unique_ptr<Table> table;
         UniqueIndex primary;
-        std::map<std::string, MultiIndex> secondary;
+        std::vector<Secondary> secondary; //!< in creation order
     };
 
     struct UndoEntry
@@ -294,9 +301,17 @@ class Database
     static std::uint32_t rowBytes(const Row &row);
     static std::int64_t keyOf(const Row &row);
 
-    /** Maintain secondary indexes around a row mutation. */
-    void indexRemove(TableState &ts, RowId id, const Row &row);
-    void indexAdd(TableState &ts, RowId id, const Row &row);
+    /** The table's secondary index on `column` (nullptr when none). */
+    static Secondary *secondaryOn(TableState &ts,
+                                  const std::string &column);
+
+    /**
+     * Maintain secondary indexes around a row mutation: both read the
+     * row stored at `id`, so call indexRemove before the row changes
+     * and indexAdd after.
+     */
+    static void indexRemove(TableState &ts, RowId id);
+    static void indexAdd(TableState &ts, RowId id);
 
     void rebuildIndexes();
 };

@@ -1,5 +1,6 @@
 #include "db/table.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace jasim {
@@ -19,55 +20,90 @@ Table::Table(Schema schema, std::uint16_t rows_per_page)
 {
     assert(rows_per_page_ > 0);
     assert(!schema_.columns.empty());
+    for (const Column &column : schema_.columns) {
+        if (column.type == ColumnType::Integer) {
+            place_.push_back(integers_.size());
+            integers_.emplace_back();
+        } else {
+            place_.push_back(texts_.size());
+            texts_.emplace_back();
+        }
+    }
+}
+
+void
+Table::addPages(std::size_t count)
+{
+    const std::size_t slots = live_.size() + count * rows_per_page_;
+    for (auto &values : integers_)
+        values.resize(slots);
+    for (auto &values : texts_)
+        values.resize(slots);
+    live_.resize(slots);
+    fill_.resize(fill_.size() + count);
+}
+
+void
+Table::readRow(std::size_t at, Row &row) const
+{
+    for (std::size_t c = 0; c < row.size(); ++c) {
+        if (schema_.columns[c].type == ColumnType::Integer)
+            row[c] = integers_[place_[c]][at];
+        else
+            row[c] = texts_[place_[c]][at];
+    }
+}
+
+void
+Table::writeRow(std::size_t at, const Row &row)
+{
+    assert(row.size() == schema_.columns.size());
+    for (std::size_t c = 0; c < row.size(); ++c) {
+        if (schema_.columns[c].type == ColumnType::Integer)
+            integers_[place_[c]][at] = std::get<std::int64_t>(row[c]);
+        else
+            texts_[place_[c]][at] = std::get<std::string>(row[c]);
+    }
 }
 
 RowId
-Table::insert(Row row)
+Table::insert(const Row &row)
 {
-    assert(row.size() == schema_.columns.size());
-    if (pages_.empty() || pages_.back().rows.size() >= rows_per_page_)
-        pages_.push_back(Page{});
-    Page &page = pages_.back();
-    page.rows.push_back(std::move(row));
-    page.live.push_back(true);
+    if (fill_.empty() || fill_.back() >= rows_per_page_)
+        addPages(1);
+    const RowId id{static_cast<std::uint32_t>(fill_.size() - 1),
+                   fill_.back()++};
+    live_[slotOf(id)] = 1;
     ++live_rows_;
-    return RowId{static_cast<std::uint32_t>(pages_.size() - 1),
-                 static_cast<std::uint16_t>(page.rows.size() - 1)};
+    writeRow(slotOf(id), row);
+    return id;
 }
 
 std::optional<Row>
 Table::fetch(RowId id) const
 {
-    if (id.page >= pages_.size())
+    if (!isLive(id))
         return std::nullopt;
-    const Page &page = pages_[id.page];
-    if (id.slot >= page.rows.size() || !page.live[id.slot])
-        return std::nullopt;
-    return page.rows[id.slot];
+    Row row(schema_.columns.size());
+    readRow(slotOf(id), row);
+    return row;
 }
 
 bool
-Table::update(RowId id, Row row)
+Table::update(RowId id, const Row &row)
 {
-    assert(row.size() == schema_.columns.size());
-    if (id.page >= pages_.size())
+    if (!isLive(id))
         return false;
-    Page &page = pages_[id.page];
-    if (id.slot >= page.rows.size() || !page.live[id.slot])
-        return false;
-    page.rows[id.slot] = std::move(row);
+    writeRow(slotOf(id), row);
     return true;
 }
 
 bool
 Table::erase(RowId id)
 {
-    if (id.page >= pages_.size())
+    if (!isLive(id))
         return false;
-    Page &page = pages_[id.page];
-    if (id.slot >= page.rows.size() || !page.live[id.slot])
-        return false;
-    page.live[id.slot] = false;
+    live_[slotOf(id)] = 0;
     --live_rows_;
     return true;
 }
@@ -75,28 +111,42 @@ Table::erase(RowId id)
 Table::PageImage
 Table::pageImage(std::uint32_t page) const
 {
-    if (page >= pages_.size())
+    if (page >= fill_.size())
         return {};
-    return PageImage{pages_[page].rows, pages_[page].live};
+    const std::size_t first = std::size_t{page} * rows_per_page_;
+    const std::size_t last = first + fill_[page];
+    PageImage image;
+    image.live.assign(live_.begin() + first, live_.begin() + last);
+    image.integers.reserve(integers_.size() * fill_[page]);
+    for (const auto &values : integers_) {
+        image.integers.insert(image.integers.end(), values.begin() + first,
+                              values.begin() + last);
+    }
+    image.texts.reserve(texts_.size() * fill_[page]);
+    for (const auto &values : texts_) {
+        image.texts.insert(image.texts.end(), values.begin() + first,
+                           values.begin() + last);
+    }
+    return image;
 }
 
 void
-Table::setRowAt(RowId id, Row row)
+Table::setRowAt(RowId id, const Row &row)
 {
-    while (pages_.size() <= id.page)
-        pages_.push_back(Page{});
-    Page &page = pages_[id.page];
-    while (page.rows.size() <= id.slot) {
-        // Dead placeholder slots: never fetched (not live), and they
-        // count toward page fullness exactly like tombstones do.
-        page.rows.push_back(Row{});
-        page.live.push_back(false);
-    }
-    if (!page.live[id.slot]) {
-        page.live[id.slot] = true;
+    assert(id.slot < rows_per_page_);
+    if (id.page >= fill_.size())
+        addPages(id.page + 1 - fill_.size());
+    // Slots up to this one become dead placeholders: never fetched
+    // (not live), and they count toward page fullness exactly like
+    // tombstones do.
+    std::uint16_t &fill = fill_[id.page];
+    fill = std::max<std::uint16_t>(fill, id.slot + 1);
+    std::uint8_t &live = live_[slotOf(id)];
+    if (!live) {
+        live = 1;
         ++live_rows_;
     }
-    page.rows[id.slot] = std::move(row);
+    writeRow(slotOf(id), row);
 }
 
 bool
@@ -108,15 +158,33 @@ Table::eraseAt(RowId id)
 void
 Table::restoreAll(const std::vector<PageImage> &images)
 {
-    pages_.clear();
-    pages_.reserve(images.size());
+    for (auto &values : integers_)
+        values.clear();
+    for (auto &values : texts_)
+        values.clear();
+    live_.clear();
+    fill_.clear();
     live_rows_ = 0;
-    for (const PageImage &image : images) {
-        assert(image.rows.size() == image.live.size());
-        pages_.push_back(Page{image.rows, image.live});
-        for (const bool live : image.live) {
-            if (live)
-                ++live_rows_;
+    addPages(images.size());
+    for (std::size_t p = 0; p < images.size(); ++p) {
+        const PageImage &image = images[p];
+        const std::size_t slots = image.live.size();
+        assert(slots <= rows_per_page_);
+        assert(image.integers.size() == integers_.size() * slots);
+        assert(image.texts.size() == texts_.size() * slots);
+        const std::size_t first = p * rows_per_page_;
+        fill_[p] = static_cast<std::uint16_t>(slots);
+        for (std::size_t s = 0; s < slots; ++s) {
+            live_[first + s] = image.live[s];
+            live_rows_ += image.live[s];
+        }
+        for (std::size_t c = 0; c < integers_.size(); ++c) {
+            std::copy_n(image.integers.begin() + c * slots, slots,
+                        integers_[c].begin() + first);
+        }
+        for (std::size_t c = 0; c < texts_.size(); ++c) {
+            std::copy_n(image.texts.begin() + c * slots, slots,
+                        texts_[c].begin() + first);
         }
     }
 }

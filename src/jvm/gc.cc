@@ -44,7 +44,7 @@ GarbageCollector::~GarbageCollector()
     // exception a call threw stays with the worker, whose next drain
     // rethrows it.
     if (worker_)
-        worker_->wait();
+        worker_->wait(*this);
 }
 
 SimTime
@@ -94,7 +94,7 @@ void
 GarbageCollector::settle() const
 {
     if (worker_)
-        worker_->drain();
+        worker_->drain(*this);
 }
 
 bool

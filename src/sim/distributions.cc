@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 namespace jasim {
 
@@ -67,6 +68,16 @@ ZipfSampler::ZipfSampler(std::size_t n, double s, double shift)
     for (auto &c : cdf_)
         c /= total;
     cdf_.back() = 1.0;
+
+    assert(n < std::numeric_limits<std::uint32_t>::max());
+    guide_.resize(n + 1);
+    std::size_t rank = 0;
+    for (std::size_t b = 0; b <= n; ++b) {
+        const double edge = static_cast<double>(b) / static_cast<double>(n);
+        while (rank < n && cdf_[rank] < edge)
+            ++rank;
+        guide_[b] = static_cast<std::uint32_t>(rank);
+    }
 }
 
 std::size_t
@@ -78,10 +89,21 @@ ZipfSampler::operator()(Rng &rng) const
 std::size_t
 ZipfSampler::sampleAt(double u) const
 {
-    const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
+    const auto first = cdf_.begin();
+    const double scaled = u * static_cast<double>(cdf_.size());
+    if (scaled >= 0.0 && scaled < static_cast<double>(cdf_.size())) {
+        const auto b = static_cast<std::size_t>(scaled);
+        const auto it = std::lower_bound(first + guide_[b],
+                                         first + guide_[b + 1], u);
+        if ((it == first || *(it - 1) < u) &&
+            (it == cdf_.end() || u <= *it))
+            return it == cdf_.end() ? cdf_.size() - 1
+                                    : static_cast<std::size_t>(it - first);
+    }
+    const auto it = std::lower_bound(first, cdf_.end(), u);
     if (it == cdf_.end())
         return cdf_.size() - 1;
-    return static_cast<std::size_t>(it - cdf_.begin());
+    return static_cast<std::size_t>(it - first);
 }
 
 double

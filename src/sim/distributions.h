@@ -12,6 +12,7 @@
 #define JASIM_SIM_DISTRIBUTIONS_H
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "sim/rng.h"
@@ -36,8 +37,13 @@ double drawLogNormal(Rng &rng, double mu, double sigma);
  * P(rank k) is proportional to 1 / (k + shift)^s. A positive shift
  * flattens the head of the distribution, which is how the jas2004
  * method profile achieves "hottest method < 1%" while a couple of
- * hundred methods still cover half the samples. Precomputes the CDF;
- * sampling is a binary search.
+ * hundred methods still cover half the samples. Precomputes the CDF
+ * and a guide table with one bucket per rank: bucket b holds the first
+ * rank whose CDF reaches b/n, so a draw searches only the ranks its
+ * bucket spans. A result that fails cdf[i-1] < u <= cdf[i] (possible
+ * only where rounding puts u in a neighbouring bucket) falls back to
+ * the full binary search, so every u returns exactly the rank a binary
+ * search over the whole CDF would.
  */
 class ZipfSampler
 {
@@ -63,8 +69,13 @@ class ZipfSampler
 
     std::size_t size() const { return cdf_.size(); }
 
+    /** The CDF over ranks; the last entry is exactly 1. */
+    const std::vector<double> &cdf() const { return cdf_; }
+
   private:
     std::vector<double> cdf_;
+    /** guide_[b]: first rank with cdf_[rank] >= b / n, for b in 0..n. */
+    std::vector<std::uint32_t> guide_;
 };
 
 /**

@@ -107,43 +107,42 @@ Jas2004Application::profile(RequestType type)
 void
 Jas2004Application::createSchema()
 {
-    db_.createTable(Schema{"customer",
-                           {{"id", ColumnType::Integer},
-                            {"name", ColumnType::Text},
-                            {"region", ColumnType::Integer}}});
-    db_.createTable(Schema{"vehicle",
-                           {{"id", ColumnType::Integer},
-                            {"model", ColumnType::Text},
-                            {"price", ColumnType::Integer},
-                            {"category", ColumnType::Integer}}});
-    db_.createTable(Schema{"inventory",
-                           {{"id", ColumnType::Integer},
-                            {"vehicle_id", ColumnType::Integer},
-                            {"quantity", ColumnType::Integer},
-                            {"site", ColumnType::Integer}}});
-    db_.createTable(Schema{"orders",
-                           {{"id", ColumnType::Integer},
-                            {"customer_id", ColumnType::Integer},
-                            {"vehicle_id", ColumnType::Integer},
-                            {"quantity", ColumnType::Integer},
-                            {"status", ColumnType::Integer}}});
-    db_.createTable(Schema{"workorder",
-                           {{"id", ColumnType::Integer},
-                            {"assembly_id", ColumnType::Integer},
-                            {"quantity", ColumnType::Integer},
-                            {"status", ColumnType::Integer}}});
+    customer_t_ = db_.createTable(
+        Schema{"customer",
+               {{"id", ColumnType::Integer},
+                {"name", ColumnType::Text},
+                {"region", ColumnType::Integer}}});
+    vehicle_t_ = db_.createTable(
+        Schema{"vehicle",
+               {{"id", ColumnType::Integer},
+                {"model", ColumnType::Text},
+                {"price", ColumnType::Integer},
+                {"category", ColumnType::Integer}}});
+    inventory_t_ = db_.createTable(
+        Schema{"inventory",
+               {{"id", ColumnType::Integer},
+                {"vehicle_id", ColumnType::Integer},
+                {"quantity", ColumnType::Integer},
+                {"site", ColumnType::Integer}}});
+    orders_t_ = db_.createTable(
+        Schema{"orders",
+               {{"id", ColumnType::Integer},
+                {"customer_id", ColumnType::Integer},
+                {"vehicle_id", ColumnType::Integer},
+                {"quantity", ColumnType::Integer},
+                {"status", ColumnType::Integer}}});
+    workorder_t_ = db_.createTable(
+        Schema{"workorder",
+               {{"id", ColumnType::Integer},
+                {"assembly_id", ColumnType::Integer},
+                {"quantity", ColumnType::Integer},
+                {"status", ColumnType::Integer}}});
 }
 
 void
 Jas2004Application::populate(double injection_rate)
 {
     (void)injection_rate;
-    const auto customer_t = *db_.tableId("customer");
-    const auto vehicle_t = *db_.tableId("vehicle");
-    const auto inventory_t = *db_.tableId("inventory");
-    const auto orders_t = *db_.tableId("orders");
-    const auto workorder_t = *db_.tableId("workorder");
-
     auto batched = [this](std::uint32_t count, auto &&insert_one) {
         TxnId txn = db_.begin();
         for (std::uint32_t i = 0; i < count; ++i) {
@@ -158,34 +157,34 @@ Jas2004Application::populate(double injection_rate)
     };
 
     batched(customers_, [&](TxnId txn, std::uint32_t i) {
-        db_.insert(txn, customer_t,
+        db_.insert(txn, customer_t_,
                    Row{std::int64_t(i),
                        std::string("customer-") + std::to_string(i),
                        std::int64_t(i % 16)});
     });
     batched(vehicles_, [&](TxnId txn, std::uint32_t i) {
-        db_.insert(txn, vehicle_t,
+        db_.insert(txn, vehicle_t_,
                    Row{std::int64_t(i),
                        std::string("model-") + std::to_string(i % 500),
                        std::int64_t(15000 + (i * 37) % 60000),
                        std::int64_t(i % 12)});
     });
     batched(inventory_, [&](TxnId txn, std::uint32_t i) {
-        db_.insert(txn, inventory_t,
+        db_.insert(txn, inventory_t_,
                    Row{std::int64_t(i),
                        std::int64_t(i % std::max(vehicles_, 1u)),
                        std::int64_t(100 + i % 900),
                        std::int64_t(i % 8)});
     });
     batched(orders_, [&](TxnId txn, std::uint32_t i) {
-        db_.insert(txn, orders_t,
+        db_.insert(txn, orders_t_,
                    Row{std::int64_t(i),
                        std::int64_t(i % std::max(customers_, 1u)),
                        std::int64_t(i % std::max(vehicles_, 1u)),
                        std::int64_t(1 + i % 4), std::int64_t(0)});
     });
     batched(workorders_, [&](TxnId txn, std::uint32_t i) {
-        db_.insert(txn, workorder_t,
+        db_.insert(txn, workorder_t_,
                    Row{std::int64_t(i),
                        std::int64_t(i % std::max(inventory_, 1u)),
                        std::int64_t(1 + i % 8), std::int64_t(0)});
@@ -193,8 +192,8 @@ Jas2004Application::populate(double injection_rate)
     next_order_id_ = orders_;
     next_workorder_id_ = workorders_;
 
-    db_.createSecondaryIndex(inventory_t, "vehicle_id");
-    db_.createSecondaryIndex(orders_t, "customer_id");
+    db_.createSecondaryIndex(inventory_t_, "vehicle_id");
+    db_.createSecondaryIndex(orders_t_, "customer_id");
 }
 
 void
@@ -264,17 +263,13 @@ TxnDbOutcome
 Jas2004Application::runBrowse()
 {
     TxnDbOutcome outcome;
-    const auto vehicle_t = *db_.tableId("vehicle");
-    const auto inventory_t = *db_.tableId("inventory");
-    const auto customer_t = *db_.tableId("customer");
-
     for (int i = 0; i < 6; ++i)
-        db_.pointSelect(vehicle_t, pickVehicle(), outcome.cost);
+        db_.pointSelect(vehicle_t_, pickVehicle(), outcome.cost);
     for (int i = 0; i < 2; ++i) {
-        db_.selectBySecondary(inventory_t, "vehicle_id", pickVehicle(),
+        db_.selectBySecondary(inventory_t_, "vehicle_id", pickVehicle(),
                               outcome.cost);
     }
-    db_.pointSelect(customer_t, pickCustomer(), outcome.cost);
+    db_.pointSelect(customer_t_, pickCustomer(), outcome.cost);
     return outcome;
 }
 
@@ -282,34 +277,29 @@ TxnDbOutcome
 Jas2004Application::runPurchase()
 {
     TxnDbOutcome outcome;
-    const auto customer_t = *db_.tableId("customer");
-    const auto vehicle_t = *db_.tableId("vehicle");
-    const auto inventory_t = *db_.tableId("inventory");
-    const auto orders_t = *db_.tableId("orders");
-
     const TxnId txn = db_.begin();
     const std::int64_t customer = pickCustomer();
-    db_.pointSelect(customer_t, customer, outcome.cost);
+    db_.pointSelect(customer_t_, customer, outcome.cost);
     const std::int64_t vehicle = pickVehicle();
-    db_.pointSelect(vehicle_t, vehicle, outcome.cost);
-    db_.pointSelect(vehicle_t, pickVehicle(), outcome.cost);
-    db_.selectBySecondary(inventory_t, "vehicle_id", vehicle,
+    db_.pointSelect(vehicle_t_, vehicle, outcome.cost);
+    db_.pointSelect(vehicle_t_, pickVehicle(), outcome.cost);
+    db_.selectBySecondary(inventory_t_, "vehicle_id", vehicle,
                           outcome.cost);
 
     outcome.cost.add(db_.insert(
-        txn, orders_t,
+        txn, orders_t_,
         Row{next_order_id_++, customer, vehicle,
             std::int64_t(1 + static_cast<std::int64_t>(rng_.below(4))),
             std::int64_t(0)}));
 
     const std::int64_t inv = pickInventory();
-    const auto inv_row = db_.pointSelect(inventory_t, inv, outcome.cost);
+    const auto inv_row = db_.pointSelect(inventory_t_, inv, outcome.cost);
     if (inv_row) {
         Row updated = *inv_row;
         auto &qty = std::get<std::int64_t>(updated[2]);
         qty = qty > 0 ? qty - 1 : 500;
         outcome.cost.add(
-            db_.updateByKey(txn, inventory_t, inv, std::move(updated)));
+            db_.updateByKey(txn, inventory_t_, inv, std::move(updated)));
     }
     stampAudit(txn, RequestType::Purchase, outcome);
     outcome.cost.add(db_.commit(txn));
@@ -321,14 +311,11 @@ TxnDbOutcome
 Jas2004Application::runManage()
 {
     TxnDbOutcome outcome;
-    const auto customer_t = *db_.tableId("customer");
-    const auto orders_t = *db_.tableId("orders");
-
     const TxnId txn = db_.begin();
     const std::int64_t customer = pickCustomer();
-    db_.pointSelect(customer_t, customer, outcome.cost);
+    db_.pointSelect(customer_t_, customer, outcome.cost);
     const auto open_orders = db_.selectBySecondary(
-        orders_t, "customer_id", customer, outcome.cost);
+        orders_t_, "customer_id", customer, outcome.cost);
     std::size_t updated = 0;
     for (const auto &order : open_orders) {
         if (updated >= 2)
@@ -337,7 +324,7 @@ Jas2004Application::runManage()
         std::get<std::int64_t>(row[4]) += 1; // advance status
         const std::int64_t order_id = std::get<std::int64_t>(row[0]);
         outcome.cost.add(
-            db_.updateByKey(txn, orders_t, order_id, std::move(row)));
+            db_.updateByKey(txn, orders_t_, order_id, std::move(row)));
         ++updated;
     }
     stampAudit(txn, RequestType::Manage, outcome);
@@ -350,26 +337,22 @@ TxnDbOutcome
 Jas2004Application::runCreateWorkOrder()
 {
     TxnDbOutcome outcome;
-    const auto inventory_t = *db_.tableId("inventory");
-    const auto vehicle_t = *db_.tableId("vehicle");
-    const auto workorder_t = *db_.tableId("workorder");
-
     const TxnId txn = db_.begin();
     outcome.cost.add(db_.insert(
-        txn, workorder_t,
+        txn, workorder_t_,
         Row{next_workorder_id_++, pickInventory(),
             std::int64_t(1 + static_cast<std::int64_t>(rng_.below(8))),
             std::int64_t(0)}));
     for (int i = 0; i < 3; ++i)
-        db_.pointSelect(inventory_t, pickInventory(), outcome.cost);
-    db_.pointSelect(vehicle_t, pickVehicle(), outcome.cost);
+        db_.pointSelect(inventory_t_, pickInventory(), outcome.cost);
+    db_.pointSelect(vehicle_t_, pickVehicle(), outcome.cost);
     for (int i = 0; i < 2; ++i) {
         const std::int64_t inv = pickInventory();
-        const auto row = db_.pointSelect(inventory_t, inv, outcome.cost);
+        const auto row = db_.pointSelect(inventory_t_, inv, outcome.cost);
         if (row) {
             Row updated = *row;
             std::get<std::int64_t>(updated[2]) += 1;
-            outcome.cost.add(db_.updateByKey(txn, inventory_t, inv,
+            outcome.cost.add(db_.updateByKey(txn, inventory_t_, inv,
                                              std::move(updated)));
         }
     }

@@ -98,6 +98,13 @@ class Jas2004Application
     std::int64_t next_workorder_id_ = 0;
     std::uint64_t rows_loaded_ = 0;
 
+    /** Table ids, resolved once by createSchema(). */
+    std::uint32_t customer_t_ = 0;
+    std::uint32_t vehicle_t_ = 0;
+    std::uint32_t inventory_t_ = 0;
+    std::uint32_t orders_t_ = 0;
+    std::uint32_t workorder_t_ = 0;
+
     bool audit_on_ = false;
     std::uint32_t audit_table_ = 0;
     std::int64_t next_audit_token_ = 0;

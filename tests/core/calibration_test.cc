@@ -127,8 +127,9 @@ TEST_F(CalibrationTest, GcWindowsHaveBetterPrediction)
         result().windows, WindowMetric::CondMispredictRate, true);
     const double app_mispredict = windowMeanIf(
         result().windows, WindowMetric::CondMispredictRate, false);
-    if (gc_mispredict > 0.0)
+    if (gc_mispredict > 0.0) {
         EXPECT_LT(gc_mispredict, app_mispredict * 1.05);
+    }
 }
 
 TEST_F(CalibrationTest, TranslationOrderingMatchesFigure7)

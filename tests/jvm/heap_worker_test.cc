@@ -175,6 +175,76 @@ TEST(HeapWorkerTest, OneWorkerServesSeveralCollectorsInOrder)
     }
 }
 
+TEST(HeapWorkerTest, FullLanesAndSingleCollectorReadsMatchInline)
+{
+    // Each burst queues up to 400 calls on one collector before its
+    // inline twin runs them, so the collector's lane (128 calls) fills
+    // and the event loop runs the lane's oldest calls itself while the
+    // worker serves the other lanes. Reading one collector's heap
+    // between bursts settles that lane alone. Every collector must
+    // still match its inline twin at every read.
+    const GcConfig config = heapOf(16);
+    HeapWorker worker;
+    std::vector<std::unique_ptr<GarbageCollector>> inline_gcs;
+    std::vector<std::unique_ptr<GarbageCollector>> worker_gcs;
+    for (std::uint64_t n = 0; n < 5; ++n) {
+        inline_gcs.push_back(
+            std::make_unique<GarbageCollector>(config, 100 + n));
+        worker_gcs.push_back(
+            std::make_unique<GarbageCollector>(config, 100 + n, &worker));
+    }
+    Rng script(17);
+    SimTime now = 0;
+    for (int burst = 0; burst < 80; ++burst) {
+        const std::size_t n = script.below(5);
+        std::vector<std::uint64_t> sizes(1 + script.below(400));
+        for (std::uint64_t &bytes : sizes)
+            bytes = 64 + script.below(16u << 10);
+        std::size_t done = 0;
+        while (done < sizes.size()) {
+            // The worker's collector runs ahead to its first failure.
+            std::size_t end = done;
+            bool ok = true;
+            while (end < sizes.size() &&
+                   (ok = worker_gcs[n]->allocate(sizes[end],
+                                                 now + millis(end))))
+                ++end;
+            for (std::size_t i = done; i < end; ++i)
+                ASSERT_TRUE(inline_gcs[n]->allocate(sizes[i], now + millis(i)))
+                    << burst << " " << i;
+            if (!ok) {
+                ASSERT_FALSE(
+                    inline_gcs[n]->allocate(sizes[end], now + millis(end)))
+                    << burst << " " << end;
+                inline_gcs[n]->collect(now + millis(end));
+                worker_gcs[n]->collect(now + millis(end));
+                ++end;
+            }
+            done = end;
+        }
+        now += millis(sizes.size());
+        const std::size_t read = script.below(5);
+        EXPECT_EQ(inline_gcs[read]->heap().usedBytes(),
+                  worker_gcs[read]->heap().usedBytes())
+            << burst;
+        EXPECT_EQ(inline_gcs[read]->graph().cellCount(),
+                  worker_gcs[read]->graph().cellCount())
+            << burst;
+    }
+    worker.drain();
+    std::size_t collections = 0;
+    for (std::size_t n = 0; n < 5; ++n) {
+        collections += inline_gcs[n]->log().events().size();
+        expectSameEvents(inline_gcs[n]->log().events(),
+                         worker_gcs[n]->log().events());
+        EXPECT_EQ(inline_gcs[n]->heap().freeChunkCount(),
+                  worker_gcs[n]->heap().freeChunkCount());
+        EXPECT_EQ(inline_gcs[n]->heap().credit(),
+                  worker_gcs[n]->heap().credit());
+    }
+    EXPECT_GT(collections, 5u);
+}
+
 TEST(HeapWorkerTest, AThrowOnTheWorkerIsRethrownAtEverySyncPoint)
 {
     // A call that fails on the worker breaks the credit's promise:

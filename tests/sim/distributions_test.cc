@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "sim/distributions.h"
 
@@ -117,6 +120,56 @@ TEST(ZipfSamplerTest, SampleAtIsMonotone)
     EXPECT_EQ(zipf.sampleAt(0.0), 0u);
     EXPECT_LE(zipf.sampleAt(0.2), zipf.sampleAt(0.8));
     EXPECT_LT(zipf.sampleAt(0.999999), 100u);
+}
+
+/** What sampleAt returned before its guide table: a full binary search. */
+std::size_t
+binarySearchRank(const std::vector<double> &cdf, double u)
+{
+    const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+    return it == cdf.end() ? cdf.size() - 1
+                           : static_cast<std::size_t>(it - cdf.begin());
+}
+
+TEST(ZipfSamplerTest, GuidedSampleAtMatchesBinarySearchBitForBit)
+{
+    for (const std::size_t n : {1u, 2u, 500u, 120000u}) {
+        for (const double shift : {0.0, 20.0}) {
+            SCOPED_TRACE("n " + std::to_string(n) + " shift " +
+                         std::to_string(shift));
+            const ZipfSampler zipf(n, n == 500 ? 1.0 : 0.5, shift);
+            const std::vector<double> &cdf = zipf.cdf();
+            ASSERT_EQ(cdf.size(), n);
+            const auto check = [&](double u) {
+                ASSERT_EQ(zipf.sampleAt(u), binarySearchRank(cdf, u))
+                    << "u " << u;
+            };
+            // Every CDF value and its neighbours.
+            for (const double c : cdf) {
+                check(c);
+                check(std::nextafter(c, 0.0));
+                check(std::nextafter(c, 2.0));
+            }
+            // Every bucket edge b/n (one bucket per rank) and its
+            // neighbours.
+            for (std::size_t b = 0; b <= n; ++b) {
+                const double edge =
+                    static_cast<double>(b) / static_cast<double>(n);
+                check(edge);
+                check(std::nextafter(edge, 0.0));
+                check(std::nextafter(edge, 2.0));
+            }
+            check(0.0);
+            check(std::nextafter(1.0, 0.0));
+            // Seeded draws, through operator() too.
+            Rng draws(n + static_cast<std::size_t>(shift));
+            Rng twin(n + static_cast<std::size_t>(shift));
+            for (int i = 0; i < 1000000; ++i) {
+                const double u = twin.uniform();
+                ASSERT_EQ(zipf(draws), binarySearchRank(cdf, u));
+            }
+        }
+    }
 }
 
 TEST(DiscreteSamplerTest, RespectsWeights)

@@ -72,8 +72,9 @@ TEST_F(StreamGeneratorTest, MemoryOpsHaveAddresses)
     auto gen = makeGenerator();
     for (int i = 0; i < 50000; ++i) {
         const Instr inst = gen->next();
-        if (inst.kind == InstKind::Load || inst.kind == InstKind::Store)
+        if (inst.kind == InstKind::Load || inst.kind == InstKind::Store) {
             ASSERT_NE(inst.ea, 0u);
+        }
     }
 }
 
