@@ -5,6 +5,18 @@
 
 namespace jasim {
 
+namespace {
+
+/** Insert and Update records carry row images; the rest do not. */
+bool
+logical(const WalRecord &rec)
+{
+    return rec.type == WalRecordType::Insert ||
+        rec.type == WalRecordType::Update;
+}
+
+} // namespace
+
 void
 DbCost::add(const DbCost &other)
 {
@@ -193,10 +205,8 @@ TxnId
 Database::begin()
 {
     const TxnId txn = next_txn_++;
-    TxnState &st = active_[txn];
     const std::uint64_t lsn = wal_.append(txn, WalRecordType::Begin, 0);
-    if (recovery_on_)
-        st.first_lsn = lsn;
+    active_.emplace(txn, recovery_on_ ? lsn : 0);
     return txn;
 }
 
@@ -211,69 +221,6 @@ Database::commit(TxnId txn)
         last_commit_lsn_ = lsn;
     cost.log_bytes_forced = wal_.force();
     cost.cpu_us += 4.0;
-    active_.erase(it);
-    return cost;
-}
-
-DbCost
-Database::abort(TxnId txn)
-{
-    DbCost cost;
-    const auto it = active_.find(txn);
-    assert(it != active_.end() && "abort of unknown transaction");
-    // Undo in reverse order. In recovery mode every undo step logs a
-    // compensation record (redo-only), so a crash after the abort
-    // replays the rollback instead of resurrecting the transaction.
-    for (auto undo = it->second.undo.rbegin();
-         undo != it->second.undo.rend(); ++undo) {
-        TableState &ts = state(undo->table_id);
-        const auto current = ts.table->fetch(undo->row_id);
-        if (current) {
-            indexRemove(ts, undo->row_id);
-        }
-        if (undo->before) {
-            if (current)
-                ts.table->update(undo->row_id, *undo->before);
-            else {
-                // Row was erased in the txn; resurrecting tombstones
-                // is not supported by Table, so re-insert.
-                const RowId id = ts.table->insert(*undo->before);
-                ts.primary.erase(keyOf(*undo->before));
-                ts.primary.insert(keyOf(*undo->before), id);
-                indexAdd(ts, id);
-                std::uint64_t clr = 0;
-                if (recovery_on_) {
-                    clr = logMutation(txn, WalRecordType::Insert,
-                                      rowBytes(*undo->before),
-                                      undo->table_id, id,
-                                      *undo->before, std::nullopt);
-                }
-                touchPage(undo->table_id, id.page, true, cost, clr);
-                continue;
-            }
-            indexAdd(ts, undo->row_id);
-        } else if (current) {
-            // Undo an insert.
-            ts.primary.erase(keyOf(*current));
-            ts.table->erase(undo->row_id);
-        }
-        std::uint64_t clr = 0;
-        if (recovery_on_) {
-            clr = undo->before
-                ? logMutation(txn, WalRecordType::Update,
-                              rowBytes(*undo->before), undo->table_id,
-                              undo->row_id, *undo->before, std::nullopt)
-                : logMutation(txn, WalRecordType::Erase,
-                              current ? rowBytes(*current) : 0,
-                              undo->table_id, undo->row_id,
-                              std::nullopt, std::nullopt);
-        }
-        touchPage(undo->table_id, undo->row_id.page, true, cost, clr);
-        ++cost.rows;
-    }
-    wal_.append(txn, WalRecordType::Abort, 0);
-    cost.log_bytes_forced = wal_.force();
-    cost.cpu_us += 6.0;
     active_.erase(it);
     return cost;
 }
@@ -296,7 +243,6 @@ Database::insert(TxnId txn, std::uint32_t table_id, Row row)
         recovery_on_ ? std::optional<Row>(std::move(row)) : std::nullopt,
         std::nullopt);
     touchPage(table_id, id.page, true, cost, lsn);
-    active_[txn].undo.push_back(UndoEntry{table_id, id, std::nullopt});
     ++cost.rows;
     cost.cpu_us += 2.0;
     return cost;
@@ -327,8 +273,10 @@ Database::updateByKey(TxnId txn, std::uint32_t table_id,
         cost.cpu_us += 0.8;
         return cost;
     }
-    auto before = ts.table->fetch(*id);
-    assert(before);
+    // The before-row is the WAL's undo image: recovery mode only.
+    std::optional<Row> before;
+    if (recovery_on_)
+        before = ts.table->fetch(*id);
     indexRemove(ts, *id);
     const std::uint32_t bytes = rowBytes(row);
     ts.table->update(*id, row);
@@ -337,40 +285,10 @@ Database::updateByKey(TxnId txn, std::uint32_t table_id,
     const std::uint64_t lsn = logMutation(
         txn, WalRecordType::Update, bytes, table_id, *id,
         recovery_on_ ? std::optional<Row>(std::move(row)) : std::nullopt,
-        recovery_on_ ? before : std::nullopt);
+        std::move(before));
     touchPage(table_id, id->page, true, cost, lsn);
-    active_[txn].undo.push_back(
-        UndoEntry{table_id, *id, std::move(before)});
     ++cost.rows;
     cost.cpu_us += 2.5;
-    return cost;
-}
-
-DbCost
-Database::eraseByKey(TxnId txn, std::uint32_t table_id, std::int64_t key)
-{
-    DbCost cost;
-    TableState &ts = state(table_id);
-    const auto id = ts.primary.find(key);
-    if (!id) {
-        cost.cpu_us += 0.8;
-        return cost;
-    }
-    auto before = ts.table->fetch(*id);
-    assert(before);
-    indexRemove(ts, *id);
-    ts.primary.erase(key);
-    ts.table->erase(*id);
-
-    const std::uint64_t lsn =
-        logMutation(txn, WalRecordType::Erase, rowBytes(*before),
-                    table_id, *id, std::nullopt,
-                    recovery_on_ ? before : std::nullopt);
-    touchPage(table_id, id->page, true, cost, lsn);
-    active_[txn].undo.push_back(
-        UndoEntry{table_id, *id, std::move(before)});
-    ++cost.rows;
-    cost.cpu_us += 2.0;
     return cost;
 }
 
@@ -391,28 +309,6 @@ Database::selectBySecondary(std::uint32_t table_id,
             rows.push_back(std::move(*row));
             ++cost.rows;
         }
-    });
-    return rows;
-}
-
-std::vector<Row>
-Database::scanWhere(std::uint32_t table_id, std::size_t column,
-                    std::int64_t value, DbCost &cost)
-{
-    TableState &ts = state(table_id);
-    std::vector<Row> rows;
-    std::uint32_t last_page = ~0u;
-    ts.table->scan([&](RowId id, const Row &row) {
-        if (id.page != last_page) {
-            touchPage(table_id, id.page, false, cost);
-            last_page = id.page;
-        }
-        cost.cpu_us += 0.05;
-        if (std::get<std::int64_t>(row[column]) == value) {
-            rows.push_back(row);
-            ++cost.rows;
-        }
-        return true;
     });
     return rows;
 }
@@ -474,10 +370,10 @@ Database::checkpoint()
     // the oldest live transaction's first record (capped by this
     // checkpoint) is ever replayed again.
     std::uint64_t redo_point = s.end_lsn;
-    for (const auto &[txn, st] : active_) {
+    for (const auto &[txn, first_lsn] : active_) {
         (void)txn;
-        if (st.first_lsn != 0 && st.first_lsn < redo_point)
-            redo_point = st.first_lsn;
+        if (first_lsn != 0 && first_lsn < redo_point)
+            redo_point = first_lsn;
     }
     std::uint64_t bound = redo_point - 1;
     if (floor_on_) {
@@ -529,27 +425,19 @@ Database::recover()
     RecoveryStats s;
     s.replay_bytes = wal_.retainedBytes();
 
-    // Analysis: a transaction with a terminal record is a winner
-    // (Abort wrote compensation records, so its retained log already
-    // describes the rollback). Everything else is a loser.
+    // Analysis: a transaction with a Commit record is a winner;
+    // everything else is a loser.
     std::unordered_set<TxnId> seen;
     std::unordered_set<TxnId> winners;
     for (const WalRecord &rec : wal_.records()) {
         if (rec.txn == 0)
             continue; // checkpoint bookkeeping
         seen.insert(rec.txn);
-        if (rec.type == WalRecordType::Commit ||
-            rec.type == WalRecordType::Abort)
+        if (rec.type == WalRecordType::Commit)
             winners.insert(rec.txn);
     }
     s.winner_txns = winners.size();
     s.loser_txns = seen.size() - winners.size();
-
-    const auto logical = [](const WalRecord &rec) {
-        return rec.type == WalRecordType::Insert ||
-            rec.type == WalRecordType::Update ||
-            rec.type == WalRecordType::Erase;
-    };
 
     // Redo: repeat history. Every retained record replays unless the
     // stable page image already carries it (pageLSN guard).
@@ -562,11 +450,7 @@ Database::recover()
         std::uint64_t &plsn = page_lsn_[key];
         if (rec.lsn <= plsn)
             continue;
-        Table &tbl = *tables_[rec.table].table;
-        if (rec.type == WalRecordType::Erase)
-            tbl.eraseAt(rec.rid);
-        else if (rec.redo)
-            tbl.setRowAt(rec.rid, *rec.redo);
+        tables_[rec.table].table->setRowAt(rec.rid, *rec.redo);
         plsn = rec.lsn;
         touched.insert(key);
         ++s.redo_applied;
@@ -580,11 +464,7 @@ Database::recover()
             winners.count(rec.txn) != 0)
             continue;
         ++s.undo_records;
-        Table &tbl = *tables_[rec.table].table;
-        if (rec.type == WalRecordType::Insert)
-            tbl.eraseAt(rec.rid);
-        else if (rec.undo)
-            tbl.setRowAt(rec.rid, *rec.undo);
+        undoRecord(rec);
         touched.insert(PageKey{rec.table, rec.rid.page});
     }
 
@@ -612,12 +492,6 @@ Database::failoverTo(std::uint64_t watermark)
     FailoverStats s;
     s.watermark = watermark;
 
-    const auto logical = [](const WalRecord &rec) {
-        return rec.type == WalRecordType::Insert ||
-            rec.type == WalRecordType::Update ||
-            rec.type == WalRecordType::Erase;
-    };
-
     // Reverse history above the watermark, newest first: each record
     // is undone from its own images, so afterwards every table holds
     // exactly the state the promoted replica's log describes.
@@ -629,34 +503,8 @@ Database::failoverTo(std::uint64_t watermark)
         if (!logical(rec))
             continue;
         ++s.reversed_records;
-        Table &tbl = *tables_[rec.table].table;
+        undoRecord(rec);
         touched.insert(PageKey{rec.table, rec.rid.page});
-        if (rec.undo) {
-            tbl.setRowAt(rec.rid, *rec.undo);
-            continue;
-        }
-        if (rec.type == WalRecordType::Insert) {
-            tbl.eraseAt(rec.rid);
-            continue;
-        }
-        // Redo-only erase (a compensation record): the row's state
-        // before it is whatever the most recent earlier record of the
-        // same row left behind; with no earlier record retained the
-        // row did not exist.
-        bool restored = false;
-        for (auto back = it + 1; back != recs.rend(); ++back) {
-            if (!logical(*back) || back->table != rec.table ||
-                !(back->rid == rec.rid))
-                continue;
-            if (back->type == WalRecordType::Erase)
-                tbl.eraseAt(rec.rid);
-            else if (back->redo)
-                tbl.setRowAt(rec.rid, *back->redo);
-            restored = true;
-            break;
-        }
-        if (!restored)
-            tbl.eraseAt(rec.rid);
     }
 
     // Transactions still open at the watermark are losers on the
@@ -669,8 +517,7 @@ Database::failoverTo(std::uint64_t watermark)
         if (rec.txn == 0)
             continue;
         seen.insert(rec.txn);
-        if (rec.type == WalRecordType::Commit ||
-            rec.type == WalRecordType::Abort)
+        if (rec.type == WalRecordType::Commit)
             winners.insert(rec.txn);
     }
     s.loser_txns = seen.size() - winners.size();
@@ -680,11 +527,7 @@ Database::failoverTo(std::uint64_t watermark)
             winners.count(rec.txn) != 0)
             continue;
         ++s.undo_records;
-        Table &tbl = *tables_[rec.table].table;
-        if (rec.type == WalRecordType::Insert)
-            tbl.eraseAt(rec.rid);
-        else if (rec.undo)
-            tbl.setRowAt(rec.rid, *rec.undo);
+        undoRecord(rec);
         touched.insert(PageKey{rec.table, rec.rid.page});
     }
 
@@ -733,6 +576,16 @@ Database::failoverTo(std::uint64_t watermark)
     wal_.truncate(end_lsn);
     last_commit_lsn_ = std::min(last_commit_lsn_, watermark);
     return s;
+}
+
+void
+Database::undoRecord(const WalRecord &rec)
+{
+    Table &tbl = *tables_[rec.table].table;
+    if (rec.type == WalRecordType::Insert)
+        tbl.eraseAt(rec.rid);
+    else
+        tbl.setRowAt(rec.rid, *rec.undo);
 }
 
 void

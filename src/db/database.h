@@ -12,11 +12,10 @@
  * dirty pages with recovery LSNs, fuzzy checkpoints flush dirty pages
  * and truncate the durable WAL prefix, and crash()/recover() discard
  * the volatile state then repeat history (pageLSN-guarded redo of
- * every retained record) before undoing loser transactions. Aborts
- * write compensation records, so an aborted transaction is a winner
- * whose log fully describes its rollback. Healthy runs that never
- * call enableRecovery() are byte-identical to a build without any of
- * this machinery.
+ * every retained record) before undoing loser transactions. Every
+ * transaction commits, so a transaction without a Commit record is a
+ * loser. Healthy runs that never call enableRecovery() are
+ * byte-identical to a build without any of this machinery.
  */
 
 #ifndef JASIM_DB_DATABASE_H
@@ -127,7 +126,6 @@ class Database
 
     TxnId begin();
     DbCost commit(TxnId txn);
-    DbCost abort(TxnId txn);
 
     /** Insert a row (column 0 must be a unique integer key). */
     DbCost insert(TxnId txn, std::uint32_t table_id, Row row);
@@ -140,19 +138,10 @@ class Database
     DbCost updateByKey(TxnId txn, std::uint32_t table_id,
                        std::int64_t key, Row row);
 
-    /** Delete by primary key. */
-    DbCost eraseByKey(TxnId txn, std::uint32_t table_id,
-                      std::int64_t key);
-
     /** Select via a secondary index. */
     std::vector<Row> selectBySecondary(std::uint32_t table_id,
                                        const std::string &column,
                                        std::int64_t key, DbCost &cost);
-
-    /** Predicate full scan (no index). */
-    std::vector<Row> scanWhere(std::uint32_t table_id,
-                               std::size_t column, std::int64_t value,
-                               DbCost &cost);
 
     const BufferPool &bufferPool() const { return pool_; }
     const Wal &wal() const { return wal_; }
@@ -247,26 +236,14 @@ class Database
         std::vector<Secondary> secondary; //!< in creation order
     };
 
-    struct UndoEntry
-    {
-        std::uint32_t table_id;
-        RowId row_id;
-        std::optional<Row> before; //!< nullopt for inserts
-    };
-
-    struct TxnState
-    {
-        std::vector<UndoEntry> undo;
-        std::uint64_t first_lsn = 0; //!< Begin record (recovery mode)
-    };
-
     DbConfig config_;
     std::vector<TableState> tables_;
     std::unordered_map<std::string, std::uint32_t> table_names_;
     BufferPool pool_;
     Wal wal_;
     TxnId next_txn_ = 1;
-    std::unordered_map<TxnId, TxnState> active_;
+    /** Open transactions and their Begin LSNs (0 without recovery). */
+    std::unordered_map<TxnId, std::uint64_t> active_;
 
     bool recovery_on_ = false;
     bool crashed_ = false;
@@ -312,6 +289,9 @@ class Database
      */
     static void indexRemove(TableState &ts, RowId id);
     static void indexAdd(TableState &ts, RowId id);
+
+    /** Reverse one Insert or Update record from its undo image. */
+    void undoRecord(const WalRecord &rec);
 
     void rebuildIndexes();
 };

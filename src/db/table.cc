@@ -98,16 +98,6 @@ Table::update(RowId id, const Row &row)
     return true;
 }
 
-bool
-Table::erase(RowId id)
-{
-    if (!isLive(id))
-        return false;
-    live_[slotOf(id)] = 0;
-    --live_rows_;
-    return true;
-}
-
 Table::PageImage
 Table::pageImage(std::uint32_t page) const
 {
@@ -152,7 +142,11 @@ Table::setRowAt(RowId id, const Row &row)
 bool
 Table::eraseAt(RowId id)
 {
-    return erase(id);
+    if (!isLive(id))
+        return false;
+    live_[slotOf(id)] = 0;
+    --live_rows_;
+    return true;
 }
 
 void

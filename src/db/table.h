@@ -97,9 +97,6 @@ class Table
     /** Overwrite a row in place; false if the slot is dead/absent. */
     bool update(RowId id, const Row &row);
 
-    /** Tombstone a row; false if already dead/absent. */
-    bool erase(RowId id);
-
     /** An Integer column's value in a slot of a stored page. */
     std::int64_t
     integerAt(RowId id, std::size_t column) const
@@ -119,7 +116,7 @@ class Table
      */
     void setRowAt(RowId id, const Row &row);
 
-    /** Tombstone a slot; tolerant of dead/absent (returns false). */
+    /** Tombstone a slot; false if it is dead or absent. */
     bool eraseAt(RowId id);
 
     /** Replace the whole heap with stable page images. */

@@ -6,25 +6,11 @@
 namespace jasim {
 
 std::uint64_t
-Wal::appendRecord(WalRecord record, std::uint32_t payload_bytes)
-{
-    record.lsn = next_lsn_++;
-    record.bytes = payload_bytes + headerBytes;
-    appended_bytes_ += record.bytes;
-    pending_bytes_ += record.bytes;
-    retained_bytes_ += record.bytes;
-    records_.push_back(std::move(record));
-    return next_lsn_ - 1;
-}
-
-std::uint64_t
 Wal::append(std::uint64_t txn, WalRecordType type,
             std::uint32_t payload_bytes)
 {
-    WalRecord record;
-    record.txn = txn;
-    record.type = type;
-    return appendRecord(std::move(record), payload_bytes);
+    return appendLogical(txn, type, payload_bytes, 0, RowId{},
+                         std::nullopt, std::nullopt);
 }
 
 std::uint64_t
@@ -33,14 +19,16 @@ Wal::appendLogical(std::uint64_t txn, WalRecordType type,
                    RowId rid, std::optional<Row> redo,
                    std::optional<Row> undo)
 {
-    WalRecord record;
-    record.txn = txn;
-    record.type = type;
-    record.table = table;
-    record.rid = rid;
-    record.redo = std::move(redo);
-    record.undo = std::move(undo);
-    return appendRecord(std::move(record), payload_bytes);
+    const std::uint32_t bytes = payload_bytes + headerBytes;
+    appended_bytes_ += bytes;
+    pending_bytes_ += bytes;
+    if (retention_) {
+        retained_bytes_ += bytes;
+        records_.push_back(WalRecord{next_lsn_, txn, type, bytes, table,
+                                     rid, std::move(redo),
+                                     std::move(undo)});
+    }
+    return next_lsn_++;
 }
 
 std::uint64_t
@@ -52,12 +40,6 @@ Wal::force()
         pending_bytes_ = 0;
         ++forces_;
         issued_lsn_ = lastLsn();
-        if (!retention_) {
-            // Forced records are durable and never replayed in legacy
-            // mode; drop them so a long run's log memory stays flat.
-            records_.clear();
-            retained_bytes_ = 0;
-        }
     }
     return pending;
 }
@@ -66,7 +48,7 @@ std::uint64_t
 Wal::pendingRecords() const
 {
     if (!retention_)
-        return records_.size();
+        return lastLsn() - issued_lsn_;
     // records_ is LSN-sorted; the unforced tail starts past issued_lsn_.
     const auto first_pending = std::partition_point(
         records_.begin(), records_.end(),
@@ -174,23 +156,16 @@ Wal::bytesAbove(std::uint64_t lsn) const
 void
 Wal::truncate(std::uint64_t up_to_lsn)
 {
-    // Clamp: only forced (retention) / appended (legacy) records can
-    // be on stable storage to truncate, and LSN assignment must never
-    // move backwards because of an over-eager bound.
-    const std::uint64_t bound =
-        std::min(up_to_lsn, retention_ ? issued_lsn_ : lastLsn());
+    assert(retention_);
+    // Clamp: only forced records can be on stable storage to
+    // truncate, and LSN assignment must never move backwards because
+    // of an over-eager bound.
+    const std::uint64_t bound = std::min(up_to_lsn, issued_lsn_);
     const auto keep_from = std::partition_point(
         records_.begin(), records_.end(),
         [bound](const WalRecord &r) { return r.lsn <= bound; });
-    for (auto it = records_.begin(); it != keep_from; ++it) {
+    for (auto it = records_.begin(); it != keep_from; ++it)
         retained_bytes_ -= it->bytes;
-        if (!retention_) {
-            // Legacy pending records die with the truncation: the
-            // next force() must not bill bytes for records that no
-            // longer exist.
-            pending_bytes_ -= it->bytes;
-        }
-    }
     if (keep_from != records_.begin())
         truncated_up_to_ = std::max(truncated_up_to_, bound);
     records_.erase(records_.begin(), keep_from);

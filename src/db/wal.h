@@ -8,9 +8,9 @@
  *
  * Two operating modes:
  *
- *  - Legacy (default): forced records are dropped from memory so a
- *    long run's log footprint stays flat. Good enough when nothing
- *    ever crashes.
+ *  - Without retention (default): the log assigns LSNs and counts
+ *    bytes but keeps no records, so a long run's log footprint stays
+ *    flat. Good enough when nothing ever crashes.
  *
  *  - Retention (`setRetention(true)`, armed by Database's recovery
  *    support): records survive force() and carry logical redo/undo
@@ -36,15 +36,14 @@
 namespace jasim {
 
 /** Kinds of log records. */
-enum class WalRecordType : std::uint8_t { Begin, Insert, Update, Erase,
-                                          Commit, Abort,
+enum class WalRecordType : std::uint8_t { Begin, Insert, Update, Commit,
                                           BeginCheckpoint,
                                           EndCheckpoint };
 
 /**
- * One log record. Payload sizes are always modelled; the logical
- * redo/undo images are only populated in retention mode (appendLogical),
- * where recovery replays them.
+ * One retained log record (retention mode only). The logical
+ * redo/undo images come from appendLogical(), and recovery replays
+ * them.
  */
 struct WalRecord
 {
@@ -57,7 +56,7 @@ struct WalRecord
     std::uint32_t table = 0;
     RowId rid{};
     std::optional<Row> redo; //!< after-image (Insert/Update)
-    std::optional<Row> undo; //!< before-image (Update/Erase)
+    std::optional<Row> undo; //!< before-image (Update)
 };
 
 /** What a crash took from the log. */
@@ -75,7 +74,10 @@ class Wal
     std::uint64_t append(std::uint64_t txn, WalRecordType type,
                          std::uint32_t payload_bytes);
 
-    /** Append a record carrying a logical redo/undo payload. */
+    /**
+     * Append a record carrying a logical redo/undo payload; the
+     * record is kept only in retention mode.
+     */
     std::uint64_t appendLogical(std::uint64_t txn, WalRecordType type,
                                 std::uint32_t payload_bytes,
                                 std::uint32_t table, RowId rid,
@@ -83,9 +85,8 @@ class Wal
                                 std::optional<Row> undo);
 
     /**
-     * Force the log up to the latest LSN. In legacy mode forced
-     * records are dropped from memory; in retention mode they are
-     * kept for recovery and `issuedLsn()` advances.
+     * Force the log up to the latest LSN: `issuedLsn()` advances, and
+     * in retention mode the records stay for recovery.
      * @return bytes newly forced to stable storage (0 if none).
      */
     std::uint64_t force();
@@ -107,6 +108,7 @@ class Wal
     std::uint64_t pendingRecords() const;
     std::uint64_t forceCount() const { return forces_; }
 
+    /** The retained records (always empty without retention). */
     const std::vector<WalRecord> &records() const { return records_; }
 
     /** Bytes currently retained in the log (replay cost of a crash). */
@@ -144,10 +146,10 @@ class Wal
     WalCrashLoss crashDiscard(bool torn);
 
     /**
-     * Drop records up to the given LSN (checkpoint truncation). The
-     * bound is clamped to what has actually been forced (retention
-     * mode) or appended (legacy), so truncating "past the end" is
-     * safe and never disturbs LSN assignment.
+     * Checkpoint truncation (retention mode): drop records up to the
+     * given LSN. The bound is clamped to what has actually been
+     * forced, so truncating "past the end" is safe and never disturbs
+     * LSN assignment.
      */
     void truncate(std::uint64_t up_to_lsn);
 
@@ -170,9 +172,6 @@ class Wal
     std::uint64_t bytesAbove(std::uint64_t lsn) const;
 
   private:
-    std::uint64_t appendRecord(WalRecord record,
-                               std::uint32_t payload_bytes);
-
     std::vector<WalRecord> records_; //!< always sorted by LSN
     std::uint64_t next_lsn_ = 1;
     std::uint64_t appended_bytes_ = 0;

@@ -1,6 +1,8 @@
 #include "sim/config.h"
 
+#include <cerrno>
 #include <cstdlib>
+#include <stdexcept>
 #include <thread>
 
 namespace jasim {
@@ -70,7 +72,14 @@ Config::getInt(const std::string &key, std::int64_t fallback) const
     const auto it = values_.find(key);
     if (it == values_.end())
         return fallback;
-    return std::strtoll(it->second.c_str(), nullptr, 0);
+    const char *text = it->second.c_str();
+    char *end = nullptr;
+    errno = 0;
+    const std::int64_t value = std::strtoll(text, &end, 0);
+    if (end == text || *end != '\0' || errno == ERANGE)
+        throw std::invalid_argument(key + "=" + it->second +
+                                    ": not an integer");
+    return value;
 }
 
 double
@@ -79,7 +88,13 @@ Config::getDouble(const std::string &key, double fallback) const
     const auto it = values_.find(key);
     if (it == values_.end())
         return fallback;
-    return std::strtod(it->second.c_str(), nullptr);
+    const char *text = it->second.c_str();
+    char *end = nullptr;
+    const double value = std::strtod(text, &end);
+    if (end == text || *end != '\0')
+        throw std::invalid_argument(key + "=" + it->second +
+                                    ": not a number");
+    return value;
 }
 
 std::size_t

@@ -36,7 +36,12 @@ class Config
     /** True if the key is present. */
     bool has(const std::string &key) const;
 
-    /** Typed getters; return the fallback when absent. */
+    /**
+     * Typed getters; return the fallback when absent. A present
+     * number must parse whole (integers in base 0, so `0x10` is 16):
+     * otherwise getInt and getDouble throw std::invalid_argument
+     * naming `key=value`.
+     */
     std::string getString(const std::string &key,
                           const std::string &fallback) const;
     std::int64_t getInt(const std::string &key, std::int64_t fallback) const;

@@ -43,7 +43,6 @@ struct TxnProfile
 struct TxnDbOutcome
 {
     DbCost cost;
-    bool ok = true;
 
     // Durability-audit fields, populated only when the application's
     // audit is enabled and the transaction wrote (0 otherwise).

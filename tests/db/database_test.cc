@@ -68,41 +68,6 @@ TEST_F(DatabaseTest, UpdateByKeyVisible)
               5);
 }
 
-TEST_F(DatabaseTest, AbortUndoesInsert)
-{
-    const TxnId txn = db_.begin();
-    db_.insert(txn, table_, order(2, 20));
-    db_.abort(txn);
-    DbCost cost;
-    EXPECT_FALSE(db_.pointSelect(table_, 2, cost).has_value());
-}
-
-TEST_F(DatabaseTest, AbortUndoesUpdate)
-{
-    TxnId txn = db_.begin();
-    db_.insert(txn, table_, order(3, 30, 1));
-    db_.commit(txn);
-    txn = db_.begin();
-    db_.updateByKey(txn, table_, 3, order(3, 30, 9));
-    db_.abort(txn);
-    DbCost cost;
-    EXPECT_EQ(std::get<std::int64_t>(
-                  (*db_.pointSelect(table_, 3, cost))[2]),
-              1);
-}
-
-TEST_F(DatabaseTest, AbortUndoesErase)
-{
-    TxnId txn = db_.begin();
-    db_.insert(txn, table_, order(4, 40));
-    db_.commit(txn);
-    txn = db_.begin();
-    db_.eraseByKey(txn, table_, 4);
-    db_.abort(txn);
-    DbCost cost;
-    EXPECT_TRUE(db_.pointSelect(table_, 4, cost).has_value());
-}
-
 TEST_F(DatabaseTest, SecondaryIndexSelect)
 {
     db_.createSecondaryIndex(table_, "customer_id");
@@ -133,18 +98,6 @@ TEST_F(DatabaseTest, SecondaryIndexFollowsUpdates)
     EXPECT_EQ(
         db_.selectBySecondary(table_, "customer_id", 9, cost).size(),
         1u);
-}
-
-TEST_F(DatabaseTest, ScanWherePredicates)
-{
-    const TxnId txn = db_.begin();
-    for (std::int64_t i = 0; i < 50; ++i)
-        db_.insert(txn, table_, order(i, i % 5));
-    db_.commit(txn);
-    DbCost cost;
-    const auto rows = db_.scanWhere(table_, 1, 3, cost);
-    EXPECT_EQ(rows.size(), 10u);
-    EXPECT_GT(cost.pages_hit + cost.pages_read, 0u);
 }
 
 TEST_F(DatabaseTest, BufferPoolHitsOnRepeatedAccess)

@@ -158,7 +158,7 @@ runTableScript(const Schema &schema, std::uint16_t rows_per_page,
             ASSERT_EQ(expected.update(id, row), actual.update(id, row));
         } else if (op < 70) {
             const RowId id = randomRowId(expected, rng, 2);
-            ASSERT_EQ(expected.erase(id), actual.erase(id));
+            ASSERT_EQ(expected.erase(id), actual.eraseAt(id));
         } else if (op < 76) {
             const RowId id = randomRowId(expected, rng, 2);
             ASSERT_EQ(expected.eraseAt(id), actual.eraseAt(id));

@@ -6,13 +6,15 @@
  * the simulation reads nothing else. This test drives a populated
  * jas2004 database through population on a pool far smaller than the
  * data (so pins evict and write back), 20,000 seeded transactions
- * with direct point, secondary and scan queries and aborted writes
+ * with direct point and secondary queries and committed writes
  * between them, and then, with recovery armed, checkpoints, a torn
- * crash with recover() and a failoverTo(). Every DbCost field, every
- * returned row and every stats field is folded into one digest,
- * pinned from the engine before its storage was rebuilt. No pinned
- * bench run evicts from the buffer pool, so this is the only
- * end-to-end pin on the eviction and write-back path.
+ * crash with recover() and a failoverTo(), each with an open loser.
+ * Every DbCost field, every returned row and every stats field is
+ * folded into one digest, pinned from the engine before its storage
+ * was rebuilt and again, for this script, before its abort, erase and
+ * scan paths were deleted. No pinned bench run evicts from the buffer
+ * pool, so this is the only end-to-end pin on the eviction and
+ * write-back path.
  */
 
 #include <bit>
@@ -89,7 +91,6 @@ class Digest
     mixOutcome(const TxnDbOutcome &outcome)
     {
         mixCost(outcome.cost);
-        mix(outcome.ok);
         mix(outcome.audit_token);
         mix(outcome.commit_lsn);
         mix(outcome.wal_issued_lsn);
@@ -154,10 +155,9 @@ tablesOf(const Database &db)
                   *db.tableId("workorder")};
 }
 
-/** Point, secondary and scan reads straight against the engine. */
+/** Point and secondary reads straight against the engine. */
 void
-directReads(Database &db, const Tables &t, Rng &rng, bool scan,
-            Digest &digest)
+directReads(Database &db, const Tables &t, Rng &rng, Digest &digest)
 {
     DbCost cost;
     digest.mixRow(db.pointSelect(
@@ -170,22 +170,16 @@ directReads(Database &db, const Tables &t, Rng &rng, bool scan,
     digest.mixRows(db.selectBySecondary(
         t.inventory, "vehicle_id",
         static_cast<std::int64_t>(rng.below(60000)), cost));
-    if (scan) {
-        digest.mixRows(db.scanWhere(
-            t.workorder, 2, static_cast<std::int64_t>(1 + rng.below(8)),
-            cost));
-    }
     digest.mixCost(cost);
 }
 
 /**
  * A write transaction straight against the engine: rename a customer,
- * erase an order, insert a work order; commit or abort. Aborting an
- * erase re-inserts the row at a new location.
+ * insert a work order, commit.
  */
 void
 directWrite(Database &db, const Tables &t, Rng &rng, std::int64_t serial,
-            bool abort, Digest &digest)
+            Digest &digest)
 {
     const TxnId txn = db.begin();
     const auto customer = static_cast<std::int64_t>(rng.below(30000));
@@ -193,14 +187,12 @@ directWrite(Database &db, const Tables &t, Rng &rng, std::int64_t serial,
         txn, t.customer, customer,
         Row{customer, std::string("renamed-") + std::to_string(serial),
             std::int64_t(serial % 16)}));
-    digest.mixCost(db.eraseByKey(
-        txn, t.orders, static_cast<std::int64_t>(rng.below(45000))));
     digest.mixCost(db.insert(
         txn, t.workorder,
         Row{std::int64_t(1000000 + serial),
             static_cast<std::int64_t>(rng.below(30000)), std::int64_t(3),
-            std::int64_t(abort ? 1 : 0)}));
-    digest.mixCost(abort ? db.abort(txn) : db.commit(txn));
+            std::int64_t(0)}));
+    digest.mixCost(db.commit(txn));
 }
 
 RequestType
@@ -224,9 +216,9 @@ TEST(DbExactnessTest, EveryEngineOutputMatchesThePinnedDigest)
     for (int i = 0; i < 20000; ++i) {
         digest.mixOutcome(app.runTransaction(drawType(rng)));
         if (i % 250 == 0)
-            directReads(db, t, rng, i % 2000 == 0, digest);
+            directReads(db, t, rng, digest);
         if (i % 1000 == 500)
-            directWrite(db, t, rng, serial++, i % 2000 == 500, digest);
+            directWrite(db, t, rng, serial++, digest);
     }
     digest.mixEngine(db);
 
@@ -261,7 +253,7 @@ TEST(DbExactnessTest, EveryEngineOutputMatchesThePinnedDigest)
             digest.mix(s.truncated_records);
         }
         if (i % 300 == 150)
-            directWrite(db, t, rng, serial++, i % 600 == 150, digest);
+            directWrite(db, t, rng, serial++, digest);
         if (i == 2510 || i == 2990)
             openWrite(i);
         if (i == 3100)
@@ -300,11 +292,11 @@ TEST(DbExactnessTest, EveryEngineOutputMatchesThePinnedDigest)
     db.clearTruncationFloor();
     for (int i = 0; i < 500; ++i)
         digest.mixOutcome(app.runTransaction(drawType(rng)));
-    directReads(db, t, rng, true, digest);
+    directReads(db, t, rng, digest);
     digest.mixEngine(db);
     digest.mixTables(db, tables);
 
-    EXPECT_EQ(digest.value(), 0x89ead957979bc9f7ull)
+    EXPECT_EQ(digest.value(), 0x4d58fa873a6ae933ull)
         << std::hex << digest.value();
 }
 

@@ -83,21 +83,6 @@ TEST_F(RecoveryTest, TornWriteLosesUnconfirmedCommit)
     EXPECT_FALSE(find(1).has_value());
 }
 
-TEST_F(RecoveryTest, AbortedEffectsDoNotResurrect)
-{
-    commitOrder(1, 10);
-    const TxnId txn = db_.begin();
-    db_.updateByKey(txn, table_, 1, order(1, 10, 5));
-    db_.abort(txn); // logs compensation records and a terminal Abort
-    db_.confirmWalDurable(db_.wal().issuedLsn());
-    db_.crash(false);
-    const RecoveryStats stats = db_.recover();
-    // The aborted txn is a winner: its log describes the rollback.
-    EXPECT_EQ(stats.loser_txns, 0u);
-    ASSERT_TRUE(find(1).has_value());
-    EXPECT_EQ(std::get<std::int64_t>((*find(1))[2]), 0); // not 5
-}
-
 TEST_F(RecoveryTest, CheckpointTruncatesAndPreservesEffects)
 {
     for (std::int64_t id = 1; id <= 20; ++id)
@@ -128,9 +113,13 @@ TEST_F(RecoveryTest, RepeatedCrashRecoverIsIdempotent)
         db_.recover();
         db_.confirmWalDurable(db_.wal().issuedLsn());
     }
-    DbCost cost;
     // Exactly once: no duplicate redo materialized a second copy.
-    EXPECT_EQ(db_.scanWhere(table_, 0, 1, cost).size(), 1u);
+    std::size_t copies = 0;
+    db_.table(table_).scan([&](RowId, const Row &row) {
+        copies += std::get<std::int64_t>(row[0]) == 1;
+        return true;
+    });
+    EXPECT_EQ(copies, 1u);
 }
 
 TEST_F(RecoveryTest, IndexesRebuiltAfterRecovery)

@@ -44,9 +44,9 @@ TEST(TableTest, EraseTombstones)
 {
     Table table(customerSchema(), 4);
     const RowId id = table.insert({std::int64_t(1), std::string("a")});
-    EXPECT_TRUE(table.erase(id));
+    EXPECT_TRUE(table.eraseAt(id));
     EXPECT_FALSE(table.fetch(id).has_value());
-    EXPECT_FALSE(table.erase(id));
+    EXPECT_FALSE(table.eraseAt(id));
     EXPECT_FALSE(table.update(id, {std::int64_t(1), std::string("b")}));
     EXPECT_EQ(table.rowCount(), 0u);
 }
@@ -55,7 +55,7 @@ TEST(TableTest, InvalidRowIdSafe)
 {
     Table table(customerSchema(), 4);
     EXPECT_FALSE(table.fetch(RowId{99, 0}).has_value());
-    EXPECT_FALSE(table.erase(RowId{0, 7}));
+    EXPECT_FALSE(table.eraseAt(RowId{0, 7}));
 }
 
 TEST(TableTest, ScanVisitsLiveRowsInOrder)
@@ -64,7 +64,7 @@ TEST(TableTest, ScanVisitsLiveRowsInOrder)
     std::vector<RowId> ids;
     for (std::int64_t i = 0; i < 9; ++i)
         ids.push_back(table.insert({i, std::string("x")}));
-    table.erase(ids[4]);
+    table.eraseAt(ids[4]);
     std::vector<std::int64_t> seen;
     table.scan([&](RowId, const Row &row) {
         seen.push_back(std::get<std::int64_t>(row[0]));

@@ -45,20 +45,28 @@ TEST(WalTest, ForcedRecordsDroppedFromMemory)
     EXPECT_EQ(wal.recordCount(), 1u); // lifetime count preserved
 }
 
+TEST(WalTest, WithoutRetentionNoRecordIsKept)
+{
+    // Without retention the log assigns LSNs and counts bytes, but
+    // keeps no record, forced or not.
+    Wal wal;
+    wal.append(1, WalRecordType::Insert, 100);
+    wal.append(1, WalRecordType::Commit, 0);
+    EXPECT_TRUE(wal.records().empty());
+    EXPECT_EQ(wal.retainedBytes(), 0u);
+    EXPECT_EQ(wal.lastLsn(), 2u);
+    EXPECT_EQ(wal.pendingRecords(), 2u);
+    EXPECT_EQ(wal.force(), 148u); // payload + a 24-byte header each
+    EXPECT_EQ(wal.pendingRecords(), 0u);
+    EXPECT_EQ(wal.issuedLsn(), 2u);
+    EXPECT_TRUE(wal.records().empty());
+}
+
 TEST(WalTest, BytesIncludeHeaders)
 {
     Wal wal;
     wal.append(1, WalRecordType::Insert, 0);
     EXPECT_GT(wal.appendedBytes(), 0u);
-}
-
-TEST(WalTest, TruncateDropsOldPending)
-{
-    Wal wal;
-    const auto lsn1 = wal.append(1, WalRecordType::Insert, 10);
-    wal.append(1, WalRecordType::Insert, 10);
-    wal.truncate(lsn1);
-    EXPECT_EQ(wal.pendingRecords(), 1u);
 }
 
 TEST(WalTest, ForceOnEmptyLogIsFree)
@@ -71,17 +79,6 @@ TEST(WalTest, ForceOnEmptyLogIsFree)
     // Nothing new appended: the second force must not count either.
     EXPECT_EQ(wal.force(), 0u);
     EXPECT_EQ(wal.forceCount(), 1u);
-}
-
-TEST(WalTest, LegacyTruncateForgivesPendingBytes)
-{
-    // Truncating unforced legacy records must not leave phantom bytes
-    // for the next force() to bill.
-    Wal wal;
-    wal.append(1, WalRecordType::Insert, 100);
-    wal.truncate(wal.lastLsn());
-    EXPECT_EQ(wal.pendingRecords(), 0u);
-    EXPECT_EQ(wal.force(), 0u);
 }
 
 TEST(WalTest, RetentionKeepsRecordsAcrossForce)

@@ -1,3 +1,6 @@
+#include <stdexcept>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "sim/config.h"
@@ -77,8 +80,45 @@ TEST(ConfigTest, DoubleAndHexInts)
     Config config;
     config.set("f", "2.75");
     config.set("h", "0x10");
+    config.set("o", "010"); // base 0: octal
+    config.set("n", "-12");
+    config.set("e", "1e9");
     EXPECT_DOUBLE_EQ(config.getDouble("f", 0.0), 2.75);
     EXPECT_EQ(config.getInt("h", 0), 16);
+    EXPECT_EQ(config.getInt("o", 0), 8);
+    EXPECT_EQ(config.getInt("n", 0), -12);
+    EXPECT_DOUBLE_EQ(config.getDouble("n", 0.0), -12.0);
+    EXPECT_DOUBLE_EQ(config.getDouble("e", 0.0), 1e9);
+}
+
+TEST(ConfigTest, MalformedNumbersThrowNamingTheToken)
+{
+    Config config;
+    config.set("ir", "abc");
+    config.set("steady", "30x");
+    config.set("seed", "");
+    config.set("heap_mb", "99999999999999999999");
+    const auto message = [&](auto get) {
+        try {
+            get();
+        } catch (const std::invalid_argument &error) {
+            return std::string(error.what());
+        }
+        return std::string("no throw");
+    };
+    EXPECT_NE(message([&] { config.getDouble("ir", 40.0); })
+                  .find("ir=abc"),
+              std::string::npos);
+    EXPECT_NE(message([&] { config.getInt("ir", 40); }).find("ir=abc"),
+              std::string::npos);
+    EXPECT_NE(message([&] { config.getDouble("steady", 1.0); })
+                  .find("steady=30x"),
+              std::string::npos);
+    EXPECT_NE(message([&] { config.getInt("steady", 1); })
+                  .find("steady=30x"),
+              std::string::npos);
+    EXPECT_THROW(config.getInt("seed", 42), std::invalid_argument);
+    EXPECT_THROW(config.getInt("heap_mb", 1024), std::invalid_argument);
 }
 
 TEST(ConfigTest, JobsDefaultsToSerial)
