@@ -64,6 +64,10 @@ digest(const BurstPoint &p)
 int
 run(int argc, char **argv)
 {
+    const Config args = Config::fromArgs(argc, argv);
+    ExperimentConfig base = bench::configFromArgs(argc, argv, 60.0);
+    base.ramp_up_s = args.getDouble("ramp", 15.0);
+    const double peak = args.getDouble("burst", 6.0);
     bench::banner(std::cout,
                   "Ablation: Overload & Admission Control "
                   "(robustness)",
@@ -71,9 +75,6 @@ run(int argc, char **argv)
                   "saturation under three shed policies: adaptive "
                   "admission keeps p99 bounded and goodput near "
                   "capacity while `none` collapses.");
-    const Config args = Config::fromArgs(argc, argv);
-    ExperimentConfig base = bench::configFromArgs(argc, argv, 60.0);
-    base.ramp_up_s = args.getDouble("ramp", 15.0);
     bench::PerfReport perf("abl_burst");
 
     const std::size_t nodes =
@@ -85,7 +86,6 @@ run(int argc, char **argv)
     // run keeps the same burst duty cycle (~3 burst cycles per run).
     const double on_s = 0.10 * base.steady_s;
     const double off_s = 0.20 * base.steady_s;
-    const double peak = args.getDouble("burst", 6.0);
     std::vector<double> amplitudes{1.0, 2.0, 4.0};
     if (peak > amplitudes.back())
         amplitudes.push_back(peak);

@@ -67,12 +67,6 @@ struct ScalePoint
 int
 run(int argc, char **argv)
 {
-    bench::banner(std::cout,
-                  "Ablation: Cluster Scaling (future work)",
-                  "Fixed per-node IR, growing node count: aggregate "
-                  "JOPS rises near-linearly until the shared DB tier "
-                  "(or balancer) saturates and queueing at the "
-                  "connection pools bends the curve.");
     const Config args = Config::fromArgs(argc, argv);
     ExperimentConfig base = bench::configFromArgs(argc, argv, 90.0);
     base.ramp_up_s = args.getDouble("ramp", 30.0);
@@ -86,6 +80,13 @@ run(int argc, char **argv)
                   << e.what() << "\n";
         return 2;
     }
+
+    bench::banner(std::cout,
+                  "Ablation: Cluster Scaling (future work)",
+                  "Fixed per-node IR, growing node count: aggregate "
+                  "JOPS rises near-linearly until the shared DB tier "
+                  "(or balancer) saturates and queueing at the "
+                  "connection pools bends the curve.");
 
     const std::size_t max_nodes = std::max<std::size_t>(
         base.nodes > 1 ? base.nodes : 8, 1);

@@ -81,12 +81,6 @@ struct FaultPoint
 int
 run(int argc, char **argv)
 {
-    bench::banner(std::cout,
-                  "Ablation: Fault Injection (robustness)",
-                  "Escalating scripted chaos against a resilient "
-                  "cluster: throughput dips stay bounded, errors are "
-                  "counted not hung, and ejected nodes rejoin after "
-                  "restart.");
     const Config args = Config::fromArgs(argc, argv);
     ExperimentConfig base = bench::configFromArgs(argc, argv, 60.0);
     base.ramp_up_s = args.getDouble("ramp", 20.0);
@@ -117,6 +111,13 @@ run(int argc, char **argv)
             return 2;
         }
     }
+
+    bench::banner(std::cout,
+                  "Ablation: Fault Injection (robustness)",
+                  "Escalating scripted chaos against a resilient "
+                  "cluster: throughput dips stay bounded, errors are "
+                  "counted not hung, and ejected nodes rejoin after "
+                  "restart.");
 
     auto profiles =
         std::make_shared<const WorkloadProfiles>(base.seed ^ 0x9a0full);

@@ -13,12 +13,12 @@ namespace {
 int
 run(int argc, char **argv)
 {
+    const ExperimentConfig base =
+        bench::configFromArgs(argc, argv, 240.0);
     bench::banner(std::cout, "Ablation: Heap Size vs GC Overhead",
                   "Paper: with a server-sized 1 GB heap, GC is <2% of "
                   "CPU time; prior studies saw large GC overheads "
                   "because their heaps were small.");
-    const ExperimentConfig base =
-        bench::configFromArgs(argc, argv, 240.0);
     bench::PerfReport perf("abl_heapsize");
 
     const std::vector<std::uint64_t> heap_mb{320, 512, 1024, 2048};

@@ -13,11 +13,11 @@ namespace {
 int
 run(int argc, char **argv)
 {
+    const ExperimentConfig base =
+        bench::configFromArgs(argc, argv, 180.0);
     bench::banner(std::cout, "Ablation: L2 Capacity / L3 Latency (4.3)",
                   "Paper: the working set exceeds the L2; a bigger L2 "
                   "or a lower-latency L3 would improve performance.");
-    const ExperimentConfig base =
-        bench::configFromArgs(argc, argv, 180.0);
     bench::PerfReport perf("abl_l2size");
 
     const std::vector<std::uint64_t> l2_kb{768, 1536, 3072, 6144};

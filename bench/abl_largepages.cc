@@ -11,13 +11,13 @@ namespace {
 int
 run(int argc, char **argv)
 {
+    const ExperimentConfig base =
+        bench::configFromArgs(argc, argv, 180.0);
     bench::banner(std::cout, "Ablation: Large Pages (4.2.2)",
                   "Paper: 16 MB pages for the heap raise DTLB hit "
                   "rates ~25% and ITLB ~15% (unified TLB relief); "
                   "placing JIT/executable code in large pages would "
                   "cut translation misses further.");
-    const ExperimentConfig base =
-        bench::configFromArgs(argc, argv, 180.0);
     bench::PerfReport perf("abl_largepages");
 
     struct Case

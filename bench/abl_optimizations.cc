@@ -48,14 +48,14 @@ runWith(ExperimentConfig config)
 int
 run(int argc, char **argv)
 {
+    const ExperimentConfig base =
+        bench::configFromArgs(argc, argv, 180.0);
     bench::banner(std::cout,
                   "Ablation: Proposed Optimizations (4.2.1 / 4.3)",
                   "Paper proposals: convert indirect call sites to "
                   "relative branches (devirtualization); give "
                   "instruction entries a lower eviction probability "
                   "in the L2.");
-    const ExperimentConfig base =
-        bench::configFromArgs(argc, argv, 180.0);
     bench::PerfReport perf("abl_optimizations");
 
     ExperimentConfig devirt = base;

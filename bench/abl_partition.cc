@@ -75,6 +75,13 @@ digest(const PartPoint &r)
 int
 run(int argc, char **argv)
 {
+    const Config args = Config::fromArgs(argc, argv);
+    ExperimentConfig base = bench::configFromArgs(argc, argv, 16.0);
+    base.ramp_up_s = args.getDouble("ramp", 2.0);
+    bench::PerfReport perf("abl_partition");
+
+    const std::size_t nodes = base.nodes > 1 ? base.nodes : 4;
+    const double per_node_ir = args.getDouble("ir", 150.0);
     bench::banner(std::cout,
                   "Ablation: Partition Tolerance (jasim::fault x repl)",
                   "A scripted network partition cuts shard 0's primary "
@@ -84,13 +91,6 @@ run(int argc, char **argv)
                   "divergent tail -- swept over partition duration x "
                   "lease length x ack mode, plus a planned-switchover "
                   "point with ~zero blackout.");
-    const Config args = Config::fromArgs(argc, argv);
-    ExperimentConfig base = bench::configFromArgs(argc, argv, 16.0);
-    base.ramp_up_s = args.getDouble("ramp", 2.0);
-    bench::PerfReport perf("abl_partition");
-
-    const std::size_t nodes = base.nodes > 1 ? base.nodes : 4;
-    const double per_node_ir = args.getDouble("ir", 150.0);
     const SimTime steady_from = secs(base.ramp_up_s);
     const SimTime steady_to = secs(base.ramp_up_s + base.steady_s);
 

@@ -55,13 +55,6 @@ struct RecoveryPoint
 int
 run(int argc, char **argv)
 {
-    bench::banner(std::cout,
-                  "Ablation: Crash Recovery (robustness)",
-                  "DB-tier power-off and torn-write crashes against "
-                  "ARIES-style WAL recovery: the checkpoint interval "
-                  "trades steady-state flush I/O for replay time, and "
-                  "the durability audit proves no acked commit is "
-                  "lost and no aborted effect resurrected.");
     const Config args = Config::fromArgs(argc, argv);
     ExperimentConfig base = bench::configFromArgs(argc, argv, 60.0);
     base.ramp_up_s = args.getDouble("ramp", 15.0);
@@ -95,6 +88,14 @@ run(int argc, char **argv)
                   << "\n";
         return 2;
     }
+
+    bench::banner(std::cout,
+                  "Ablation: Crash Recovery (robustness)",
+                  "DB-tier power-off and torn-write crashes against "
+                  "ARIES-style WAL recovery: the checkpoint interval "
+                  "trades steady-state flush I/O for replay time, and "
+                  "the durability audit proves no acked commit is "
+                  "lost and no aborted effect resurrected.");
 
     const std::vector<double> intervals = {2.0, 4.0, 8.0, 16.0};
     std::vector<Point> points;

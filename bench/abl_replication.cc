@@ -70,14 +70,6 @@ digest(const ReplPoint &r)
 int
 run(int argc, char **argv)
 {
-    bench::banner(std::cout,
-                  "Ablation: Sharded Replication (jasim::repl)",
-                  "Offered load >= 10x the single-DB ceiling, swept "
-                  "over shards x replicas x ack mode with a scripted "
-                  "primary crash: sharding scales JOPS past the "
-                  "ceiling, log-shipping failover turns a blocking "
-                  "recovery outage into a bounded blackout, and sync "
-                  "acks survive primary loss with zero lost commits.");
     const Config args = Config::fromArgs(argc, argv);
     ExperimentConfig base = bench::configFromArgs(argc, argv, 8.0);
     base.ramp_up_s = args.getDouble("ramp", 2.5);
@@ -106,6 +98,15 @@ run(int argc, char **argv)
                   << "\n";
         return 2;
     }
+
+    bench::banner(std::cout,
+                  "Ablation: Sharded Replication (jasim::repl)",
+                  "Offered load >= 10x the single-DB ceiling, swept "
+                  "over shards x replicas x ack mode with a scripted "
+                  "primary crash: sharding scales JOPS past the "
+                  "ceiling, log-shipping failover turns a blocking "
+                  "recovery outage into a bounded blackout, and sync "
+                  "acks survive primary loss with zero lost commits.");
 
     std::vector<Point> points = {
         {1, 0, false}, // single-DB ceiling (legacy box, ARIES)

@@ -12,12 +12,12 @@ namespace {
 int
 run(int argc, char **argv)
 {
+    const ExperimentConfig base =
+        bench::configFromArgs(argc, argv, 180.0);
     bench::banner(std::cout, "Ablation: Core-Count Scaling (future work)",
                   "Paper Section 7 asks how the workload scales with "
                   "processor count; the model answers with matched "
                   "SUT + hierarchy topologies.");
-    const ExperimentConfig base =
-        bench::configFromArgs(argc, argv, 180.0);
     bench::PerfReport perf("abl_scaling");
 
     struct Topo

@@ -18,7 +18,9 @@
  * group, the single shared DB box, and arm nothing replication needs:
  * the cluster stays byte-identical to a pre-repl build.
  *
- * Every bench also writes a machine-readable perf record to
+ * Benches that construct a PerfReport (fifteen of them: fig02, the
+ * abl_* sweeps but abl_cosched, soak_chaos and the two chrono
+ * micros) write a machine-readable perf record to
  * `out/BENCH_<name>.json` (schema documented on PerfReport below);
  * the summary line goes to stderr so stdout stays bit-comparable
  * across runs.
@@ -112,9 +114,6 @@ configFromArgs(int argc, char **argv, double default_steady_s = 300.0)
         << 20;
     config.window.heap_large_pages = args.getBool("heap_large", true);
     config.window.code_large_pages = args.getBool("code_large", false);
-    // Exact fast path (`--fastpath`, default on; `--fastpath=0` for
-    // A/B runs -- stdout must not change either way).
-    config.window.fastpath = args.fastpath();
     // Window jobs run on two helper threads per sweep point, which pay
     // while a hardware thread is idle: on a 4-CPU host they made an
     // abl_l2size sweep 1.14x faster at --jobs 2 and 1.11x at --jobs 3,

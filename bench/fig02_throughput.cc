@@ -11,10 +11,10 @@ namespace {
 int
 run(int argc, char **argv)
 {
+    ExperimentConfig config = bench::configFromArgs(argc, argv, 600.0);
     bench::banner(std::cout, "Figure 2: Benchmark Throughput",
                   "Paper: four request-type rates stabilize within ~5 "
                   "minutes and stay flat for the rest of the run.");
-    ExperimentConfig config = bench::configFromArgs(argc, argv, 600.0);
     config.micro_enabled = false; // system level only
     bench::PerfReport perf("fig02_throughput");
 

@@ -9,11 +9,11 @@ namespace {
 int
 run(int argc, char **argv)
 {
+    ExperimentConfig config = bench::configFromArgs(argc, argv, 600.0);
     bench::banner(std::cout, "Figure 3: Garbage Collection Statistics",
                   "Paper: GC every 25-28 s, 300-400 ms pauses, ~1.3% of "
                   "runtime; mark ~80% / sweep ~20%; no compaction; "
                   "used heap creeps up via dark matter.");
-    ExperimentConfig config = bench::configFromArgs(argc, argv, 600.0);
     config.micro_enabled = false;
 
     Experiment experiment(config);

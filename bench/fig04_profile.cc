@@ -11,12 +11,12 @@ namespace {
 int
 run(int argc, char **argv)
 {
+    ExperimentConfig config = bench::configFromArgs(argc, argv, 300.0);
     bench::banner(std::cout,
                   "Figure 4: Profile Breakdown (% of runtime)",
                   "Paper: WAS ~2x (web + DB2); ~half of WAS time not "
                   "JITed; jas2004 code ~2% of cycles; hottest method "
                   "<1%; ~224 of 8500 methods cover 50% of JITed time.");
-    ExperimentConfig config = bench::configFromArgs(argc, argv, 300.0);
 
     Experiment experiment(config);
     const ExperimentResult result = experiment.run();

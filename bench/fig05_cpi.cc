@@ -9,13 +9,13 @@ namespace {
 int
 run(int argc, char **argv)
 {
+    const ExperimentConfig config =
+        bench::configFromArgs(argc, argv, 300.0);
     bench::banner(std::cout,
                   "Figure 5: CPI, Speculation Rate, L1 Miss Rate",
                   "Paper: CPI ~3 on the loaded system (idle ~0.7); "
                   "~2.3 instructions dispatched per completion; no "
                   "strong CPI change during GC.");
-    const ExperimentConfig config =
-        bench::configFromArgs(argc, argv, 300.0);
 
     Experiment experiment(config);
     const ExperimentResult result = experiment.run();

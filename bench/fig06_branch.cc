@@ -9,12 +9,12 @@ namespace {
 int
 run(int argc, char **argv)
 {
+    const ExperimentConfig config =
+        bench::configFromArgs(argc, argv, 300.0);
     bench::banner(std::cout, "Figure 6: Branch Prediction",
                   "Paper: ~6% conditional mispredictions, ~5% indirect "
                   "target mispredictions; GC periods show more "
                   "branches and fewer mispredictions.");
-    const ExperimentConfig config =
-        bench::configFromArgs(argc, argv, 300.0);
 
     Experiment experiment(config);
     const ExperimentResult result = experiment.run();

@@ -11,13 +11,13 @@ namespace {
 int
 run(int argc, char **argv)
 {
+    const ExperimentConfig config =
+        bench::configFromArgs(argc, argv, 300.0);
     bench::banner(std::cout, "Figure 7: TLB Miss Frequency",
                   "Paper: DERAT/IERAT well above DTLB/ITLB (large "
                   "pages relieve the TLB, not the ERAT); during GC, "
                   "orders of magnitude fewer TLB misses but DERAT "
                   "peaks; the plot is Bezier-smoothed.");
-    const ExperimentConfig config =
-        bench::configFromArgs(argc, argv, 300.0);
 
     Experiment experiment(config);
     const ExperimentResult result = experiment.run();

@@ -9,12 +9,12 @@ namespace {
 int
 run(int argc, char **argv)
 {
+    const ExperimentConfig config =
+        bench::configFromArgs(argc, argv, 300.0);
     bench::banner(std::cout, "Figure 8: L1 Data Cache Performance",
                   "Paper: ~1 miss per 12 loads, ~1 per 5 stores "
                   "(~14% overall); store miss rate drops during GC, "
                   "load miss rate roughly unchanged.");
-    const ExperimentConfig config =
-        bench::configFromArgs(argc, argv, 300.0);
 
     Experiment experiment(config);
     const ExperimentResult result = experiment.run();

@@ -9,14 +9,14 @@ namespace {
 int
 run(int argc, char **argv)
 {
+    const ExperimentConfig config =
+        bench::configFromArgs(argc, argv, 300.0);
     bench::banner(std::cout,
                   "Figure 9: Data Loaded From (after an L1 miss)",
                   "Paper: L2 ~75%; remainder mostly L3 and memory; a "
                   "little L2.75-shared and L3.5; almost no "
                   "L2.75-modified (hence little benefit from thread "
                   "co-scheduling). No L2.5: one live L2 per MCM.");
-    const ExperimentConfig config =
-        bench::configFromArgs(argc, argv, 300.0);
 
     Experiment experiment(config);
     const ExperimentResult result = experiment.run();

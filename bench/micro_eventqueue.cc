@@ -147,16 +147,16 @@ timedRun(std::uint64_t events, std::size_t pumps)
 int
 run(int argc, char **argv)
 {
-    bench::banner(std::cout, "Micro: event-kernel throughput",
-                  "InlineFunction + flat-heap EventQueue vs the "
-                  "std::function/priority_queue seed kernel, on "
-                  "SUT-shaped 48-byte closures.");
     const Config args = Config::fromArgs(argc, argv);
     const std::uint64_t events = static_cast<std::uint64_t>(
         args.getInt("events", 1500000));
     const std::size_t pumps =
         static_cast<std::size_t>(args.getInt("pumps", 32));
     const int reps = static_cast<int>(args.getInt("reps", 5));
+    bench::banner(std::cout, "Micro: event-kernel throughput",
+                  "InlineFunction + flat-heap EventQueue vs the "
+                  "std::function/priority_queue seed kernel, on "
+                  "SUT-shaped 48-byte closures.");
     bench::PerfReport perf("micro_eventqueue");
 
     // Interleave the two kernels (A/B per rep) so a noise burst hits

@@ -187,6 +187,10 @@ soakOne(std::uint64_t seed,
 int
 run(int argc, char **argv)
 {
+    const Config args = Config::fromArgs(argc, argv);
+    const ExperimentConfig base = bench::configFromArgs(argc, argv);
+    const std::size_t n_seeds =
+        static_cast<std::size_t>(args.getInt("seeds", 20));
     bench::banner(std::cout,
                   "Chaos Soak: randomized fault schedules vs the "
                   "partition-tolerance invariants",
@@ -195,10 +199,6 @@ run(int argc, char **argv)
                   "must keep the audit clean, fencing tokens monotone, "
                   "and recover goodput to >=90% of healthy after the "
                   "last heal. Same seed, same schedule, same run.");
-    const Config args = Config::fromArgs(argc, argv);
-    const ExperimentConfig base = bench::configFromArgs(argc, argv);
-    const std::size_t n_seeds =
-        static_cast<std::size_t>(args.getInt("seeds", 20));
     bench::PerfReport perf("soak_chaos");
 
     auto profiles =

@@ -22,13 +22,13 @@ runAt(ExperimentConfig config, double ir, DiskConfig::Kind kind,
 int
 run(int argc, char **argv)
 {
+    const ExperimentConfig base =
+        bench::configFromArgs(argc, argv, 240.0);
     bench::banner(std::cout, "Table: High-Level Characteristics (4.1)",
                   "Paper: IR47 -> ~100% CPU (80% user / 20% system) "
                   "with a RAM disk; ~1.6 JOPS/IR; two spinning disks "
                   "cannot keep I/O wait down and the run fails its "
                   "response-time SLA.");
-    const ExperimentConfig base =
-        bench::configFromArgs(argc, argv, 240.0);
 
     TextTable table({"config", "IR", "util", "user", "sys", "iowait",
                      "JOPS/IR", "SLA"});

@@ -9,14 +9,14 @@ namespace {
 int
 run(int argc, char **argv)
 {
+    const ExperimentConfig config =
+        bench::configFromArgs(argc, argv, 240.0);
     bench::banner(std::cout,
                   "Table: Locking, Contentions, SYNC Cost (4.2.4)",
                   "Paper: LARX every ~600 user instructions; ~3% of "
                   "instructions acquiring locks; little contention; "
                   "SYNC-in-SRQ <1% of user cycles but ~7% for "
                   "privileged code; GC has far fewer SYNCs.");
-    const ExperimentConfig config =
-        bench::configFromArgs(argc, argv, 240.0);
 
     Experiment experiment(config);
     const ExperimentResult result = experiment.run();

@@ -9,12 +9,12 @@ namespace {
 int
 run(int argc, char **argv)
 {
+    const ExperimentConfig config =
+        bench::configFromArgs(argc, argv, 240.0);
     bench::banner(std::cout, "Table: Memory Intensity (4.2.3)",
                   "Paper: a load or store every ~2 retired "
                   "instructions; 3.2 insts/load; 4.5 insts/store; an "
                   "L1 access every ~6 cycles.");
-    const ExperimentConfig config =
-        bench::configFromArgs(argc, argv, 240.0);
 
     Experiment experiment(config);
     const ExperimentResult result = experiment.run();

@@ -1,15 +1,22 @@
 #!/usr/bin/env bash
 # Tier-1 gate: standard build + full test suite, then an
 # ASan+UBSan-instrumented build (-DJASIM_SANITIZE=ON) running the
-# net, fault, db, repl, adm, driver, core, jvm, was and sim test
-# binaries, which exercise the event-queue closure graph, the
-# cluster's cross-object callback wiring, the WAL-replay/recovery
+# net, fault, db, repl, adm, driver, core, jvm, was, sim, mem and
+# xlat test binaries, which exercise the event-queue closure graph,
+# the cluster's cross-object callback wiring, the WAL-replay/recovery
 # paths, the DB's flat tables, indexes and buffer pool (slot and
 # probe arithmetic over reused arrays, driven by Jas2004Application's
 # transactions in test_was), the log-shipping / failover machinery,
 # the admission-control shed callbacks, the heap's sorted sweep pass
-# (index arithmetic over a reused buffer) and the Zipf sampler's
-# guide table — the code most likely to hide lifetime and bounds bugs.
+# (index arithmetic over a reused buffer), the Zipf sampler's guide
+# table, and the caches, presence filters and memos of the memory and
+# translation path against their reference walks (set and way
+# arithmetic over flat arrays) — the code most likely to hide lifetime
+# and bounds bugs.
+#
+# The standard stage fails if the compiler prints a warning, naming
+# the file. It sees what this run compiles, so a warning in a file an
+# incremental build leaves alone shows only in a from-scratch build.
 #
 # `--san` widens the sanitized stage to the FULL suite (JASIM_SANITIZE=ON
 # + ctest): slower, but every test runs instrumented. Use it when
@@ -48,7 +55,14 @@ JOBS="$(nproc)"
 
 echo "== tier-1: standard build =="
 cmake -B "$BUILD" -S . >/dev/null
-cmake --build "$BUILD" -j"$JOBS"
+build_log="$(mktemp)"
+trap 'rm -f "$build_log"' EXIT
+cmake --build "$BUILD" -j"$JOBS" 2>&1 | tee "$build_log"
+if grep -q 'warning:' "$build_log"; then
+    echo "FAIL: the standard build printed compiler warnings:" >&2
+    grep 'warning:' "$build_log" | sort -u >&2
+    exit 1
+fi
 ctest --test-dir "$BUILD" --output-on-failure -j"$JOBS"
 
 if [[ "$SAN_FULL" == 1 ]]; then
@@ -72,7 +86,7 @@ if [[ "$SAN_FULL" == 1 ]]; then
 else
     echo "== tier-1: sanitized build (ASan + UBSan) =="
     cmake -B "$SAN_BUILD" -S . -DJASIM_SANITIZE=ON >/dev/null
-    cmake --build "$SAN_BUILD" -j"$JOBS" --target test_net test_fault test_db test_repl test_adm test_driver test_core test_jvm test_was test_sim
+    cmake --build "$SAN_BUILD" -j"$JOBS" --target test_net test_fault test_db test_repl test_adm test_driver test_core test_jvm test_was test_sim test_mem test_xlat
     "$SAN_BUILD/tests/test_net"
     "$SAN_BUILD/tests/test_fault"
     "$SAN_BUILD/tests/test_db"
@@ -83,6 +97,8 @@ else
     "$SAN_BUILD/tests/test_jvm"
     "$SAN_BUILD/tests/test_was"
     "$SAN_BUILD/tests/test_sim"
+    "$SAN_BUILD/tests/test_mem"
+    "$SAN_BUILD/tests/test_xlat"
 fi
 
 echo "== tier-1: all green =="

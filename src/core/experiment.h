@@ -101,12 +101,11 @@ struct ExperimentResult
     /**
      * Memory-path flat counters (PM_MEM_LD_SRC_* / PM_MEM_IF_SRC_*),
      * folded from the hierarchy's hot-loop arrays once at the end of
-     * the run. Identical with `--fastpath` on or off, so equivalence
-     * digests include them.
+     * the run; equivalence digests include them.
      */
     CounterSet mem_hot;
 
-    /** Fast-path telemetry; differs across modes by design. */
+    /** Fast-path telemetry: work avoided, not an outcome. */
     std::uint64_t mru_data_hits = 0;
     std::uint64_t mru_inst_hits = 0;
     std::uint64_t snoop_filter_skips = 0;

@@ -31,8 +31,6 @@ WindowSimulator::WindowSimulator(
                                          config.code_large_pages))
 {
     Rng seeder(seed);
-    config_.hierarchy.fastpath = config_.fastpath;
-    config_.core.xlat.fastpath = config_.fastpath;
     hierarchy_ = std::make_unique<MemoryHierarchy>(config_.hierarchy,
                                                    seeder());
     const std::size_t cores = config_.hierarchy.cores;

@@ -62,13 +62,6 @@ struct WindowSimConfig
     double devirtualized_fraction = 0.0;
 
     /**
-     * One switch for the exact memory + translation fast paths
-     * (`--fastpath`, default on); propagated into hierarchy.fastpath
-     * and core.xlat.fastpath by the constructor.
-     */
-    bool fastpath = true;
-
-    /**
      * Run each window as a job on two helper threads (generation and
      * replay) that overlaps the caller; off runs the inline loop on
      * the calling thread. Same bits either way. The benches turn it

@@ -20,7 +20,7 @@ MesiBus::snoopRead(std::size_t requester, Addr addr)
     for (std::size_t i = 0; i < l2s_.size(); ++i) {
         if (i == requester)
             continue;
-        if (use_filter_ && !l2s_[i]->mayContain(addr)) {
+        if (!l2s_[i]->mayContain(addr)) {
             ++filter_skips_;
             continue;
         }
@@ -47,7 +47,7 @@ MesiBus::snoopReadForOwnership(std::size_t requester, Addr addr)
     for (std::size_t i = 0; i < l2s_.size(); ++i) {
         if (i == requester)
             continue;
-        if (use_filter_ && !l2s_[i]->mayContain(addr)) {
+        if (!l2s_[i]->mayContain(addr)) {
             ++filter_skips_;
             continue;
         }

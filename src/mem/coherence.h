@@ -40,19 +40,15 @@ struct SnoopResult
  *    requester fills S when a remote copy exists, E otherwise.
  *  - read-for-ownership snoop: all remote copies invalidated;
  *    requester fills M.
+ *
+ * A remote L2 whose presence filter (SetAssocCache::mayContain) proves
+ * the line absent is skipped; the filter has no false negatives, and
+ * a cache without one always answers "maybe".
  */
 class MesiBus
 {
   public:
     explicit MesiBus(std::vector<SetAssocCache *> l2_caches);
-
-    /**
-     * Consult each L2's counting presence filter before walking its
-     * ways: a cache whose filter proves the line absent is skipped
-     * outright. Exact (the filter has no false negatives), so snoop
-     * results are bit-identical with the filter on or off.
-     */
-    void setUseFilter(bool on) { use_filter_ = on; }
 
     /** Remote-cache probes skipped thanks to the presence filter. */
     std::uint64_t filterSkips() const { return filter_skips_; }
@@ -80,7 +76,6 @@ class MesiBus
 
   private:
     std::vector<SetAssocCache *> l2s_;
-    bool use_filter_ = false;
     std::uint64_t filter_skips_ = 0;
 };
 

@@ -4,6 +4,13 @@
 
 namespace jasim {
 
+namespace {
+
+/** Counting presence-filter buckets per snooped cache (L2, L3). */
+constexpr std::size_t snoopFilterBuckets = 1 << 14;
+
+} // namespace
+
 const char *
 dataSourceName(DataSource source)
 {
@@ -52,17 +59,12 @@ MemoryHierarchy::MemoryHierarchy(const HierarchyConfig &config,
 
     mru_l1d_.resize(config.cores);
     mru_l1i_.resize(config.cores);
-    if (config.fastpath) {
-        // Exact counting filters over the snooped levels; the bus and
-        // probeBeyondL2 use them to skip provably-empty caches.
-        for (auto &l2 : l2_)
-            l2->enablePresenceFilter(config.snoop_filter_buckets);
-        for (auto &l3 : l3_)
-            l3->enablePresenceFilter(config.snoop_filter_buckets);
-        bus_->setUseFilter(true);
-        for (auto &p : prefetcher_)
-            p->setFastpath(true);
-    }
+    // Exact counting filters over the snooped levels; the bus and
+    // probeBeyondL2 use them to skip provably-empty caches.
+    for (auto &l2 : l2_)
+        l2->enablePresenceFilter(snoopFilterBuckets);
+    for (auto &l3 : l3_)
+        l3->enablePresenceFilter(snoopFilterBuckets);
 }
 
 void
@@ -88,19 +90,17 @@ MemoryHierarchy::LineFetch
 MemoryHierarchy::probeBeyondL2(std::size_t chip, Addr addr)
 {
     const std::size_t own_mcm = mcmOf(chip);
-    // With the fast path on, a presence-filter miss skips the L3 walk
-    // outright; the slow path's probe would miss without touching any
-    // replacement state, so outcomes are identical.
-    if ((!config_.fastpath || l3_[own_mcm]->mayContain(addr)) &&
+    // A presence-filter miss skips the L3 walk outright; the probe
+    // would miss without touching any replacement state, so outcomes
+    // are identical.
+    if (l3_[own_mcm]->mayContain(addr) &&
         l3_[own_mcm]->access(addr, false).hit) {
         return {DataSource::L3, config_.lat_l3};
     }
     for (std::size_t m = 0; m < l3_.size(); ++m) {
         if (m == own_mcm)
             continue;
-        if (config_.fastpath && !l3_[m]->mayContain(addr))
-            continue;
-        if (l3_[m]->access(addr, false).hit)
+        if (l3_[m]->mayContain(addr) && l3_[m]->access(addr, false).hit)
             return {DataSource::L3_5, config_.lat_l3_5};
     }
     // Memory: the line passes through (and fills) the local L3.
@@ -219,7 +219,7 @@ MemoryHierarchy::loadSlow(std::size_t core, Addr addr)
     // Memoize after the prefetch fills so a stream advance does not
     // immediately kill the memo (fills bump the epoch); the probe
     // re-proves residency in case a prefetch fill evicted this line.
-    if (config_.fastpath && l1d.probe(line))
+    if (l1d.probe(line))
         mru_l1d_[core].arm(line, l1d);
     return outcome;
 }
@@ -236,7 +236,7 @@ MemoryHierarchy::store(std::size_t core, Addr addr)
     // Write-through: the store always writes the L2; an L1 miss does
     // not allocate in L1 (store misses do not evict useful L1 lines).
     bool mru_hit = false;
-    if (config_.fastpath && mru_l1d_[core].matches(line, l1d)) {
+    if (mru_l1d_[core].matches(line, l1d)) {
         outcome.l1_hit = true;
         mru_hit = true;
         hot_.noteMruData(core);
@@ -247,7 +247,7 @@ MemoryHierarchy::store(std::size_t core, Addr addr)
     // Re-arm after the L2 side: its back-invalidations can only evict
     // *other* L1 lines (the victim of a fill for this very line), so
     // the stored-to line is still resident when it hit above.
-    if (config_.fastpath && outcome.l1_hit && !mru_hit)
+    if (outcome.l1_hit && !mru_hit)
         mru_l1d_[core].arm(line, l1d);
     outcome.source = outcome.l1_hit ? DataSource::L1 : fetch.source;
     outcome.latency = fetch.latency;
@@ -268,8 +268,7 @@ MemoryHierarchy::fetchSlow(std::size_t core, Addr addr)
     if (l1_hit) {
         outcome.source = DataSource::L1;
         outcome.latency = config_.lat_l1;
-        if (config_.fastpath)
-            mru_l1i_[core].arm(line, l1i);
+        mru_l1i_[core].arm(line, l1i);
         hot_.noteIfetch(core,
                         static_cast<std::size_t>(DataSource::L1));
         return outcome;
@@ -279,8 +278,7 @@ MemoryHierarchy::fetchSlow(std::size_t core, Addr addr)
     outcome.source = fetch.source;
     outcome.latency = fetch.latency;
     l1i.fill(line, MesiState::Shared, LineKind::Instruction);
-    if (config_.fastpath)
-        mru_l1i_[core].arm(line, l1i);
+    mru_l1i_[core].arm(line, l1i);
     hot_.noteIfetch(core, static_cast<std::size_t>(fetch.source));
     return outcome;
 }

@@ -74,17 +74,6 @@ struct HierarchyConfig
      *  instruction lines. */
     bool l2_instruction_friendly = false;
 
-    /**
-     * Memory-path fast path (`--fastpath`, default on): per-core MRU
-     * line filters in front of L1I/L1D and presence-filtered snoops.
-     * Bit-identical outcomes and counters either way; off exists for
-     * A/B verification (bench/micro_memwalk, the golden-digest test).
-     */
-    bool fastpath = true;
-
-    /** Counting-filter buckets per snooped cache (power of two). */
-    std::size_t snoop_filter_buckets = 1 << 14;
-
     std::size_t chips() const { return cores / cores_per_chip; }
     std::size_t mcms() const { return chips() / chips_per_mcm; }
 };
@@ -116,27 +105,24 @@ class MemoryHierarchy
     {
         // Inline MRU short-circuit: same line, cache contents
         // untouched since the memo was armed, so this is the same L1
-        // hit the slow path would report (L1D is FIFO: a hit mutates
+        // hit the full walk would report (L1D is FIFO: a hit mutates
         // nothing). The full walk lives in hierarchy.cc.
-        if (config_.fastpath) {
-            const SetAssocCache &l1d = *l1d_[core];
-            const Addr line = l1d.lineAddr(addr);
-            if (mru_l1d_[core].matches(line, l1d)) {
-                hot_.noteMruData(core);
-                hot_.noteLoad(core, 0); // DataSource::L1
-                MemAccessOutcome outcome;
-                outcome.l1_hit = true;
-                outcome.latency = config_.lat_l1;
-                // The prefetcher must still observe the access: its
-                // stream state is not idempotent under repeats.
-                if (config_.prefetch_enabled) {
-                    const PrefetchDecision decision =
-                        prefetcher_[core]->observe(addr, false);
-                    if (!decision.isEmpty())
-                        applyPrefetch(core, decision, outcome);
-                }
-                return outcome;
+        const SetAssocCache &l1d = *l1d_[core];
+        if (mru_l1d_[core].matches(l1d.lineAddr(addr), l1d)) {
+            hot_.noteMruData(core);
+            hot_.noteLoad(core, 0); // DataSource::L1
+            MemAccessOutcome outcome;
+            outcome.l1_hit = true;
+            outcome.latency = config_.lat_l1;
+            // The prefetcher must still observe the access: its
+            // stream state is not idempotent under repeats.
+            if (config_.prefetch_enabled) {
+                const PrefetchDecision decision =
+                    prefetcher_[core]->observe(addr, false);
+                if (!decision.isEmpty())
+                    applyPrefetch(core, decision, outcome);
             }
+            return outcome;
         }
         return loadSlow(core, addr);
     }
@@ -152,17 +138,14 @@ class MemoryHierarchy
         // carries the newest stamp in its set (nothing else in this
         // private cache was touched since), so victim choices cannot
         // change.
-        if (config_.fastpath) {
-            const SetAssocCache &l1i = *l1i_[core];
-            const Addr line = l1i.lineAddr(addr);
-            if (mru_l1i_[core].matches(line, l1i)) {
-                hot_.noteMruInst(core);
-                hot_.noteIfetch(core, 0); // DataSource::L1
-                MemAccessOutcome outcome;
-                outcome.l1_hit = true;
-                outcome.latency = config_.lat_l1;
-                return outcome;
-            }
+        const SetAssocCache &l1i = *l1i_[core];
+        if (mru_l1i_[core].matches(l1i.lineAddr(addr), l1i)) {
+            hot_.noteMruInst(core);
+            hot_.noteIfetch(core, 0); // DataSource::L1
+            MemAccessOutcome outcome;
+            outcome.l1_hit = true;
+            outcome.latency = config_.lat_l1;
+            return outcome;
         }
         return fetchSlow(core, addr);
     }
@@ -185,7 +168,7 @@ class MemoryHierarchy
 
     void flushAll();
 
-    /** Flat hot-loop counters (always maintained, fast path or not). */
+    /** Flat hot-loop counters. */
     const MemHotCounters &hotCounters() const { return hot_; }
 
     /** Remote probes skipped by the coherence presence filter. */

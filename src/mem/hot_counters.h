@@ -6,10 +6,11 @@
  * arrays -- one add, no map lookups, no strings -- and the totals are
  * folded into a named CounterSet only at sample boundaries (the
  * experiment runner does this once per run). The DataSource counters
- * are maintained identically with the fast path on or off, so they
- * participate in the fast-path equivalence digests; the fast-path
- * telemetry (MRU hits, snoop-filter skips) is deliberately *not*
- * folded, since it differs between modes by design.
+ * equal those of the plain walk the tests keep as a reference
+ * (tests/mem/reference_memory.h), so they participate in the
+ * equivalence digests; the fast-path telemetry (MRU hits,
+ * snoop-filter skips) is deliberately *not* folded, since it counts
+ * work avoided rather than an outcome.
  */
 
 #ifndef JASIM_MEM_HOT_COUNTERS_H

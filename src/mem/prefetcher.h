@@ -84,23 +84,18 @@ class StreamPrefetcher
      */
     PrefetchDecision observe(Addr addr, bool was_miss)
     {
-        // Exact repeat short-circuit (`--fastpath`): a hit on the same
-        // line as the immediately preceding observe is a provable
-        // no-op when that observe advanced no stream -- the stream set
-        // is unchanged, so the scan would miss again, and the skipped
-        // tick only renames (never reorders) the LRU stamps. If the
-        // previous observe *did* advance a stream, a second stream
-        // could still match this line, so the full scan runs.
+        // Exact repeat short-circuit: a hit on the same line as the
+        // immediately preceding observe is a provable no-op when that
+        // observe advanced no stream -- the stream set is unchanged, so
+        // the scan would miss again, and the skipped tick only renames
+        // (never reorders) the LRU stamps. If the previous observe
+        // *did* advance a stream, a second stream could still match
+        // this line, so the full scan runs.
         const Addr line = lineOf(addr);
-        if (fastpath_ && !was_miss && line == last_line_ &&
-            !last_advanced_) {
+        if (!was_miss && line == last_line_ && !last_advanced_)
             return PrefetchDecision{};
-        }
         return observeSlow(line, was_miss);
     }
-
-    /** Enable the exact repeat short-circuit (off = seed behaviour). */
-    void setFastpath(bool on) { fastpath_ = on; }
 
     /** Active stream count (for tests). */
     std::size_t activeStreams() const { return streams_.size(); }
@@ -125,7 +120,6 @@ class StreamPrefetcher
     std::vector<Stream> streams_;
     std::uint64_t tick_ = 0;
 
-    bool fastpath_ = false;
     Addr last_line_ = ~Addr{0};  //!< line of the previous observe
     bool last_advanced_ = false; //!< did it advance a stream?
 

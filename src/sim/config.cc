@@ -114,12 +114,6 @@ Config::jobs() const
     return jobs > 256 ? 256 : jobs;
 }
 
-bool
-Config::fastpath() const
-{
-    return getBool("fastpath", true);
-}
-
 std::size_t
 Config::shards() const
 {

@@ -58,16 +58,6 @@ class Config
     std::size_t jobs() const;
 
     /**
-     * Memory/translation fast path from `--fastpath` (default on).
-     *
-     * `--fastpath` or `--fastpath=1|true|yes|on` enables it; any other
-     * value (`--fastpath=0`, `=off`, ...) disables. The fast path is
-     * exact -- identical stdout and counters either way -- so the flag
-     * exists for A/B verification and perf measurement only.
-     */
-    bool fastpath() const;
-
-    /**
      * Fault-schedule spec from `--faults <spec>` (see
      * fault/schedule.h for the grammar). Empty — the default — means
      * a healthy run; benches pass it to FaultSchedule::parse.

@@ -2,10 +2,10 @@
  * @file
  * Order-sensitive FNV-1a digest over simulation outcomes.
  *
- * The fast-path equivalence machinery (bench/micro_memwalk, the
- * golden-digest tests) folds every per-access outcome and every final
- * counter value into one 64-bit digest per mode; equal digests mean
- * the runs were outcome-identical without storing either trace.
+ * The equivalence machinery (bench/micro_memwalk, the golden-digest
+ * tests) folds every per-access outcome and every final counter value
+ * into one 64-bit digest per run; equal digests mean the runs were
+ * outcome-identical without storing either trace.
  */
 
 #ifndef JASIM_STATS_DIGEST_H

@@ -25,14 +25,14 @@ TranslationUnit::translate(Erat &erat, EratMru &mru, Addr addr,
     const bool erat_hit = erat.access(addr);
     // Hit or freshly installed, the granule is now resident with the
     // newest stamp; memoize against the post-access epoch.
-    mru = EratMru{granule, erat.epoch(), config_.fastpath};
+    mru = EratMru{granule, erat.epoch(), true};
     if (erat_hit)
         return outcome;
 
     outcome.erat_hit = false;
     outcome.slb_hit = slb_.access(addr);
     const PageId page = space_.pageOf(addr);
-    if (config_.fastpath && tlb_mru_.valid &&
+    if (tlb_mru_.valid &&
         tlb_mru_.page.base == page.base &&
         tlb_mru_.page.bytes == page.bytes &&
         tlb_mru_.epoch == tlb_.epoch()) {
@@ -40,7 +40,7 @@ TranslationUnit::translate(Erat &erat, EratMru &mru, Addr addr,
         ++mru_tlb_hits_;
     } else {
         outcome.tlb_hit = tlb_.access(page);
-        tlb_mru_ = TlbMru{page, tlb_.epoch(), config_.fastpath};
+        tlb_mru_ = TlbMru{page, tlb_.epoch(), true};
     }
     outcome.penalty =
         outcome.tlb_hit ? config_.lat_tlb_read : config_.lat_table_walk;

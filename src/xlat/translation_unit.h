@@ -38,14 +38,6 @@ struct XlatConfig
     Cycles lat_tlb_read = 14;   //!< ERAT miss, TLB hit
     Cycles lat_table_walk = 90; //!< TLB miss hardware walk
     Cycles retry_interval = 7;  //!< load redispatch interval on DERAT miss
-
-    /**
-     * Memoize consecutive repeat translations (`--fastpath`): a repeat
-     * of the immediately preceding granule/page skips the LRU walk
-     * when the structure's casualty epoch is unchanged. Bit-identical
-     * outcomes either way (see translation_unit.cc).
-     */
-    bool fastpath = true;
 };
 
 /** Outcome of translating one access. */
@@ -70,7 +62,7 @@ class TranslationUnit
     {
         // Inline memoized repeat check (the common case by far); the
         // full walk lives out of line in translation_unit.cc.
-        if (config_.fastpath && derat_mru_.valid &&
+        if (derat_mru_.valid &&
             derat_mru_.granule == derat_.granuleOf(addr) &&
             derat_mru_.epoch == derat_.epoch()) {
             ++mru_erat_hits_;
@@ -82,7 +74,7 @@ class TranslationUnit
     /** Translate an instruction fetch. */
     XlatOutcome translateInst(Addr addr)
     {
-        if (config_.fastpath && ierat_mru_.valid &&
+        if (ierat_mru_.valid &&
             ierat_mru_.granule == ierat_.granuleOf(addr) &&
             ierat_mru_.epoch == ierat_.epoch()) {
             ++mru_erat_hits_;
@@ -96,7 +88,7 @@ class TranslationUnit
 
     const XlatConfig &config() const { return config_; }
 
-    /** Fast-path telemetry: memoized repeat ERAT / TLB hits. */
+    /** Memoized repeat ERAT / TLB hits (telemetry). */
     std::uint64_t mruEratHits() const { return mru_erat_hits_; }
     std::uint64_t mruTlbHits() const { return mru_tlb_hits_; }
 

@@ -60,10 +60,12 @@ TEST(MethodRegistryTest, PackagesMatchCategories)
     MethodRegistry registry(2000, 4);
     for (std::size_t i = 0; i < registry.size(); ++i) {
         const auto &m = registry.method(i);
-        if (m.category == MethodCategory::WebSphere)
+        if (m.category == MethodCategory::WebSphere) {
             EXPECT_EQ(m.name.rfind("com.ibm.ws", 0), 0u);
-        if (m.category == MethodCategory::Benchmark)
+        }
+        if (m.category == MethodCategory::Benchmark) {
             EXPECT_EQ(m.name.rfind("org.spec.jappserver", 0), 0u);
+        }
     }
 }
 

@@ -1,23 +1,29 @@
 /**
  * @file
- * Exactness tests for the memory-path fast path (`--fastpath`).
+ * Exactness tests for the memory-path fast path.
  *
- * The fast path is only allowed to exist because it is provably
- * invisible: every counter, outcome and replacement decision must be
- * bit-identical with it on or off. These tests pin the mechanisms that
- * proof rests on -- epoch invalidation on every contents change, the
- * presence filter's exact negatives, and end-to-end outcome
- * equivalence over an adversarial access stream.
+ * The MRU line memos, the presence-filtered snoops and L3 probes and
+ * the prefetcher's repeat memo always run, so they are only allowed
+ * to exist because they are provably invisible: every outcome, counter
+ * and replacement decision must equal the plain walk kept in
+ * reference_memory.h. These tests pin the mechanisms that proof rests
+ * on -- epoch invalidation on every contents change and the presence
+ * filter's exact negatives -- and replay seeded access scripts through
+ * both hierarchies, comparing them op by op.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
 #include <vector>
 
 #include "mem/cache.h"
 #include "mem/coherence.h"
 #include "mem/hierarchy.h"
 #include "mem/prefetcher.h"
+#include "reference_memory.h"
+#include "sim/rng.h"
 #include "stats/counter.h"
 
 namespace jasim {
@@ -127,8 +133,9 @@ TEST(PresenceFilterTest, NoFalseNegativesUnderChurn)
         cache.fill(line, MesiState::Exclusive);
     // Every line still resident must report "maybe present".
     for (const Addr line : lines) {
-        if (cache.probe(line))
+        if (cache.probe(line)) {
             EXPECT_TRUE(cache.mayContain(line)) << std::hex << line;
+        }
     }
 }
 
@@ -159,7 +166,6 @@ TEST(SnoopFilterTest, SkipsEmptyRemoteAndFindsResidentLine)
     l2a.enablePresenceFilter(64);
     l2b.enablePresenceFilter(64);
     MesiBus bus({&l2a, &l2b});
-    bus.setUseFilter(true);
 
     // Remote (l2b) holds nothing: the walk is skipped outright.
     SnoopResult miss = bus.snoopRead(0, 0x1000);
@@ -177,110 +183,316 @@ TEST(SnoopFilterTest, SkipsEmptyRemoteAndFindsResidentLine)
 }
 
 // ---------------------------------------------------------------------
-// Prefetcher repeat memo: decisions identical with the memo on/off.
+// Prefetcher repeat memo: every decision equals the reference
+// prefetcher's, which scans its streams on every observe.
+
+void
+expectSameDecision(const PrefetchDecision &fast, const ref::Prefetch &plain,
+                   std::size_t step)
+{
+    ASSERT_EQ(fast.stream_allocated, plain.stream_allocated) << "step " << step;
+    ASSERT_EQ(fast.l1_lines.size(), plain.l1_lines.size()) << "step " << step;
+    ASSERT_EQ(fast.l2_lines.size(), plain.l2_lines.size()) << "step " << step;
+    for (std::size_t i = 0; i < plain.l1_lines.size(); ++i)
+        ASSERT_EQ(fast.l1_lines[i], plain.l1_lines[i]) << "step " << step;
+    for (std::size_t i = 0; i < plain.l2_lines.size(); ++i)
+        ASSERT_EQ(fast.l2_lines[i], plain.l2_lines[i]) << "step " << step;
+}
 
 TEST(PrefetcherFastpathTest, RepeatMemoMatchesSlowDecisions)
 {
-    StreamPrefetcher plain(128);
-    StreamPrefetcher memo(128);
-    memo.setFastpath(true);
-
-    // Sequence with misses (stream detection), sequential advances,
-    // and long same-line hit repeats (the memoized case).
+    // A walk of advancing misses, each followed by same-line hits (the
+    // memoized case).
     std::vector<std::pair<Addr, bool>> trace;
     for (Addr line = 0x1000; line < 0x3000; line += 128) {
         trace.push_back({line, true}); // advancing miss
         for (int r = 0; r < 4; ++r)
             trace.push_back({line + 16, false}); // same-line hits
     }
-    for (const auto &[addr, was_miss] : trace) {
-        const auto a = plain.observe(addr, was_miss);
-        const auto b = memo.observe(addr, was_miss);
-        ASSERT_EQ(a.stream_allocated, b.stream_allocated);
-        ASSERT_EQ(a.l1_lines.size(), b.l1_lines.size());
-        ASSERT_EQ(a.l2_lines.size(), b.l2_lines.size());
-        for (std::size_t i = 0; i < a.l1_lines.size(); ++i)
-            ASSERT_EQ(a.l1_lines[i], b.l1_lines[i]);
-        for (std::size_t i = 0; i < a.l2_lines.size(); ++i)
-            ASSERT_EQ(a.l2_lines[i], b.l2_lines[i]);
+    // Then a seeded stream over 24 lines: repeated misses on one line
+    // start a second stream with the same next line, which the memo
+    // must not hide, and more than eight streams replace old ones.
+    Rng rng(5);
+    for (int i = 0; i < 20000; ++i) {
+        const Addr line = 0x8000 + rng.below(24) * 128;
+        const auto repeats = 1 + rng.below(4);
+        for (std::uint64_t r = 0; r < repeats; ++r)
+            trace.push_back({line + rng.below(128), rng.below(3) == 0});
     }
-    ASSERT_EQ(plain.activeStreams(), memo.activeStreams());
+
+    StreamPrefetcher memo(128);
+    ref::Prefetcher plain(128);
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        const auto &[addr, was_miss] = trace[i];
+        ASSERT_NO_FATAL_FAILURE(expectSameDecision(
+            memo.observe(addr, was_miss), plain.observe(addr, was_miss), i));
+        ASSERT_EQ(memo.activeStreams(), plain.activeStreams()) << "step " << i;
+    }
 }
 
 // ---------------------------------------------------------------------
-// End-to-end: an adversarial stream produces identical outcomes and
-// identical folded counters with the fast path on and off.
+// End-to-end: seeded scripts of loads, stores, fetches and flushes run
+// through the hierarchy and through the reference's plain walk
+// ("off"); every outcome, every folded counter and every cache's
+// contents must match.
 
-std::uint64_t
-nextRand(std::uint64_t &state)
+enum class OpKind : std::uint8_t { Load, Store, Fetch, Flush };
+
+struct Op
 {
-    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-    return state >> 16;
+    OpKind kind;
+    std::size_t core;
+    Addr addr;
+};
+
+struct Script
+{
+    std::string name;
+    HierarchyConfig config;
+    std::vector<Op> ops;
+};
+
+/** Caches small enough that evictions and back-invalidations abound. */
+HierarchyConfig
+tinyConfig()
+{
+    HierarchyConfig config;
+    config.l1i = {2 * 1024, 128, 2};
+    config.l1d = {2 * 1024, 128, 2};
+    config.l2 = {8 * 1024, 128, 4};
+    config.l3 = {32 * 1024, 512, 4};
+    return config;
+}
+
+/**
+ * `count` ops in bursts of up to `max_burst`: each burst is one core
+ * on one 128-byte line drawn from the `span` bytes at `base`, each op
+ * a random kind (`load_pct`% loads, `store_pct`% stores, the rest
+ * fetches) at a random offset in that line.
+ */
+std::vector<Op>
+burstOps(std::uint64_t seed, std::size_t cores, std::size_t count,
+         Addr base, std::uint64_t span, unsigned load_pct,
+         unsigned store_pct, unsigned max_burst)
+{
+    Rng rng(seed);
+    std::vector<Op> ops;
+    while (ops.size() < count) {
+        const std::size_t core = rng.below(cores);
+        const Addr line = (base + rng.below(span)) & ~Addr{127};
+        const auto burst = 1 + rng.below(max_burst);
+        for (std::uint64_t b = 0; b < burst; ++b) {
+            const auto roll = rng.below(100);
+            const OpKind kind = roll < load_pct ? OpKind::Load
+                : roll < load_pct + store_pct  ? OpKind::Store
+                                               : OpKind::Fetch;
+            ops.push_back({kind, core, line + rng.below(128)});
+        }
+    }
+    return ops;
+}
+
+/**
+ * A stream shaped like the window simulator's (and micro_memwalk's):
+ * each core in turn runs 64 instructions; every instruction fetches
+ * sequentially with occasional jumps, about a third load in same-line
+ * bursts over a hot set, a sequential walker, a cold slice and a
+ * slice all cores share, and some store to the last loaded line.
+ */
+std::vector<Op>
+sutOps(std::uint64_t seed, std::size_t cores, std::size_t insts)
+{
+    constexpr Addr code = 0x1000'0000;
+    constexpr Addr heap = 0x4000'0000;
+    constexpr std::uint64_t shared = 256 * 1024;
+    constexpr std::uint64_t priv = 4 << 20;
+    struct Cursor
+    {
+        Addr pc = code;
+        Addr line = heap;
+        std::uint64_t left = 0;
+        std::uint64_t walk = 0;
+    };
+    std::vector<Cursor> cursors(cores);
+    Rng rng(seed);
+    std::vector<Op> ops;
+    for (std::size_t i = 0; i < insts; ++i) {
+        const std::size_t core = i / 64 % cores;
+        Cursor &c = cursors[core];
+        if (rng.below(100) < 3)
+            c.pc = code + rng.below(1 << 21) / 64 * 64;
+        ops.push_back({OpKind::Fetch, core, c.pc});
+        c.pc += 4;
+        if (rng.below(100) < 30) {
+            if (c.left == 0) {
+                const Addr own = heap + shared + core * priv;
+                const auto pick = rng.below(100);
+                if (pick < 5)
+                    c.line = heap + rng.below(shared) / 128 * 128;
+                else if (pick < 10)
+                    c.line = own + rng.below(priv) / 128 * 128;
+                else if (pick < 30) {
+                    c.walk = (c.walk + 128) % (1 << 20);
+                    c.line = own + c.walk;
+                } else {
+                    c.line = own + rng.below(32 * 1024) / 128 * 128;
+                }
+                c.left = 6 + rng.below(8);
+            }
+            ops.push_back({OpKind::Load, core, c.line + rng.below(128)});
+            --c.left;
+        }
+        if (rng.below(100) < 8)
+            ops.push_back({OpKind::Store, core, c.line + rng.below(128)});
+    }
+    return ops;
+}
+
+std::vector<Script>
+scripts()
+{
+    std::vector<Script> all;
+    const auto flushMidway = [](std::vector<Op> ops) {
+        ops.insert(ops.begin() + ops.size() / 2, Op{OpKind::Flush, 0, 0});
+        return ops;
+    };
+
+    // The study topology: four cores, two chips, two MCMs.
+    all.push_back({"study, mixed, flushed midway", HierarchyConfig{},
+                   flushMidway(burstOps(1, 4, 20000, 0, 1 << 20, 50, 20,
+                                        3))});
+    // Lines every core shares: reads downgrade M and E to S, stores
+    // upgrade S to M and invalidate the other chip's copy.
+    all.push_back({"study, shared lines", HierarchyConfig{},
+                   burstOps(2, 4, 20000, 0x200000, 32 * 128, 45, 35, 4)});
+    // Tiny caches: L2 victims back-invalidate the L1s, L3 victims send
+    // lines back to memory, and other MCMs' L3s supply L3.5 hits.
+    all.push_back({"study, tiny caches, flushed midway", tinyConfig(),
+                   flushMidway(burstOps(3, 4, 30000, 0, 256 * 1024, 45, 20,
+                                        4))});
+    {
+        HierarchyConfig config = tinyConfig();
+        config.prefetch_enabled = false;
+        all.push_back({"study, tiny caches, prefetch off", config,
+                       burstOps(4, 4, 20000, 0, 256 * 1024, 50, 20, 4)});
+    }
+    {
+        HierarchyConfig config = tinyConfig();
+        config.l2_instruction_friendly = true;
+        all.push_back({"study, tiny caches, instruction-friendly L2",
+                       config,
+                       burstOps(5, 4, 20000, 0, 128 * 1024, 30, 10, 4)});
+    }
+    // Eight cores, two chips per MCM: the sibling chip's L2 supplies
+    // L2.5 hits.
+    {
+        HierarchyConfig config = tinyConfig();
+        config.cores = 8;
+        config.chips_per_mcm = 2;
+        all.push_back({"eight cores, two chips per MCM", config,
+                       burstOps(6, 8, 30000, 0, 64 * 1024, 45, 25, 4)});
+    }
+    all.push_back({"study, SUT-shaped, flushed midway", HierarchyConfig{},
+                   flushMidway(sutOps(7, 4, 60000))});
+    return all;
+}
+
+/** Run one op on either hierarchy. */
+template <typename Memory>
+MemAccessOutcome
+apply(Memory &mem, const Op &op)
+{
+    switch (op.kind) {
+      case OpKind::Load: return mem.load(op.core, op.addr);
+      case OpKind::Store: return mem.store(op.core, op.addr);
+      case OpKind::Fetch: return mem.fetch(op.core, op.addr);
+      case OpKind::Flush: break;
+    }
+    mem.flushAll();
+    return {};
+}
+
+/** Same residency and MESI state of `addr` at every level. */
+void
+expectSameLine(MemoryHierarchy &fast, ref::MemoryHierarchy &plain,
+               const HierarchyConfig &config, Addr addr)
+{
+    for (std::size_t c = 0; c < config.cores; ++c) {
+        ASSERT_EQ(fast.l1d(c).probe(addr), plain.l1d(c).probe(addr));
+        ASSERT_EQ(fast.l1i(c).probe(addr), plain.l1i(c).probe(addr));
+    }
+    for (std::size_t chip = 0; chip < config.chips(); ++chip)
+        ASSERT_EQ(fast.l2(chip).state(addr), plain.l2(chip).state(addr));
+    for (std::size_t m = 0; m < config.mcms(); ++m)
+        ASSERT_EQ(fast.l3(m).probe(addr), plain.l3(m).probe(addr));
 }
 
 TEST(HierarchyFastpathTest, OutcomesBitIdenticalOnVsOff)
 {
-    HierarchyConfig on;
-    on.fastpath = true;
-    HierarchyConfig off;
-    off.fastpath = false;
-    MemoryHierarchy fast(on, /*seed=*/7);
-    MemoryHierarchy slow(off, /*seed=*/7);
-
-    // Tight working set with repeats (memo hits), cross-core sharing
-    // (coherence invalidations behind the memos), stores (ownership
-    // churn) and enough lines to force evictions.
-    std::uint64_t rng = 99;
-    for (int i = 0; i < 20000; ++i) {
-        const std::uint64_t r = nextRand(rng);
-        const std::size_t core = r & 3;
-        const Addr addr = ((r >> 2) & 0x3fff) * 64; // 1 MB, line-straddling
-        const int kind = (r >> 20) % 10;
-        MemAccessOutcome a, b;
-        if (kind < 5) {
-            a = fast.load(core, addr);
-            b = slow.load(core, addr);
-        } else if (kind < 8) {
-            a = fast.fetch(core, addr);
-            b = slow.fetch(core, addr);
-        } else {
-            a = fast.store(core, addr);
-            b = slow.store(core, addr);
+    std::array<std::uint64_t, MemHotCounters::sourceCount> sources{};
+    std::uint64_t memo_hits = 0;
+    std::uint64_t filter_skips = 0;
+    for (const Script &script : scripts()) {
+        SCOPED_TRACE(script.name);
+        MemoryHierarchy fast(script.config, /*seed=*/7);
+        ref::MemoryHierarchy plain(script.config);
+        for (std::size_t i = 0; i < script.ops.size(); ++i) {
+            const Op &op = script.ops[i];
+            const MemAccessOutcome a = apply(fast, op);
+            const MemAccessOutcome b = apply(plain, op);
+            ASSERT_EQ(a.l1_hit, b.l1_hit) << "op " << i;
+            ASSERT_EQ(a.source, b.source) << "op " << i;
+            ASSERT_EQ(a.latency, b.latency) << "op " << i;
+            ASSERT_EQ(a.stream_allocated, b.stream_allocated) << "op " << i;
+            ASSERT_EQ(a.l1_prefetches, b.l1_prefetches) << "op " << i;
+            ASSERT_EQ(a.l2_prefetches, b.l2_prefetches) << "op " << i;
+            if (op.kind != OpKind::Flush)
+                ++sources[static_cast<std::size_t>(a.source)];
         }
-        ASSERT_EQ(a.l1_hit, b.l1_hit) << "op " << i;
-        ASSERT_EQ(a.source, b.source) << "op " << i;
-        ASSERT_EQ(a.latency, b.latency) << "op " << i;
-        ASSERT_EQ(a.stream_allocated, b.stream_allocated) << "op " << i;
-        ASSERT_EQ(a.l1_prefetches, b.l1_prefetches) << "op " << i;
-        ASSERT_EQ(a.l2_prefetches, b.l2_prefetches) << "op " << i;
+
+        CounterSet fa, pa;
+        fast.hotCounters().foldInto(fa);
+        plain.hotCounters().foldInto(pa);
+        EXPECT_EQ(fa.snapshot(), pa.snapshot());
+        const HierarchyConfig &config = script.config;
+        for (std::size_t c = 0; c < config.cores; ++c) {
+            EXPECT_EQ(fast.l1d(c).validLines(), plain.l1d(c).validLines());
+            EXPECT_EQ(fast.l1i(c).validLines(), plain.l1i(c).validLines());
+        }
+        for (std::size_t chip = 0; chip < config.chips(); ++chip)
+            EXPECT_EQ(fast.l2(chip).validLines(), plain.l2(chip).validLines());
+        for (std::size_t m = 0; m < config.mcms(); ++m)
+            EXPECT_EQ(fast.l3(m).validLines(), plain.l3(m).validLines());
+        for (const Op &op : script.ops) {
+            ASSERT_NO_FATAL_FAILURE(
+                expectSameLine(fast, plain, config, op.addr))
+                << std::hex << op.addr;
+        }
+
+        memo_hits += fast.hotCounters().mruDataHits() +
+                     fast.hotCounters().mruInstHits();
+        filter_skips += fast.snoopFilterSkips();
     }
 
-    // Folded DataSource counters are part of the equivalence contract.
-    CounterSet fa, sa;
-    fast.hotCounters().foldInto(fa);
-    slow.hotCounters().foldInto(sa);
-    EXPECT_EQ(fa.snapshot(), sa.snapshot());
-
-    // The fast path actually engaged (otherwise this test proves
-    // nothing) and the slow path never does.
-    EXPECT_GT(fast.hotCounters().mruDataHits() +
-                  fast.hotCounters().mruInstHits(),
-              0u);
-    EXPECT_EQ(slow.hotCounters().mruDataHits(), 0u);
-    EXPECT_EQ(slow.snoopFilterSkips(), 0u);
+    // The scripts reach every source and engage both accelerators;
+    // otherwise this test proves nothing.
+    for (std::size_t s = 0; s < sources.size(); ++s) {
+        EXPECT_GT(sources[s], 0u)
+            << dataSourceName(static_cast<DataSource>(s));
+    }
+    EXPECT_GT(memo_hits, 0u);
+    EXPECT_GT(filter_skips, 0u);
 }
 
 TEST(HierarchyFastpathTest, FlushAllKillsMemos)
 {
-    HierarchyConfig config;
-    config.fastpath = true;
-    MemoryHierarchy mem(config);
+    MemoryHierarchy mem(HierarchyConfig{});
     mem.load(0, 0x1000);
     mem.load(0, 0x1000); // memo hit
     const std::uint64_t hits = mem.hotCounters().mruDataHits();
     EXPECT_GT(hits, 0u);
     mem.flushAll();
-    // After a flush the next access must take the slow path (cold).
+    // After a flush the next access must take the full walk (cold).
     const auto outcome = mem.load(0, 0x1000);
     EXPECT_FALSE(outcome.l1_hit);
     EXPECT_EQ(mem.hotCounters().mruDataHits(), hits);

@@ -134,9 +134,9 @@ TEST(HierarchyTest, L1InclusionMaintainedOnL2Eviction)
     // Evict 0x0 from L2 via conflicting fills.
     for (Addr a = 0x100000; a < 0x180000; a += 128)
         mem.load(1, a);
-    // Inclusion: if the L2 dropped the line, the L1 must have too.
-    if (!mem.l2(0).probe(0x0))
-        EXPECT_FALSE(mem.l1d(0).probe(0x0));
+    // Inclusion: the L2 dropped the line, so the L1 must have too.
+    ASSERT_FALSE(mem.l2(0).probe(0x0));
+    EXPECT_FALSE(mem.l1d(0).probe(0x0));
 }
 
 TEST(HierarchyTest, PrefetchCoversSequentialStream)

@@ -20,13 +20,15 @@ TEST(ConfigTest, ParsesKeyValueArgs)
 
 TEST(ConfigTest, ParsesGnuStyleFlags)
 {
-    const char *argv[] = {"prog", "--seed", "7", "--nodes=4",
-                          "--micro", "ir=40"};
-    Config config = Config::fromArgs(6, const_cast<char **>(argv));
+    const char *argv[] = {"prog", "--seed", "7", "--nodes=4", "--micro",
+                          "ir=40", "--heap_large=0", "code_large=off"};
+    Config config = Config::fromArgs(8, const_cast<char **>(argv));
     EXPECT_EQ(config.getInt("seed", 0), 7);
     EXPECT_EQ(config.getInt("nodes", 0), 4);
     EXPECT_TRUE(config.getBool("micro", false));
     EXPECT_EQ(config.getInt("ir", 0), 40);
+    EXPECT_FALSE(config.getBool("heap_large", true));
+    EXPECT_FALSE(config.getBool("code_large", true));
 }
 
 TEST(ConfigTest, BareTrailingFlagIsBoolean)
@@ -69,10 +71,14 @@ TEST(ConfigTest, BoolParsing)
     config.set("b", "true");
     config.set("c", "off");
     config.set("d", "yes");
+    config.set("e", "false");
+    config.set("f", "on");
     EXPECT_TRUE(config.getBool("a", false));
     EXPECT_TRUE(config.getBool("b", false));
     EXPECT_FALSE(config.getBool("c", true));
     EXPECT_TRUE(config.getBool("d", false));
+    EXPECT_FALSE(config.getBool("e", true));
+    EXPECT_TRUE(config.getBool("f", false));
 }
 
 TEST(ConfigTest, DoubleAndHexInts)
@@ -166,37 +172,6 @@ TEST(ConfigTest, JobsClampedToSaneCeiling)
     EXPECT_EQ(config.jobs(), 256u);
 }
 
-TEST(ConfigTest, FastpathDefaultsOn)
-{
-    const char *argv[] = {"prog", "ir=40"};
-    Config config = Config::fromArgs(2, const_cast<char **>(argv));
-    EXPECT_TRUE(config.fastpath());
-}
-
-TEST(ConfigTest, FastpathParsesGnuStyleFlag)
-{
-    const char *argv[] = {"prog", "--fastpath"};
-    Config config = Config::fromArgs(2, const_cast<char **>(argv));
-    EXPECT_TRUE(config.fastpath());
-
-    const char *argv2[] = {"prog", "--fastpath=0"};
-    Config config2 = Config::fromArgs(2, const_cast<char **>(argv2));
-    EXPECT_FALSE(config2.fastpath());
-
-    const char *argv3[] = {"prog", "fastpath=off"};
-    Config config3 = Config::fromArgs(2, const_cast<char **>(argv3));
-    EXPECT_FALSE(config3.fastpath());
-}
-
-TEST(ConfigTest, FastpathAcceptsWordySpellings)
-{
-    Config config;
-    config.set("fastpath", "yes");
-    EXPECT_TRUE(config.fastpath());
-    config.set("fastpath", "false");
-    EXPECT_FALSE(config.fastpath());
-}
-
 TEST(ConfigTest, FaultsDefaultsEmpty)
 {
     const char *argv[] = {"prog", "ir=40"};
@@ -228,9 +203,9 @@ TEST(ConfigTest, FaultsSpecSurvivesEveryFlagSpelling)
 
 TEST(ConfigTest, FlagStillBooleanBeforePositionalKeyValue)
 {
-    const char *argv[] = {"prog", "--fastpath", "heap_mb=512"};
+    const char *argv[] = {"prog", "--micro", "heap_mb=512"};
     Config config = Config::fromArgs(3, const_cast<char **>(argv));
-    EXPECT_TRUE(config.fastpath());
+    EXPECT_TRUE(config.getBool("micro", false));
     EXPECT_EQ(config.getInt("heap_mb", 0), 512);
 }
 
