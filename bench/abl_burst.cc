@@ -65,9 +65,14 @@ int
 run(int argc, char **argv)
 {
     const Config args = Config::fromArgs(argc, argv);
-    ExperimentConfig base = bench::configFromArgs(argc, argv, 60.0);
+    ExperimentConfig base = bench::configFromArgs(args, 60.0);
     base.ramp_up_s = args.getDouble("ramp", 15.0);
     const double peak = args.getDouble("burst", 6.0);
+    const auto nodes =
+        static_cast<std::size_t>(args.getInt("nodes", 2, 2, 64));
+    const auto db_pool =
+        static_cast<std::size_t>(args.getInt("db_pool", 24, 1));
+    args.rejectUnread();
     bench::banner(std::cout,
                   "Ablation: Overload & Admission Control "
                   "(robustness)",
@@ -77,8 +82,6 @@ run(int argc, char **argv)
                   "capacity while `none` collapses.");
     bench::PerfReport perf("abl_burst");
 
-    const std::size_t nodes =
-        std::max<std::size_t>(base.nodes > 1 ? base.nodes : 2, 2);
     const SimTime steady_from = secs(base.ramp_up_s);
     const SimTime steady_to = secs(base.ramp_up_s + base.steady_s);
 
@@ -132,8 +135,7 @@ run(int argc, char **argv)
             config.nodes = nodes;
             config.node = base.sut;
             config.node.driver.ramp_up_s = base.ramp_up_s;
-            config.db_pool.max_connections =
-                static_cast<std::size_t>(args.getInt("db_pool", 24));
+            config.db_pool.max_connections = db_pool;
             config.node.driver.arrival =
                 ArrivalSpec::parse(cases[i].arrival);
             config.node.admission =

@@ -5,7 +5,6 @@
  *  bottleneck and aggregate throughput bends. */
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "bench_common.h"
 
@@ -16,25 +15,27 @@ using namespace jasim;
 
 namespace {
 
+/**
+ * The cluster every sweep point copies, read from the arguments once,
+ * before the banner and outside the sweep workers.
+ */
 ClusterConfig
-clusterConfig(const ExperimentConfig &base, const Config &args,
-              std::size_t nodes, const FaultSchedule &faults)
+clusterConfig(const ExperimentConfig &base, const Config &args)
 {
     ClusterConfig config;
-    config.nodes = nodes;
     config.node = base.sut;
     config.node.driver.ramp_up_s = base.ramp_up_s;
-    config.faults = faults;
+    config.faults = FaultSchedule::parse(args.getString("faults", ""));
 
-    config.db_cpus =
-        static_cast<std::size_t>(args.getInt("db_cpus", 4));
+    config.db_cpus = static_cast<std::size_t>(args.getInt("db_cpus", 4, 1));
     config.db_pool.max_connections =
-        static_cast<std::size_t>(args.getInt("db_pool", 12));
+        static_cast<std::size_t>(args.getInt("db_pool", 12, 1));
 
     // Replication axis (defaults disabled: byte-identical output).
     config.repl = bench::replFromArgs(args);
 
-    const std::string policy = args.getString("lb", "lc");
+    const std::string policy =
+        args.getChoice("lb", "lc", {"lc", "rr", "wrr"});
     if (policy == "rr")
         config.lb.policy = LbPolicy::RoundRobin;
     else if (policy == "wrr")
@@ -68,18 +69,14 @@ int
 run(int argc, char **argv)
 {
     const Config args = Config::fromArgs(argc, argv);
-    ExperimentConfig base = bench::configFromArgs(argc, argv, 90.0);
+    ExperimentConfig base = bench::configFromArgs(args, 90.0);
     base.ramp_up_s = args.getDouble("ramp", 30.0);
+    const auto max_nodes =
+        static_cast<std::size_t>(args.getInt("nodes", 8, 1, 64));
+    const ClusterConfig cluster_base = clusterConfig(base, args);
+    const FaultSchedule &faults = cluster_base.faults;
+    args.rejectUnread();
     bench::PerfReport perf("abl_cluster_scaling");
-
-    FaultSchedule faults;
-    try {
-        faults = FaultSchedule::parse(args.faults());
-    } catch (const std::invalid_argument &e) {
-        std::cerr << "abl_cluster_scaling: bad --faults spec: "
-                  << e.what() << "\n";
-        return 2;
-    }
 
     bench::banner(std::cout,
                   "Ablation: Cluster Scaling (future work)",
@@ -88,8 +85,6 @@ run(int argc, char **argv)
                   "(or balancer) saturates and queueing at the "
                   "connection pools bends the curve.");
 
-    const std::size_t max_nodes = std::max<std::size_t>(
-        base.nodes > 1 ? base.nodes : 8, 1);
     const double per_node_ir = base.sut.injection_rate;
     const SimTime steady_from = secs(base.ramp_up_s);
     const SimTime steady_to =
@@ -106,8 +101,8 @@ run(int argc, char **argv)
     const auto points =
         par::runSweep(max_nodes, base.jobs, [&](std::size_t i) {
             const std::size_t nodes = i + 1;
-            ClusterConfig config =
-                clusterConfig(base, args, nodes, faults);
+            ClusterConfig config = cluster_base;
+            config.nodes = nodes;
             config.node.injection_rate = per_node_ir;
             ClusterUnderTest cluster(config, profiles, registry,
                                      base.seed);

@@ -73,8 +73,9 @@ runMix(bool shared_writes)
 }
 
 int
-run(int, char **)
+run(int argc, char **argv)
 {
+    Config::fromArgs(argc, argv).rejectUnread(); // takes no arguments
     bench::banner(std::cout,
                   "Ablation: Thread Co-Scheduling Potential (4.2.3)",
                   "Paper: jas2004 shows almost no modified "

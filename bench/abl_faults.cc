@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <stdexcept>
 #include <vector>
 
 #include "bench_common.h"
@@ -82,12 +81,12 @@ int
 run(int argc, char **argv)
 {
     const Config args = Config::fromArgs(argc, argv);
-    ExperimentConfig base = bench::configFromArgs(argc, argv, 60.0);
+    ExperimentConfig base = bench::configFromArgs(args, 60.0);
     base.ramp_up_s = args.getDouble("ramp", 20.0);
     bench::PerfReport perf("abl_faults");
 
-    const std::size_t nodes =
-        std::max<std::size_t>(base.nodes > 1 ? base.nodes : 4, 2);
+    const auto nodes =
+        static_cast<std::size_t>(args.getInt("nodes", 4, 2, 64));
     const SimTime steady_from = secs(base.ramp_up_s);
     const SimTime steady_to = secs(base.ramp_up_s + base.steady_s);
 
@@ -97,20 +96,23 @@ run(int argc, char **argv)
         // A custom spec replaces the ladder (healthy baseline kept
         // so the dip is still reported relative to no chaos).
         ladder.resize(1);
-        ladder.push_back({"custom", args.faults()});
+        ladder.push_back({"custom", args.getString("faults", "")});
     }
 
     std::vector<FaultSchedule> schedules;
     schedules.reserve(ladder.size());
-    for (const Level &level : ladder) {
-        try {
-            schedules.push_back(FaultSchedule::parse(level.spec));
-        } catch (const std::invalid_argument &e) {
-            std::cerr << "abl_faults: bad --faults spec: " << e.what()
-                      << "\n";
-            return 2;
-        }
-    }
+    for (const Level &level : ladder)
+        schedules.push_back(FaultSchedule::parse(level.spec));
+
+    ClusterConfig cluster_base;
+    cluster_base.nodes = nodes;
+    cluster_base.node = base.sut;
+    cluster_base.node.driver.ramp_up_s = base.ramp_up_s;
+    cluster_base.db_cpus =
+        static_cast<std::size_t>(args.getInt("db_cpus", 4, 1));
+    cluster_base.db_pool.max_connections =
+        static_cast<std::size_t>(args.getInt("db_pool", 12, 1));
+    args.rejectUnread();
 
     bench::banner(std::cout,
                   "Ablation: Fault Injection (robustness)",
@@ -127,14 +129,7 @@ run(int argc, char **argv)
 
     const auto points =
         par::runSweep(ladder.size(), base.jobs, [&](std::size_t i) {
-            ClusterConfig config;
-            config.nodes = nodes;
-            config.node = base.sut;
-            config.node.driver.ramp_up_s = base.ramp_up_s;
-            config.db_cpus = static_cast<std::size_t>(
-                args.getInt("db_cpus", 4));
-            config.db_pool.max_connections =
-                static_cast<std::size_t>(args.getInt("db_pool", 12));
+            ClusterConfig config = cluster_base;
             config.faults = schedules[i];
 
             ClusterUnderTest cluster(config, profiles, registry,

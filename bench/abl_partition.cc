@@ -76,12 +76,19 @@ int
 run(int argc, char **argv)
 {
     const Config args = Config::fromArgs(argc, argv);
-    ExperimentConfig base = bench::configFromArgs(argc, argv, 16.0);
+    ExperimentConfig base = bench::configFromArgs(args, 16.0);
     base.ramp_up_s = args.getDouble("ramp", 2.0);
     bench::PerfReport perf("abl_partition");
 
-    const std::size_t nodes = base.nodes > 1 ? base.nodes : 4;
-    const double per_node_ir = args.getDouble("ir", 150.0);
+    const auto nodes =
+        static_cast<std::size_t>(args.getInt("nodes", 4, 1, 64));
+    const double per_node_ir = args.getDouble("ir", 150.0, kAboveZero);
+    const auto db_pool =
+        static_cast<std::size_t>(args.getInt("db_pool", 12, 1));
+    const auto db_cpus =
+        static_cast<std::size_t>(args.getInt("db_cpus", 1, 1));
+    const double ckpt_s = args.getDouble("ckpt", 5.0);
+    args.rejectUnread();
     bench::banner(std::cout,
                   "Ablation: Partition Tolerance (jasim::fault x repl)",
                   "A scripted network partition cuts shard 0's primary "
@@ -134,13 +141,10 @@ run(int argc, char **argv)
             config.node = base.sut;
             config.node.injection_rate = per_node_ir;
             config.node.driver.ramp_up_s = base.ramp_up_s;
-            config.db_pool.max_connections =
-                static_cast<std::size_t>(args.getInt("db_pool", 12));
-            config.db_cpus =
-                static_cast<std::size_t>(args.getInt("db_cpus", 1));
+            config.db_pool.max_connections = db_pool;
+            config.db_cpus = db_cpus;
             config.faults = FaultSchedule::parse(chaos.str());
-            config.db_recovery.checkpoint_interval_s =
-                args.getDouble("ckpt", 5.0);
+            config.db_recovery.checkpoint_interval_s = ckpt_s;
             config.repl.shards = 2;
             config.repl.replicas = 2;
             config.repl.sync = point.sync;

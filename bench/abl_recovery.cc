@@ -56,11 +56,16 @@ int
 run(int argc, char **argv)
 {
     const Config args = Config::fromArgs(argc, argv);
-    ExperimentConfig base = bench::configFromArgs(argc, argv, 60.0);
+    ExperimentConfig base = bench::configFromArgs(args, 60.0);
     base.ramp_up_s = args.getDouble("ramp", 15.0);
     bench::PerfReport perf("abl_recovery");
 
-    const std::size_t nodes = base.nodes > 1 ? base.nodes : 2;
+    const auto nodes =
+        static_cast<std::size_t>(args.getInt("nodes", 2, 1, 64));
+    const auto db_pool =
+        static_cast<std::size_t>(args.getInt("db_pool", 12, 1));
+    const auto spindles =
+        static_cast<std::size_t>(args.getInt("spindles", 2, 1));
     const SimTime steady_from = secs(base.ramp_up_s);
     const SimTime steady_to = secs(base.ramp_up_s + base.steady_s);
 
@@ -79,15 +84,10 @@ run(int argc, char **argv)
     std::ostringstream past_end;
     past_end << std::fixed << "dbcrash@"
              << base.ramp_up_s + base.steady_s + 1.0;
-    FaultSchedule chaos_faults, baseline_faults;
-    try {
-        chaos_faults = FaultSchedule::parse(spec);
-        baseline_faults = FaultSchedule::parse(past_end.str());
-    } catch (const std::invalid_argument &e) {
-        std::cerr << "abl_recovery: bad --faults spec: " << e.what()
-                  << "\n";
-        return 2;
-    }
+    const FaultSchedule chaos_faults = FaultSchedule::parse(spec);
+    const FaultSchedule baseline_faults =
+        FaultSchedule::parse(past_end.str());
+    args.rejectUnread();
 
     bench::banner(std::cout,
                   "Ablation: Crash Recovery (robustness)",
@@ -118,12 +118,10 @@ run(int argc, char **argv)
             config.nodes = nodes;
             config.node = base.sut;
             config.node.driver.ramp_up_s = base.ramp_up_s;
-            config.db_pool.max_connections =
-                static_cast<std::size_t>(args.getInt("db_pool", 12));
+            config.db_pool.max_connections = db_pool;
             if (point.disk == "spinning") {
                 config.db_disk.kind = DiskConfig::Kind::Spinning;
-                config.db_disk.spindles = static_cast<std::size_t>(
-                    args.getInt("spindles", 2));
+                config.db_disk.spindles = spindles;
             }
             config.faults = point.faults;
             config.db_recovery.checkpoint_interval_s =

@@ -71,15 +71,25 @@ int
 run(int argc, char **argv)
 {
     const Config args = Config::fromArgs(argc, argv);
-    ExperimentConfig base = bench::configFromArgs(argc, argv, 8.0);
+    ExperimentConfig base = bench::configFromArgs(args, 8.0);
     base.ramp_up_s = args.getDouble("ramp", 2.5);
     bench::PerfReport perf("abl_replication");
 
-    const std::size_t nodes = base.nodes > 1 ? base.nodes : 4;
+    const auto nodes =
+        static_cast<std::size_t>(args.getInt("nodes", 4, 1, 64));
     // Per-node IR: the default aggregate (4 x 150) sits an order of
     // magnitude over the ~41 JOPS a single 1-CPU DB box serves when
     // saturated; the measured ratio is asserted below.
-    const double per_node_ir = args.getDouble("ir", 150.0);
+    const double per_node_ir = args.getDouble("ir", 150.0, kAboveZero);
+    const auto db_pool =
+        static_cast<std::size_t>(args.getInt("db_pool", 12, 1));
+    // One CPU per DB box keeps the single-DB ceiling far below the app
+    // tier's capacity, so shard scaling and the 10x overload ratio are
+    // both visible.
+    const auto db_cpus =
+        static_cast<std::size_t>(args.getInt("db_cpus", 1, 1));
+    const double ckpt_s = args.getDouble("ckpt", 5.0);
+    const double blackout_cap_s = args.getDouble("blackout_cap", 10.0);
     const SimTime steady_from = secs(base.ramp_up_s);
     const SimTime steady_to = secs(base.ramp_up_s + base.steady_s);
 
@@ -90,14 +100,8 @@ run(int argc, char **argv)
     std::ostringstream chaos;
     chaos << "dbcrash@" << t_crash << ":shard=0,restart=2";
     const std::string spec = args.getString("faults", chaos.str());
-    FaultSchedule faults;
-    try {
-        faults = FaultSchedule::parse(spec);
-    } catch (const std::invalid_argument &e) {
-        std::cerr << "abl_replication: bad --faults spec: " << e.what()
-                  << "\n";
-        return 2;
-    }
+    const FaultSchedule faults = FaultSchedule::parse(spec);
+    args.rejectUnread();
 
     bench::banner(std::cout,
                   "Ablation: Sharded Replication (jasim::repl)",
@@ -132,16 +136,10 @@ run(int argc, char **argv)
             config.node = base.sut;
             config.node.injection_rate = per_node_ir;
             config.node.driver.ramp_up_s = base.ramp_up_s;
-            config.db_pool.max_connections =
-                static_cast<std::size_t>(args.getInt("db_pool", 12));
-            // One CPU per DB box keeps the single-DB ceiling far
-            // below the app tier's capacity, so shard scaling and
-            // the 10x overload ratio are both visible.
-            config.db_cpus =
-                static_cast<std::size_t>(args.getInt("db_cpus", 1));
+            config.db_pool.max_connections = db_pool;
+            config.db_cpus = db_cpus;
             config.faults = faults;
-            config.db_recovery.checkpoint_interval_s =
-                args.getDouble("ckpt", 5.0);
+            config.db_recovery.checkpoint_interval_s = ckpt_s;
             config.repl.shards = point.shards;
             config.repl.replicas = point.replicas;
             config.repl.sync = point.sync;
@@ -216,7 +214,6 @@ run(int argc, char **argv)
     bool sync_zero_loss = true;  // acked sync commits survive failover
     bool blackouts_bounded = true; // nonzero, and within bound
     bool clean_rewinds = true;   // nothing resurrected or duplicated
-    const double blackout_cap_s = args.getDouble("blackout_cap", 10.0);
     for (std::size_t i = 0; i + 1 < points.size(); ++i) {
         const Point &point = points[i];
         const ReplPoint &r = results[i];

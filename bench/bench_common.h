@@ -4,19 +4,28 @@
  *
  * Every bench accepts the same arguments, written either `key=value`
  * or GNU-style (`--key value` / `--key=value`):
- *   ir=40 --seed 42 --nodes 1 ramp=90 steady=300 window=1
+ *   ir=40 --seed 42 ramp=90 steady=300 window=1
  *   insts=150000 disk=ramdisk|spinning spindles=2 heap_mb=1024
  *   heap_large=1 code_large=0
- * `--seed N` pins every RNG stream; `--nodes N` sets the cluster
- * width (or sweep ceiling) of cluster-aware benches and is ignored
- * by single-box ones; `--jobs N` runs sweep points on N workers
- * (results stay bit-identical to serial — see src/par/sweep.h).
+ * `--seed N` pins every RNG stream; `--jobs N` (0 to 256) runs sweep
+ * points on N workers, 0 meaning one per hardware thread (results
+ * stay bit-identical to serial — see src/par/sweep.h). Cluster-aware
+ * benches read `--nodes N` as their node count (or sweep ceiling),
+ * each with its own default and range; a single-box bench rejects it
+ * like any other key it does not read.
  *
- * Cluster-aware benches additionally accept the replication axis
- * (see replFromArgs): `--shards N --replicas R --sync-mode
- * {sync,async}`. The defaults (1/0/async) are one unreplicated shard
- * group, the single shared DB box, and arm nothing replication needs:
- * the cluster stays byte-identical to a pre-repl build.
+ * Every value must parse whole and lie in its range, booleans are
+ * 1/0, true/false, yes/no or on/off, and enums take only their listed
+ * words. After its last read, and before it prints anything, each
+ * bench rejects every argument no read understood
+ * (Config::rejectUnread), so a typo exits 2 naming the token instead
+ * of running with a default.
+ *
+ * abl_cluster_scaling additionally accepts the replication axis (see
+ * replFromArgs): `--shards N --replicas R --sync-mode {sync,async}`.
+ * The defaults (1/0/async) are one unreplicated shard group, the
+ * single shared DB box, and arm nothing replication needs: the
+ * cluster stays byte-identical to a pre-repl build.
  *
  * Benches that construct a PerfReport (fifteen of them: fig02, the
  * abl_* sweeps but abl_cosched, soak_chaos and the two chrono
@@ -31,7 +40,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -53,64 +61,57 @@
 namespace jasim::bench {
 
 /**
- * The uniform replication axis: `--shards N --replicas R --sync-mode
- * {sync,async}` (validated/clamped by the Config accessors). Assign
- * the result to ClusterConfig::repl; the defaults leave it disabled.
+ * The uniform replication axis: `--shards N` (1 to 64), `--replicas R`
+ * (0 to 8) and `--sync-mode {sync,async}`. Assign the result to
+ * ClusterConfig::repl; the defaults leave it disabled.
  */
 inline repl::ReplConfig
 replFromArgs(const Config &args)
 {
     repl::ReplConfig repl;
-    repl.shards = args.shards();
-    repl.replicas = args.replicas();
-    repl.sync = args.syncReplication();
+    repl.shards = static_cast<std::size_t>(args.getInt("shards", 1, 1, 64));
+    repl.replicas =
+        static_cast<std::size_t>(args.getInt("replicas", 0, 0, 8));
+    repl.sync =
+        args.getChoice("sync-mode", "async", {"sync", "async"}) == "sync";
     return repl;
 }
 
+/**
+ * The shared run keys (see the file header), read from `args`. Input
+ * the run cannot honour throws std::invalid_argument naming the token
+ * (bench::guardedMain turns it into exit code 2).
+ */
 inline ExperimentConfig
-configFromArgs(int argc, char **argv, double default_steady_s = 300.0)
+configFromArgs(const Config &args, double default_steady_s = 300.0)
 {
-    const Config args = Config::fromArgs(argc, argv);
     ExperimentConfig config;
     config.sut.injection_rate = args.getDouble("ir", 40.0);
     config.seed = static_cast<std::uint64_t>(args.getInt("seed", 42));
-    config.nodes =
-        static_cast<std::size_t>(args.getInt("nodes", 1));
     config.jobs = args.jobs();
     config.ramp_up_s = args.getDouble("ramp", 90.0);
     config.steady_s = args.getDouble("steady", default_steady_s);
     config.ramp_down_s = args.getDouble("rampdown", 10.0);
     config.window_s = args.getDouble("window", 1.0);
-    const std::int64_t insts = args.getInt("insts", 150000);
-    if (insts < 1) {
-        std::cerr << "insts=" << args.getString("insts", "")
-                  << ": a window must sample at least 1 instruction\n";
-        std::exit(2);
-    }
-    config.window.sample_insts = static_cast<std::size_t>(insts);
+    config.window.sample_insts =
+        static_cast<std::size_t>(args.getInt("insts", 150000, 1));
     config.windows_per_group =
-        static_cast<std::size_t>(args.getInt("wpg", 8));
+        static_cast<std::size_t>(args.getInt("wpg", 8, 1));
     config.micro_enabled = args.getBool("micro", true);
 
-    if (args.getString("disk", "ramdisk") == "spinning") {
+    if (args.getChoice("disk", "ramdisk", {"ramdisk", "spinning"}) ==
+        "spinning") {
         config.sut.disk.kind = DiskConfig::Kind::Spinning;
-        config.sut.disk.spindles = static_cast<std::size_t>(
-            args.getInt("spindles", 2));
+        config.sut.disk.spindles =
+            static_cast<std::size_t>(args.getInt("spindles", 2, 1));
     }
     // The heap must hold the JVM's startup baseline (or the collector
     // cannot be built), and its byte count must fit 64 bits.
-    const std::int64_t heap_mb = args.getInt("heap_mb", 1024);
     const std::int64_t min_mb =
         static_cast<std::int64_t>(config.sut.gc.baseline_bytes >> 20) + 1;
-    const std::int64_t max_mb = std::int64_t{1} << 40;
-    if (heap_mb < min_mb || heap_mb > max_mb) {
-        std::cerr << "heap_mb=" << args.getString("heap_mb", "")
-                  << ": the heap must be " << min_mb << ".." << max_mb
-                  << " MB, larger than the " << min_mb - 1
-                  << " MB startup baseline\n";
-        std::exit(2);
-    }
-    config.sut.gc.heap.size_bytes = static_cast<std::uint64_t>(heap_mb)
+    config.sut.gc.heap.size_bytes =
+        static_cast<std::uint64_t>(
+            args.getInt("heap_mb", 1024, min_mb, std::int64_t{1} << 40))
         << 20;
     config.window.heap_large_pages = args.getBool("heap_large", true);
     config.window.code_large_pages = args.getBool("code_large", false);
@@ -133,26 +134,33 @@ configFromArgs(int argc, char **argv, double default_steady_s = 300.0)
     // Overload axis: `--arrival <spec>` shapes the open-loop rate,
     // `--admission <spec>` arms the shed/backpressure ladder. The
     // defaults leave both off and the run byte-identical to a
-    // pre-overload build. Malformed specs abort with the offending
-    // token, like a bad --faults spec, and so do run lengths and
-    // windows Experiment would reject.
-    try {
-        config.sut.driver.arrival = ArrivalSpec::parse(args.arrival());
-        config.sut.admission =
-            adm::AdmissionConfig::parse(args.admission());
-        config.validate();
-    } catch (const std::invalid_argument &error) {
-        std::cerr << error.what() << "\n";
-        std::exit(2);
-    }
+    // pre-overload build.
+    config.sut.driver.arrival =
+        ArrivalSpec::parse(args.getString("arrival", ""));
+    config.sut.admission =
+        adm::AdmissionConfig::parse(args.getString("admission", ""));
+    config.validate();
+    return config;
+}
+
+/**
+ * configFromArgs for a bench that takes only the shared keys: it also
+ * rejects every other argument (Config::rejectUnread).
+ */
+inline ExperimentConfig
+configFromArgs(int argc, char **argv, double default_steady_s = 300.0)
+{
+    const Config args = Config::fromArgs(argc, argv);
+    ExperimentConfig config = configFromArgs(args, default_steady_s);
+    args.rejectUnread();
     return config;
 }
 
 /**
  * A bench's main: run `run(argc, argv)` and turn an exception into
- * exit code 2 with its message on stderr, as configFromArgs does for
- * the inputs it rejects. A run that cannot go on (a heap_mb its live
- * set outgrows, say) then ends with that message, not in
+ * exit code 2 with its message on stderr: an input configFromArgs or
+ * another read rejects, or a run that cannot go on (a heap_mb its
+ * live set outgrows, say), ends with that message, not in
  * std::terminate.
  */
 template <typename Run>

@@ -25,6 +25,7 @@
 
 #include <chrono>
 #include <functional>
+#include <limits>
 #include <queue>
 #include <vector>
 
@@ -149,10 +150,12 @@ run(int argc, char **argv)
 {
     const Config args = Config::fromArgs(argc, argv);
     const std::uint64_t events = static_cast<std::uint64_t>(
-        args.getInt("events", 1500000));
+        args.getInt("events", 1500000, 1));
     const std::size_t pumps =
-        static_cast<std::size_t>(args.getInt("pumps", 32));
-    const int reps = static_cast<int>(args.getInt("reps", 5));
+        static_cast<std::size_t>(args.getInt("pumps", 32, 1));
+    const int reps = static_cast<int>(
+        args.getInt("reps", 5, 1, std::numeric_limits<int>::max()));
+    args.rejectUnread();
     bench::banner(std::cout, "Micro: event-kernel throughput",
                   "InlineFunction + flat-heap EventQueue vs the "
                   "std::function/priority_queue seed kernel, on "

@@ -28,6 +28,7 @@
 #include <chrono>
 #include <cstdint>
 #include <iomanip>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -268,16 +269,17 @@ run(int argc, char **argv)
 {
     const Config args = Config::fromArgs(argc, argv);
     const std::size_t insts =
-        static_cast<std::size_t>(args.getInt("insts", 1200000));
-    const int reps =
-        std::max(1, static_cast<int>(args.getInt("reps", 7)));
+        static_cast<std::size_t>(args.getInt("insts", 1200000, 1));
+    const int reps = static_cast<int>(
+        args.getInt("reps", 7, 1, std::numeric_limits<int>::max()));
     const std::uint64_t seed =
         static_cast<std::uint64_t>(args.getInt("seed", 42));
     TraceMix mix;
     mix.load_pct =
-        static_cast<std::uint64_t>(args.getInt("load_pct", 30));
+        static_cast<std::uint64_t>(args.getInt("load_pct", 30, 0, 100));
     mix.store_pct =
-        static_cast<std::uint64_t>(args.getInt("store_pct", 8));
+        static_cast<std::uint64_t>(args.getInt("store_pct", 8, 0, 100));
+    args.rejectUnread();
     bench::banner(std::cout, "Micro: memory-path walk throughput",
                   "Translation and the cache walk with MRU line and "
                   "translation memos and presence-filtered snoops, on "

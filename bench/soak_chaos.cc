@@ -188,9 +188,10 @@ int
 run(int argc, char **argv)
 {
     const Config args = Config::fromArgs(argc, argv);
-    const ExperimentConfig base = bench::configFromArgs(argc, argv);
+    const ExperimentConfig base = bench::configFromArgs(args);
     const std::size_t n_seeds =
         static_cast<std::size_t>(args.getInt("seeds", 20));
+    args.rejectUnread();
     bench::banner(std::cout,
                   "Chaos Soak: randomized fault schedules vs the "
                   "partition-tolerance invariants",

@@ -8,7 +8,6 @@
 
 #include <exception>
 #include <iostream>
-#include <sstream>
 
 #include "core/experiment.h"
 #include "sim/config.h"
@@ -23,10 +22,11 @@ run(int argc, char **argv)
 {
     const Config args = Config::fromArgs(argc, argv);
     std::vector<double> irs;
-    std::stringstream list(
-        args.getString("irs", "10,20,30,40,47,55"));
-    for (std::string item; std::getline(list, item, ',');)
-        irs.push_back(std::stod(item));
+    for (const std::string &item :
+         splitList(args.getString("irs", "10,20,30,40,47,55"), ','))
+        irs.push_back(parseDouble("irs=" + item, item, kAboveZero));
+    const double steady_s = args.getDouble("steady", 120.0, 0.0, 1e9);
+    args.rejectUnread();
 
     std::cout << "Injection-rate sweep (RAM-disk SUT)\n\n";
     TextTable table({"IR", "JOPS", "util", "p90 web (s)", "p90 RMI (s)",
@@ -37,7 +37,7 @@ run(int argc, char **argv)
         config.sut.injection_rate = ir;
         config.micro_enabled = false;
         config.ramp_up_s = 60.0;
-        config.steady_s = args.getDouble("steady", 120.0);
+        config.steady_s = steady_s;
         Experiment experiment(config);
         const ExperimentResult r = experiment.run();
         const double web_p90 = std::max(

@@ -3,7 +3,7 @@
  * load need, and when does adding nodes stop helping because the
  * shared database tier is saturated?
  *
- *   ./cluster_sizing [target=250] [ir=40] [nodes=8] [db_cpus=4]
+ *   ./cluster_sizing [target=250] [ir=40] [nodes=8] [db_cpus=4] [ramp=30]
  *                    [steady=90] [seed=42] [--jobs N]
  *
  * Grows the cluster one node at a time at a fixed per-node injection
@@ -44,14 +44,18 @@ run(int argc, char **argv)
 {
     const Config args = Config::fromArgs(argc, argv);
     const double target_jops = args.getDouble("target", 250.0);
-    const double per_node_ir = args.getDouble("ir", 40.0);
-    const std::size_t max_nodes =
-        static_cast<std::size_t>(args.getInt("nodes", 8));
+    const double per_node_ir = args.getDouble("ir", 40.0, kAboveZero);
+    const auto max_nodes =
+        static_cast<std::size_t>(args.getInt("nodes", 8, 1, 64));
     const std::uint64_t seed =
         static_cast<std::uint64_t>(args.getInt("seed", 42));
-    const double ramp_s = args.getDouble("ramp", 30.0);
-    const double steady_s = args.getDouble("steady", 90.0);
+    // Run lengths take ExperimentConfig::validate's rule: 0 to 1e9 s.
+    const double ramp_s = args.getDouble("ramp", 30.0, 0.0, 1e9);
+    const double steady_s = args.getDouble("steady", 90.0, 0.0, 1e9);
     const std::size_t jobs = args.jobs();
+    const auto db_cpus =
+        static_cast<std::size_t>(args.getInt("db_cpus", 4, 1));
+    args.rejectUnread();
 
     auto profiles =
         std::make_shared<const WorkloadProfiles>(seed ^ 0x9a0full);
@@ -63,8 +67,7 @@ run(int argc, char **argv)
         config.nodes = nodes;
         config.node.injection_rate = per_node_ir;
         config.node.driver.ramp_up_s = ramp_s;
-        config.db_cpus =
-            static_cast<std::size_t>(args.getInt("db_cpus", 4));
+        config.db_cpus = db_cpus;
 
         ClusterUnderTest cluster(config, profiles, registry, seed);
         const SimTime end = secs(ramp_s + steady_s);

@@ -21,6 +21,8 @@ int
 run(int argc, char **argv)
 {
     const Config args = Config::fromArgs(argc, argv);
+    const double steady_s = args.getDouble("steady", 180.0, 0.0, 1e9);
+    args.rejectUnread();
     std::cout << "Heap-size sweep at IR40\n\n";
 
     TextTable table({"heap", "interval (s)", "pause (ms)",
@@ -29,7 +31,7 @@ run(int argc, char **argv)
         ExperimentConfig config;
         config.micro_enabled = false;
         config.ramp_up_s = 60.0;
-        config.steady_s = args.getDouble("steady", 180.0);
+        config.steady_s = steady_s;
         config.sut.gc.heap.size_bytes = mb << 20;
         Experiment experiment(config);
         const ExperimentResult r = experiment.run();

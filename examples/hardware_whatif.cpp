@@ -19,12 +19,12 @@ using namespace jasim;
 namespace {
 
 double
-cpiWith(const Config &args,
+cpiWith(double steady_s,
         const std::function<void(ExperimentConfig &)> &tweak)
 {
     ExperimentConfig config;
     config.ramp_up_s = 45.0;
-    config.steady_s = args.getDouble("steady", 120.0);
+    config.steady_s = steady_s;
     config.window.sample_insts = 100000;
     tweak(config);
     Experiment experiment(config);
@@ -36,9 +36,11 @@ int
 run(int argc, char **argv)
 {
     const Config args = Config::fromArgs(argc, argv);
+    const double steady_s = args.getDouble("steady", 120.0, 0.0, 1e9);
+    args.rejectUnread();
     std::cout << "Hardware what-if sweep (CPI at IR40)\n\n";
 
-    const double baseline = cpiWith(args, [](ExperimentConfig &) {});
+    const double baseline = cpiWith(steady_s, [](ExperimentConfig &) {});
 
     TextTable table({"change", "CPI", "vs baseline"});
     auto row = [&](const char *name, double cpi) {
@@ -46,29 +48,29 @@ run(int argc, char **argv)
                       TextTable::pct((cpi / baseline - 1.0) * 100.0)});
     };
     row("baseline (study system)", baseline);
-    row("2x L2 (3 MB)", cpiWith(args, [](ExperimentConfig &c) {
+    row("2x L2 (3 MB)", cpiWith(steady_s, [](ExperimentConfig &c) {
             c.window.hierarchy.l2 = CacheGeometry{3072 * 1024, 128, 12};
         }));
-    row("L3 at half latency", cpiWith(args, [](ExperimentConfig &c) {
+    row("L3 at half latency", cpiWith(steady_s, [](ExperimentConfig &c) {
             c.window.hierarchy.lat_l3 = 50;
         }));
     row("4x count cache (indirect targets)",
-        cpiWith(args, [](ExperimentConfig &c) {
+        cpiWith(steady_s, [](ExperimentConfig &c) {
             c.window.core.branch.count_cache_entries = 16384;
         }));
     row("large pages for code too",
-        cpiWith(args, [](ExperimentConfig &c) {
+        cpiWith(steady_s, [](ExperimentConfig &c) {
             c.window.code_large_pages = true;
         }));
-    row("no data prefetcher", cpiWith(args, [](ExperimentConfig &c) {
+    row("no data prefetcher", cpiWith(steady_s, [](ExperimentConfig &c) {
             c.window.hierarchy.prefetch_enabled = false;
         }));
     row("devirtualize 70% of call sites",
-        cpiWith(args, [](ExperimentConfig &c) {
+        cpiWith(steady_s, [](ExperimentConfig &c) {
             c.window.devirtualized_fraction = 0.7;
         }));
     row("instruction-friendly L2 replacement",
-        cpiWith(args, [](ExperimentConfig &c) {
+        cpiWith(steady_s, [](ExperimentConfig &c) {
             c.window.hierarchy.l2_instruction_friendly = true;
         }));
     table.print(std::cout);

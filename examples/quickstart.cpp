@@ -30,6 +30,7 @@ run(int argc, char **argv)
     config.ramp_up_s = args.getDouble("ramp", 60.0);
     config.steady_s = args.getDouble("steady", 120.0);
     config.window.sample_insts = 100000;
+    args.rejectUnread();
 
     // 2. Run it: discrete-event system level + sampled microarchitecture.
     Experiment experiment(config);

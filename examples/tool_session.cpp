@@ -28,6 +28,7 @@ run(int argc, char **argv)
     config.ramp_up_s = 45.0;
     config.steady_s = args.getDouble("steady", 90.0);
     config.window.sample_insts = 100000;
+    args.rejectUnread();
 
     Experiment experiment(config);
     const ExperimentResult result = experiment.run();

@@ -24,6 +24,8 @@ int
 run(int argc, char **argv)
 {
     const Config args = Config::fromArgs(argc, argv);
+    const double steady_s = args.getDouble("steady", 180.0, 0.0, 1e9);
+    args.rejectUnread();
     std::cout << "Allocation-intensity sweep (Trade6-style variants) "
                  "on the 1 GB heap\n\n";
 
@@ -33,7 +35,7 @@ run(int argc, char **argv)
         ExperimentConfig config;
         config.micro_enabled = false;
         config.ramp_up_s = 60.0;
-        config.steady_s = args.getDouble("steady", 180.0);
+        config.steady_s = steady_s;
         config.sut.alloc_scale = scale;
         Experiment experiment(config);
         const ExperimentResult r = experiment.run();

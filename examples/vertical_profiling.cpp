@@ -25,6 +25,7 @@ run(int argc, char **argv)
     ExperimentConfig config;
     config.ramp_up_s = 60.0;
     config.steady_s = args.getDouble("steady", 240.0);
+    args.rejectUnread();
     config.window.sample_insts = 120000;
     config.windows_per_group = 6;
 

@@ -12,7 +12,10 @@
 # table, and the caches, presence filters and memos of the memory and
 # translation path against their reference walks (set and way
 # arithmetic over flat arrays) — the code most likely to hide lifetime
-# and bounds bugs.
+# and bounds bugs. It then builds the benches and examples that the
+# BenchExitTest rows drive and runs those rows instrumented (all but the
+# long TooSmallHeap run), so a bad input that reads out of bounds fails
+# there under ASan, not only when it happens to segfault.
 #
 # The standard stage fails if the compiler prints a warning, naming
 # the file. It sees what this run compiles, so a warning in a file an
@@ -86,7 +89,8 @@ if [[ "$SAN_FULL" == 1 ]]; then
 else
     echo "== tier-1: sanitized build (ASan + UBSan) =="
     cmake -B "$SAN_BUILD" -S . -DJASIM_SANITIZE=ON >/dev/null
-    cmake --build "$SAN_BUILD" -j"$JOBS" --target test_net test_fault test_db test_repl test_adm test_driver test_core test_jvm test_was test_sim test_mem test_xlat
+    cmake --build "$SAN_BUILD" -j"$JOBS" --target test_net test_fault test_db test_repl test_adm test_driver test_core test_jvm test_was test_sim test_mem test_xlat \
+        fig03_gc fig05_cpi abl_cluster_scaling abl_partition cluster_sizing capacity_planning
     "$SAN_BUILD/tests/test_net"
     "$SAN_BUILD/tests/test_fault"
     "$SAN_BUILD/tests/test_db"
@@ -99,6 +103,8 @@ else
     "$SAN_BUILD/tests/test_sim"
     "$SAN_BUILD/tests/test_mem"
     "$SAN_BUILD/tests/test_xlat"
+    ctest --test-dir "$SAN_BUILD" --output-on-failure -j"$JOBS" \
+        -R '^BenchExitTest\.' -E 'TooSmallHeap'
 fi
 
 echo "== tier-1: all green =="

@@ -2,65 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cctype>
 #include <sstream>
-#include <stdexcept>
+
+#include "sim/config.h"
 
 namespace jasim::adm {
-
-namespace {
-
-[[noreturn]] void
-fail(const std::string &what, const std::string &token)
-{
-    throw std::invalid_argument("--admission: " + what + " in \"" +
-                                token + "\"");
-}
-
-std::string
-trim(const std::string &s)
-{
-    std::size_t b = 0;
-    std::size_t e = s.size();
-    while (b < e && std::isspace(static_cast<unsigned char>(s[b])))
-        ++b;
-    while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])))
-        --e;
-    return s.substr(b, e - b);
-}
-
-double
-parseSeconds(const std::string &token)
-{
-    std::size_t used = 0;
-    double value = 0.0;
-    try {
-        value = std::stod(token, &used);
-    } catch (const std::exception &) {
-        fail("expected a number", token);
-    }
-    if (used != token.size() || !(value >= 0.0) ||
-        !(value < 1.0e9))
-        fail("expected seconds >= 0", token);
-    return value;
-}
-
-std::size_t
-parseCount(const std::string &token)
-{
-    std::size_t used = 0;
-    long long value = 0;
-    try {
-        value = std::stoll(token, &used);
-    } catch (const std::exception &) {
-        fail("expected a count", token);
-    }
-    if (used != token.size() || value < 0)
-        fail("expected a count >= 0", token);
-    return static_cast<std::size_t>(value);
-}
-
-} // namespace
 
 const char *
 shedPolicyName(ShedPolicy policy)
@@ -83,9 +29,6 @@ AdmissionConfig::parse(const std::string &raw)
 
     const std::size_t colon = whole.find(':');
     const std::string head = trim(whole.substr(0, colon));
-    const std::string params =
-        colon == std::string::npos ? "" : whole.substr(colon + 1);
-
     if (head == "none")
         config.policy = ShedPolicy::None;
     else if (head == "static")
@@ -93,45 +36,43 @@ AdmissionConfig::parse(const std::string &raw)
     else if (head == "adaptive")
         config.policy = ShedPolicy::Adaptive;
     else
-        fail("unknown policy \"" + head + "\"", whole);
+        throw specError("--admission", "unknown policy \"" + head + "\"",
+                        whole);
 
-    std::stringstream list(params);
-    std::string item;
-    while (std::getline(list, item, ',')) {
-        item = trim(item);
-        if (item.empty())
-            continue;
-        const std::size_t eq = item.find('=');
-        if (eq == std::string::npos)
-            fail("expected key=value", item);
-        const std::string key = trim(item.substr(0, eq));
-        const std::string value = trim(item.substr(eq + 1));
-        const bool adaptive = config.policy == ShedPolicy::Adaptive;
-        const bool shedding = config.policy != ShedPolicy::None;
+    const bool adaptive = config.policy == ShedPolicy::Adaptive;
+    const bool shedding = config.policy != ShedPolicy::None;
+    for (const SpecItem &item :
+         splitSpec("--admission", colon == std::string::npos
+                                      ? ""
+                                      : whole.substr(colon + 1))) {
+        const std::string &key = item.key;
         if (key == "lb_cap") {
-            config.lb_inflight_cap = parseCount(value);
+            config.lb_inflight_cap = static_cast<std::size_t>(
+                parseInt(item.what, item.value, 0));
         } else if (key == "cap" && shedding) {
-            config.max_concurrent = parseCount(value);
+            config.max_concurrent = static_cast<std::size_t>(
+                parseInt(item.what, item.value, 0));
         } else if (key == "queue" && shedding) {
-            config.queue_capacity = parseCount(value);
+            config.queue_capacity = static_cast<std::size_t>(
+                parseInt(item.what, item.value, 0));
         } else if (key == "deadline" && shedding) {
-            config.queue_deadline_s = parseSeconds(value);
+            config.queue_deadline_s =
+                parseDouble(item.what, item.value, 0.0, 1e9);
         } else if (key == "min" && adaptive) {
-            config.min_concurrent = parseCount(value);
-            if (config.min_concurrent == 0)
-                fail("min must be >= 1", item);
+            config.min_concurrent = static_cast<std::size_t>(
+                parseInt(item.what, item.value, 1));
         } else if (key == "target" && adaptive) {
-            config.target_delay_s = parseSeconds(value);
-            if (config.target_delay_s <= 0.0)
-                fail("target must be > 0", item);
+            config.target_delay_s =
+                parseDouble(item.what, item.value, kAboveZero, 1e9);
         } else if (key == "interval" && adaptive) {
-            config.adjust_interval_s = parseSeconds(value);
-            if (config.adjust_interval_s <= 0.0)
-                fail("interval must be > 0", item);
+            config.adjust_interval_s =
+                parseDouble(item.what, item.value, kAboveZero, 1e9);
         } else {
-            fail("unknown " + std::string(shedPolicyName(
-                     config.policy)) + " key \"" + key + "\"",
-                 item);
+            throw specError("--admission",
+                            "unknown " +
+                                std::string(shedPolicyName(config.policy)) +
+                                " key \"" + key + "\"",
+                            whole);
         }
     }
     return config;

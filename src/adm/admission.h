@@ -71,8 +71,10 @@ enum class ShedReason : std::uint8_t
  *   interval adaptive adjustment cadence, seconds
  *   lb_cap   cluster-wide balancer in-flight cap (0 = off)
  *
- * Malformed specs throw std::invalid_argument naming the offending
- * token.
+ * Counts are integers >= 0 (min >= 1); seconds are 0 to 1e9, and
+ * target and interval must be above 0. Malformed or out-of-range
+ * specs throw std::invalid_argument naming the offending token
+ * (sim/config.h reads them).
  */
 struct AdmissionConfig
 {

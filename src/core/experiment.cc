@@ -1,6 +1,7 @@
 #include "core/experiment.h"
 
 #include <cassert>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -24,6 +25,9 @@ ExperimentConfig::validate() const
         require(value >= 0.0 && value <= 1e9, key, value,
                 "a run length must be 0 to 1e9 seconds");
     };
+    require(std::isfinite(sut.injection_rate) && sut.injection_rate > 0.0,
+            "ir", sut.injection_rate,
+            "the injection rate must be finite and above 0");
     length("ramp", ramp_up_s);
     length("steady", steady_s);
     length("rampdown", ramp_down_s);
@@ -31,6 +35,8 @@ ExperimentConfig::validate() const
             "the HPM window must be 1 us to 1e9 seconds");
     require(window.sample_insts >= 1, "insts", window.sample_insts,
             "a window must sample at least 1 instruction");
+    require(windows_per_group >= 1, "wpg", windows_per_group,
+            "a counter group must stay for at least 1 window");
 }
 
 Experiment::Experiment(const ExperimentConfig &config) : config_(config)

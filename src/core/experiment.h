@@ -39,13 +39,6 @@ struct ExperimentConfig
     std::uint64_t seed = 42;
 
     /**
-     * Cluster width requested on the command line (`--nodes N`).
-     * Single-box benches ignore it; cluster-aware benches use it as
-     * their node count (or sweep ceiling).
-     */
-    std::size_t nodes = 1;
-
-    /**
      * Sweep worker count requested on the command line (`--jobs N`,
      * default 1 = serial). A single run ignores it; sweep-style
      * benches hand it to `jasim::par::runSweep` to run their points
@@ -60,10 +53,13 @@ struct ExperimentConfig
 
     /**
      * Throw std::invalid_argument, naming the field as `key=value`,
-     * when a ramp or steady length is negative, NaN or over 1e9 s, the
-     * HPM window is outside 1 us to 1e9 s, or a window samples no
-     * instruction. A zero window never ends run()'s loop, and a time
-     * outside SimTime's range is undefined on conversion.
+     * when the injection rate is not finite and above 0, a ramp or
+     * steady length is negative, NaN or over 1e9 s, the HPM window is
+     * outside 1 us to 1e9 s, a window samples no instruction, or a
+     * counter group stays for no window. A zero window never ends
+     * run()'s loop, an infinite rate never ends its first window, no
+     * window per group divides by zero, and a time outside SimTime's
+     * range is undefined on conversion.
      */
     void validate() const;
 };

@@ -2,60 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <sstream>
-#include <stdexcept>
 
+#include "sim/config.h"
 #include "sim/distributions.h"
 
 namespace jasim {
-
-namespace {
-
-[[noreturn]] void
-fail(const std::string &what, const std::string &token)
-{
-    throw std::invalid_argument("--arrival: " + what + " in \"" +
-                                token + "\"");
-}
-
-std::string
-trim(const std::string &s)
-{
-    std::size_t b = 0;
-    std::size_t e = s.size();
-    while (b < e && std::isspace(static_cast<unsigned char>(s[b])))
-        ++b;
-    while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])))
-        --e;
-    return s.substr(b, e - b);
-}
-
-double
-parseNumber(const std::string &token)
-{
-    std::size_t used = 0;
-    double value = 0.0;
-    try {
-        value = std::stod(token, &used);
-    } catch (const std::exception &) {
-        fail("expected a number", token);
-    }
-    if (used != token.size() || !std::isfinite(value))
-        fail("expected a number", token);
-    return value;
-}
-
-double
-parsePositive(const std::string &token)
-{
-    const double value = parseNumber(token);
-    if (value <= 0.0)
-        fail("expected a value > 0", token);
-    return value;
-}
-
-} // namespace
 
 const char *
 arrivalModeName(ArrivalMode mode)
@@ -78,72 +30,63 @@ ArrivalSpec::parse(const std::string &raw)
 
     const std::size_t colon = whole.find(':');
     const std::string head = trim(whole.substr(0, colon));
-    const std::string params =
-        colon == std::string::npos ? "" : whole.substr(colon + 1);
+    const std::vector<SpecItem> items = splitSpec(
+        "--arrival",
+        colon == std::string::npos ? "" : whole.substr(colon + 1));
 
     if (head == "mmpp") {
         spec.mode = ArrivalMode::Mmpp;
-        std::stringstream list(params);
-        std::string item;
-        while (std::getline(list, item, ',')) {
-            item = trim(item);
-            if (item.empty())
-                continue;
-            const std::size_t eq = item.find('=');
-            if (eq == std::string::npos)
-                fail("expected key=value", item);
-            const std::string key = trim(item.substr(0, eq));
-            const std::string value = trim(item.substr(eq + 1));
-            if (key == "base")
-                spec.base_multiplier = parsePositive(value);
-            else if (key == "burst")
-                spec.burst_multiplier = parsePositive(value);
-            else if (key == "on")
-                spec.burst_mean_s = parsePositive(value);
-            else if (key == "off")
-                spec.baseline_mean_s = parsePositive(value);
+        for (const SpecItem &item : items) {
+            if (item.key == "base")
+                spec.base_multiplier =
+                    parseDouble(item.what, item.value, kAboveZero);
+            else if (item.key == "burst")
+                spec.burst_multiplier =
+                    parseDouble(item.what, item.value, kAboveZero);
+            else if (item.key == "on")
+                spec.burst_mean_s =
+                    parseDouble(item.what, item.value, kAboveZero, 1e9);
+            else if (item.key == "off")
+                spec.baseline_mean_s =
+                    parseDouble(item.what, item.value, kAboveZero, 1e9);
             else
-                fail("unknown mmpp key \"" + key + "\"", item);
+                throw specError("--arrival",
+                                "unknown mmpp key \"" + item.key + "\"",
+                                whole);
         }
         if (spec.burst_multiplier < spec.base_multiplier)
-            fail("burst multiplier must be >= base", whole);
+            throw specError("--arrival", "burst multiplier must be >= base",
+                            whole);
         return spec;
     }
 
     if (head == "curve") {
         spec.mode = ArrivalMode::Curve;
-        std::stringstream list(params);
-        std::string item;
-        while (std::getline(list, item, ',')) {
-            item = trim(item);
-            if (item.empty())
-                continue;
-            const std::size_t eq = item.find('=');
-            if (eq == std::string::npos)
-                fail("expected time=multiplier", item);
+        for (const SpecItem &item : items) {
             CurvePoint point;
-            const double at_s =
-                parseNumber(trim(item.substr(0, eq)));
-            if (at_s < 0.0)
-                fail("expected a time >= 0", item);
-            point.at = secs(at_s);
-            point.multiplier = parseNumber(trim(item.substr(eq + 1)));
-            if (point.multiplier < 0.0)
-                fail("expected a multiplier >= 0", item);
+            point.at = secs(parseDouble(item.what, item.key, 0.0, 1e9));
+            point.multiplier = parseDouble(item.what, item.value, 0.0);
             if (!spec.points.empty() &&
                 point.at <= spec.points.back().at)
-                fail("knot times must be strictly increasing", item);
+                throw specError("--arrival",
+                                "knot times must be strictly increasing",
+                                whole);
             spec.points.push_back(point);
         }
         if (spec.points.size() < 2)
-            fail("curve needs at least two time=multiplier knots",
-                 whole);
+            throw specError("--arrival",
+                            "curve needs at least two time=multiplier "
+                            "knots",
+                            whole);
         if (spec.maxMultiplier() <= 0.0)
-            fail("curve needs at least one multiplier > 0", whole);
+            throw specError("--arrival",
+                            "curve needs at least one multiplier > 0",
+                            whole);
         return spec;
     }
 
-    fail("unknown arrival mode \"" + head + "\"", whole);
+    throw specError("--arrival", "unknown arrival mode \"" + head + "\"",
+                    whole);
 }
 
 double

@@ -57,13 +57,15 @@ struct CurvePoint
  *   ""                                   fixed (the default)
  *   fixed                                fixed
  *   mmpp:burst=4[,base=1][,on=6][,off=18]
- *       base/burst = rate multipliers in the two states
+ *       base/burst = rate multipliers in the two states (> 0)
  *       on/off     = mean sojourn seconds in burst / baseline state
+ *                    (> 0, at most 1e9)
  *   curve:0=1,300=4,600=1
  *       time_seconds=multiplier knots, strictly increasing times
+ *       (0 to 1e9 s), multipliers >= 0
  *
- * Malformed specs throw std::invalid_argument naming the offending
- * token.
+ * Malformed or out-of-range specs throw std::invalid_argument naming
+ * the offending token (sim/config.h reads them).
  */
 struct ArrivalSpec
 {

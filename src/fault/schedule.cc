@@ -1,9 +1,10 @@
 #include "fault/schedule.h"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 #include <stdexcept>
+
+#include "sim/config.h"
 
 namespace jasim {
 
@@ -83,54 +84,12 @@ FaultEvent::describe() const
 
 namespace {
 
-[[noreturn]] void
-fail(const std::string &what, const std::string &token)
-{
-    throw std::invalid_argument("--faults: " + what + " in \"" +
-                                token + "\"");
-}
-
-std::string
-trim(const std::string &s)
-{
-    const auto begin = s.find_first_not_of(" \t\n\r");
-    if (begin == std::string::npos)
-        return "";
-    const auto end = s.find_last_not_of(" \t\n\r");
-    return s.substr(begin, end - begin + 1);
-}
-
-double
-parseNumber(const std::string &value, const std::string &token)
-{
-    std::size_t used = 0;
-    double parsed = 0.0;
-    try {
-        parsed = std::stod(value, &used);
-    } catch (const std::exception &) {
-        fail("malformed number \"" + value + "\"", token);
-    }
-    if (used != value.size() || !std::isfinite(parsed))
-        fail("malformed number \"" + value + "\"", token);
-    return parsed;
-}
-
-double
-parseNonNegative(const std::string &value, const std::string &token)
-{
-    const double parsed = parseNumber(value, token);
-    if (parsed < 0.0)
-        fail("negative value \"" + value + "\"", token);
-    return parsed;
-}
-
 FaultEvent
-parseEvent(const std::string &raw)
+parseEvent(const std::string &token)
 {
-    const std::string token = trim(raw);
     const auto at_pos = token.find('@');
     if (at_pos == std::string::npos)
-        fail("missing '@<time>'", token);
+        throw specError("--faults", "missing '@<time>'", token);
 
     const std::string kind_name = trim(token.substr(0, at_pos));
     FaultEvent event;
@@ -151,52 +110,38 @@ parseEvent(const std::string &raw)
     else if (kind_name == "switchover")
         event.kind = FaultKind::Switchover;
     else
-        fail("unknown fault kind \"" + kind_name + "\"", token);
+        throw specError("--faults",
+                        "unknown fault kind \"" + kind_name + "\"", token);
 
     const auto colon = token.find(':', at_pos);
-    const std::string time_str = trim(
-        token.substr(at_pos + 1, colon == std::string::npos
-                                     ? std::string::npos
-                                     : colon - at_pos - 1));
-    event.at = secs(parseNonNegative(time_str, token));
+    event.at = secs(parseDouble(
+        "--faults: " + token,
+        trim(token.substr(at_pos + 1, colon == std::string::npos
+                                          ? std::string::npos
+                                          : colon - at_pos - 1)),
+        0.0, 1e9));
 
     bool saw_node = false;
-    // `sides=` values contain ','; fragments without '=' that follow
-    // a sides key continue the endpoint list.
     std::string sides_str;
-    bool in_sides = false;
-    std::string params = colon == std::string::npos
-                             ? ""
-                             : token.substr(colon + 1);
-    std::istringstream split(params);
-    std::string kv;
-    while (std::getline(split, kv, ',')) {
-        kv = trim(kv);
-        if (kv.empty())
-            continue;
-        const auto eq = kv.find('=');
-        if (eq == std::string::npos) {
-            if (in_sides) {
-                sides_str += "," + kv;
-                continue;
-            }
-            fail("parameter \"" + kv + "\" is not key=value", token);
-        }
-        const std::string key = trim(kv.substr(0, eq));
-        const std::string value = trim(kv.substr(eq + 1));
-        in_sides = false;
-
+    for (const SpecItem &item :
+         splitSpec("--faults", colon == std::string::npos
+                                   ? ""
+                                   : token.substr(colon + 1))) {
+        const std::string &key = item.key;
+        const std::string &value = item.value;
         if (key == "node" &&
             (event.kind == FaultKind::NodeCrash ||
              event.kind == FaultKind::LinkDegrade ||
              event.kind == FaultKind::PoolKill)) {
             if (value == "all") {
                 if (event.kind != FaultKind::LinkDegrade)
-                    fail("node=all applies to degrade only", token);
+                    throw specError("--faults",
+                                    "node=all applies to degrade only",
+                                    token);
                 event.node = FaultEvent::kAllNodes;
             } else {
                 event.node = static_cast<std::size_t>(
-                    parseNonNegative(value, token));
+                    parseInt(item.what, value, 0));
             }
             saw_node = true;
         } else if (key == "restart" &&
@@ -204,98 +149,87 @@ parseEvent(const std::string &raw)
                     event.kind == FaultKind::DbCrash ||
                     event.kind == FaultKind::DbTornWrite)) {
             event.restart_after =
-                secs(parseNonNegative(value, token));
+                secs(parseDouble(item.what, value, 0.0, 1e9));
         } else if (key == "dur" &&
                    (event.kind == FaultKind::LinkDegrade ||
                     event.kind == FaultKind::DbSlow ||
                     event.kind == FaultKind::Partition)) {
-            event.duration = secs(parseNonNegative(value, token));
+            event.duration = secs(parseDouble(item.what, value, 0.0, 1e9));
         } else if (key == "lat" &&
                    event.kind == FaultKind::LinkDegrade) {
-            event.latency_mult = parseNonNegative(value, token);
-            if (event.latency_mult < 1.0)
-                fail("lat multiplier must be >= 1", token);
+            event.latency_mult = parseDouble(item.what, value, 1.0);
         } else if (key == "drop" &&
                    event.kind == FaultKind::LinkDegrade) {
-            event.drop_probability = parseNonNegative(value, token);
-            if (event.drop_probability > 1.0)
-                fail("drop probability must be <= 1", token);
+            event.drop_probability =
+                parseDouble(item.what, value, 0.0, 1.0);
         } else if (key == "shard" &&
                    (event.kind == FaultKind::DbCrash ||
                     event.kind == FaultKind::DbTornWrite ||
                     event.kind == FaultKind::Switchover)) {
             event.shard = static_cast<std::size_t>(
-                parseNonNegative(value, token));
+                parseInt(item.what, value, 0));
         } else if (key == "sides" &&
                    event.kind == FaultKind::Partition) {
             sides_str = value;
-            in_sides = true;
         } else if (key == "replica" &&
                    event.kind == FaultKind::DbCrash) {
             event.replica = static_cast<std::size_t>(
-                parseNonNegative(value, token));
+                parseInt(item.what, value, 0));
         } else if (key == "mult" && event.kind == FaultKind::DbSlow) {
-            event.disk_mult = parseNonNegative(value, token);
-            if (event.disk_mult < 1.0)
-                fail("disk multiplier must be >= 1", token);
+            event.disk_mult = parseDouble(item.what, value, 1.0);
         } else {
-            fail("unknown key \"" + key + "\" for " + kind_name,
-                 token);
+            throw specError("--faults",
+                            "unknown key \"" + key + "\" for " +
+                                kind_name,
+                            token);
         }
     }
 
     if (!saw_node && (event.kind == FaultKind::NodeCrash ||
                       event.kind == FaultKind::PoolKill))
-        fail("missing node=<n>", token);
+        throw specError("--faults", "missing node=<n>", token);
 
     if (event.kind == FaultKind::Partition) {
         if (sides_str.empty())
-            fail("missing sides=<a,b|c,...>", token);
-        std::istringstream side_split(sides_str);
-        std::string side;
-        while (std::getline(side_split, side, '|')) {
+            throw specError("--faults", "missing sides=<a,b|c,...>",
+                            token);
+        for (const std::string &side : splitList(sides_str, '|')) {
             std::vector<NetEndpoint> members;
-            std::istringstream member_split(side);
-            std::string member;
-            while (std::getline(member_split, member, ',')) {
-                member = trim(member);
+            for (const std::string &member : splitList(side, ',')) {
                 if (member.empty())
                     continue;
                 bool ok = false;
                 const NetEndpoint ep = parseNetEndpoint(member, ok);
                 if (!ok)
-                    fail("bad endpoint \"" + member +
-                             "\" (want <n>, db<s>, or db<s>.<r>)",
-                         token);
+                    throw specError("--faults",
+                                    "bad endpoint \"" + member +
+                                        "\" (want <n>, db<s>, or "
+                                        "db<s>.<r>)",
+                                    token);
                 for (const auto &group : event.sides)
                     for (const NetEndpoint &other : group)
                         if (other == ep)
-                            fail("endpoint \"" + member +
-                                     "\" listed on two sides",
-                                 token);
+                            throw specError("--faults",
+                                            "endpoint \"" + member +
+                                                "\" listed on two sides",
+                                            token);
                 for (const NetEndpoint &other : members)
                     if (other == ep)
-                        fail("endpoint \"" + member +
-                                 "\" listed on two sides",
-                             token);
+                        throw specError("--faults",
+                                        "endpoint \"" + member +
+                                            "\" listed on two sides",
+                                        token);
                 members.push_back(ep);
             }
             if (members.empty())
-                fail("empty partition side", token);
+                throw specError("--faults", "empty partition side", token);
             event.sides.push_back(std::move(members));
         }
         if (event.sides.size() < 2)
-            fail("partition needs at least two sides", token);
+            throw specError("--faults",
+                            "partition needs at least two sides", token);
     }
     return event;
-}
-
-/** Validation failure against an already-parsed event. */
-[[noreturn]] void
-failEvent(const std::string &what, const FaultEvent &event)
-{
-    throw std::invalid_argument("--faults: " + what + " in \"" +
-                                event.describe() + "\"");
 }
 
 } // namespace
@@ -304,13 +238,9 @@ FaultSchedule
 FaultSchedule::parse(const std::string &spec)
 {
     FaultSchedule schedule;
-    std::istringstream split(spec);
-    std::string token;
-    while (std::getline(split, token, ';')) {
-        if (trim(token).empty())
-            continue;
-        schedule.add(parseEvent(token));
-    }
+    for (const std::string &token : splitList(spec, ';'))
+        if (!token.empty())
+            schedule.add(parseEvent(token));
     schedule.validate();
     return schedule;
 }
@@ -351,9 +281,10 @@ FaultSchedule::validate() const
                 continue;
             if (p.node == e.node && p.shard == e.shard &&
                 p.replica == e.replica)
-                failEvent("duplicate event (same kind, time, and "
-                          "target)",
-                          e);
+                throw specError("--faults",
+                                "duplicate event (same kind, time, and "
+                                "target)",
+                                e.describe());
         }
 
         const std::size_t shard =
@@ -362,9 +293,10 @@ FaultSchedule::validate() const
           case FaultKind::NodeCrash:
           case FaultKind::PoolKill:
             if (covered(node_down, e.node, 0, e.at))
-                failEvent("node " + std::to_string(e.node) +
-                              " is already down at that time",
-                          e);
+                throw specError("--faults",
+                                "node " + std::to_string(e.node) +
+                                    " is already down at that time",
+                                e.describe());
             if (e.kind == FaultKind::NodeCrash)
                 node_down.push_back(
                     {e.node, 0,
@@ -382,13 +314,14 @@ FaultSchedule::validate() const
             // shard-scoped crash share shard 0's bucket, which is
             // exactly the cluster's own defaulting rule.
             if (covered(db_down, shard, member, e.at))
-                failEvent("shard " + std::to_string(shard) +
-                              (replica_scoped
-                                   ? " replica " +
-                                         std::to_string(e.replica)
-                                   : std::string()) +
-                              " is already down at that time",
-                          e);
+                throw specError("--faults",
+                                "shard " + std::to_string(shard) +
+                                    (replica_scoped
+                                         ? " replica " +
+                                               std::to_string(e.replica)
+                                         : std::string()) +
+                                    " is already down at that time",
+                                e.describe());
             db_down.push_back(
                 {shard, member,
                  e.restart_after > 0 ? e.at + e.restart_after
@@ -397,16 +330,18 @@ FaultSchedule::validate() const
           }
           case FaultKind::Switchover:
             if (covered(db_down, shard, FaultEvent::kNoTarget, e.at))
-                failEvent("shard " + std::to_string(shard) +
-                              " is already down at that time",
-                          e);
+                throw specError("--faults",
+                                "shard " + std::to_string(shard) +
+                                    " is already down at that time",
+                                e.describe());
             break;
           case FaultKind::Partition:
             if (partition_open &&
                 (partition_until == kForever || e.at < partition_until))
-                failEvent("a partition window is still open at that "
-                          "time",
-                          e);
+                throw specError("--faults",
+                                "a partition window is still open at "
+                                "that time",
+                                e.describe());
             partition_open = true;
             partition_until =
                 e.duration > 0 ? e.at + e.duration : kForever;

@@ -58,9 +58,12 @@
  * `replica=` for dbcrash only (a torn write is a primary WAL-device
  * event); both are rejected for every other kind, like `node=`.
  * `node=all` is degrade's alone: crash and poolkill take one node.
- * Times and durations are seconds (fractions allowed). Unknown
- * kinds, malformed numbers, and unknown keys throw
- * std::invalid_argument with a message naming the offending token.
+ * Times and durations are seconds from 0 to 1e9 (fractions allowed);
+ * `node`, `shard` and `replica` are integers; `lat` and `mult` are at
+ * least 1, and `drop` is 0 to 1. Unknown kinds, malformed or
+ * out-of-range numbers, and unknown keys throw std::invalid_argument
+ * with a message naming the offending token (sim/config.h reads
+ * them).
  *
  * parse() additionally validates the schedule as a whole: an event
  * that targets a node or shard already down at its timestamp (inside

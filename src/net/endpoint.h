@@ -17,8 +17,13 @@
 #ifndef JASIM_NET_ENDPOINT_H
 #define JASIM_NET_ENDPOINT_H
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <string>
+
+#include "sim/config.h"
 
 namespace jasim {
 
@@ -61,52 +66,47 @@ struct NetEndpoint
 };
 
 /**
- * Parse one endpoint token (`3`, `db1`, `db1.2`). Sets `ok` false and
- * returns a default endpoint on malformed input; the fault parser
- * turns that into its usual `--faults:` diagnostic.
+ * Parse one endpoint token (`3`, `db1`, `db1.2`). Sets `ok` false on
+ * malformed input, an index that is not plain decimal digits or does
+ * not fit (the endpoint returned is then meaningless); the fault
+ * parser turns that into its usual `--faults:` diagnostic.
  */
 inline NetEndpoint
 parseNetEndpoint(const std::string &token, bool &ok)
 {
-    ok = false;
     NetEndpoint ep;
-    if (token.empty())
-        return ep;
-    std::size_t pos = 0;
-    if (token.compare(0, 2, "db") == 0) {
-        pos = 2;
+    std::string index = token;
+    std::string replica;
+    if (token.rfind("db", 0) == 0) {
         ep.kind = NetEndpoint::Kind::DbPrimary;
+        index = token.substr(2);
+        // `db<k>.<r>` — a replica slot. Nodes take no suffix.
+        const auto dot = index.find('.');
+        if (dot != std::string::npos) {
+            ep.kind = NetEndpoint::Kind::DbReplica;
+            replica = index.substr(dot + 1);
+            index.resize(dot);
+        }
     }
-    std::size_t digits = 0;
-    std::size_t value = 0;
-    while (pos < token.size() && token[pos] >= '0' && token[pos] <= '9') {
-        value = value * 10 + static_cast<std::size_t>(token[pos] - '0');
-        ++pos;
-        ++digits;
-    }
-    if (digits == 0)
-        return ep;
-    ep.index = value;
-    if (pos == token.size()) {
-        ok = true;
-        return ep;
-    }
-    // `db<k>.<r>` — a replica slot. Nodes take no suffix.
-    if (ep.kind != NetEndpoint::Kind::DbPrimary || token[pos] != '.')
-        return ep;
-    ++pos;
-    digits = 0;
-    value = 0;
-    while (pos < token.size() && token[pos] >= '0' && token[pos] <= '9') {
-        value = value * 10 + static_cast<std::size_t>(token[pos] - '0');
-        ++pos;
-        ++digits;
-    }
-    if (digits == 0 || pos != token.size())
-        return ep;
-    ep.kind = NetEndpoint::Kind::DbReplica;
-    ep.replica = value;
-    ok = true;
+    // parseInt reads base 0, where a leading zero means octal; an
+    // index is decimal, so its leading zeros go first.
+    const auto decimal = [&token](std::string digits, std::size_t &out) {
+        if (digits.empty() ||
+            digits.find_first_not_of("0123456789") != std::string::npos)
+            return false;
+        digits.erase(0, std::min(digits.find_first_not_of('0'),
+                                 digits.size() - 1));
+        try {
+            out = static_cast<std::size_t>(parseInt(
+                token, digits, 0, std::numeric_limits<std::int64_t>::max()));
+        } catch (const std::invalid_argument &) {
+            return false;
+        }
+        return true;
+    };
+    ok = decimal(index, ep.index) &&
+        (ep.kind != NetEndpoint::Kind::DbReplica ||
+         decimal(replica, ep.replica));
     return ep;
 }
 

@@ -66,6 +66,20 @@ TEST(AdmissionConfigTest, MalformedSpecsThrow)
                  std::invalid_argument); // web key without a policy
 }
 
+TEST(AdmissionConfigTest, CountsReadLikeEveryOtherInteger)
+{
+    // One integer rule for every input: base 0, whole text, no sign
+    // below the range.
+    EXPECT_EQ(AdmissionConfig::parse("static:cap=0x10").max_concurrent,
+              16u);
+    EXPECT_THROW(AdmissionConfig::parse("static:cap=1.5"),
+                 std::invalid_argument);
+    EXPECT_THROW(AdmissionConfig::parse("static:queue=-1"),
+                 std::invalid_argument);
+    EXPECT_THROW(AdmissionConfig::parse("adaptive:target=nan"),
+                 std::invalid_argument);
+}
+
 // ---- controller fixture ---------------------------------------------
 
 /** Records every callback so tests can assert exactly-once firing. */

@@ -48,6 +48,20 @@ TEST(ExperimentTest, RejectsLengthsThatHangOrWrap)
     rejects([](ExperimentConfig &c) { c.window_s = 2e9; });
 }
 
+TEST(ExperimentTest, RejectsRatesAndGroupsThatHangOrCrash)
+{
+    // ir=inf never ended its first window; ir=nan and ir=-5 ended in
+    // std::bad_alloc; ir=0 ran a simulation with no load.
+    for (const double ir : {0.0, -5.0, double(NAN), double(INFINITY)}) {
+        ExperimentConfig config = quickConfig();
+        config.sut.injection_rate = ir;
+        EXPECT_THROW(config.validate(), std::invalid_argument) << ir;
+    }
+    ExperimentConfig config = quickConfig();
+    config.windows_per_group = 0; // divided by zero choosing a group
+    EXPECT_THROW(config.validate(), std::invalid_argument);
+}
+
 TEST(ExperimentTest, AcceptsZeroRampDownAndOneMicrosecondWindows)
 {
     ExperimentConfig config = quickConfig();

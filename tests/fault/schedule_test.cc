@@ -471,5 +471,49 @@ TEST(FaultScheduleTest, RejectsOverlappingPartitionWindows)
         "partition@10:sides=0|1,dur=5;partition@20:sides=0|2,dur=5"));
 }
 
+TEST(FaultScheduleTest, TargetsAreIntegers)
+{
+    // node, shard and replica were read as doubles and cast: node=1.7
+    // crashed node 1, and the cast of 1e30 was undefined.
+    for (const char *spec :
+         {"crash@1:node=1.7", "dbcrash@1:shard=2.5", "crash@1:node=1e30",
+          "dbcrash@1:replica=0.5", "poolkill@1:node=-1"}) {
+        try {
+            FaultSchedule::parse(spec);
+            ADD_FAILURE() << spec << " parsed";
+        } catch (const std::invalid_argument &e) {
+            const std::string what = e.what();
+            const std::string item =
+                std::string(spec).substr(std::string(spec).find(':') + 1);
+            EXPECT_NE(what.find("--faults"), std::string::npos) << what;
+            EXPECT_NE(what.find(item), std::string::npos) << what;
+        }
+    }
+    // Base 0, like every other integer the program reads.
+    EXPECT_EQ(FaultSchedule::parse("crash@1:node=0x10").events()[0].node,
+              16u);
+}
+
+TEST(FaultScheduleTest, TimesStayInsideSimTime)
+{
+    EXPECT_THROW(FaultSchedule::parse("crash@2e9:node=0"),
+                 std::invalid_argument);
+    EXPECT_THROW(FaultSchedule::parse("crash@1:node=0,restart=1e300"),
+                 std::invalid_argument);
+    EXPECT_THROW(FaultSchedule::parse("dbslow@1:mult=2,dur=inf"),
+                 std::invalid_argument);
+    EXPECT_EQ(FaultSchedule::parse("dbslow@1e9:mult=2").events()[0].at,
+              secs(1e9));
+}
+
+TEST(FaultScheduleTest, PartitionRejectsAnEndpointIndexThatOverflows)
+{
+    // The endpoint digit loop wrapped: db18446744073709551617 became
+    // shard 1.
+    EXPECT_THROW(
+        FaultSchedule::parse("partition@1:sides=db18446744073709551617|0"),
+        std::invalid_argument);
+}
+
 } // namespace
 } // namespace jasim

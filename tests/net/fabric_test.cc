@@ -142,5 +142,24 @@ TEST(FabricTest, ParsesEndpointTokens)
               "db1.2");
 }
 
+TEST(FabricTest, RejectsEndpointIndicesThatDoNotFit)
+{
+    // A digit loop used to wrap: db18446744073709551617 was shard 1.
+    bool ok = true;
+    for (const char *bad :
+         {"db18446744073709551617", "18446744073709551617",
+          "db1.18446744073709551617", "db0x1", "-1", "db+1", " 1"}) {
+        parseNetEndpoint(bad, ok);
+        EXPECT_FALSE(ok) << bad;
+    }
+    // Indices stay decimal: a leading zero does not mean octal.
+    EXPECT_EQ(parseNetEndpoint("db010", ok), NetEndpoint::dbPrimary(10));
+    EXPECT_TRUE(ok);
+    EXPECT_EQ(parseNetEndpoint("08", ok), NetEndpoint::node(8));
+    EXPECT_TRUE(ok);
+    EXPECT_EQ(parseNetEndpoint("db0.00", ok), NetEndpoint::dbReplica(0, 0));
+    EXPECT_TRUE(ok);
+}
+
 } // namespace
 } // namespace jasim
