@@ -15,7 +15,6 @@
 
 #include "bench_common.h"
 
-#include "core/cluster.h"
 #include "par/sweep.h"
 
 using namespace jasim;
@@ -65,12 +64,14 @@ int
 run(int argc, char **argv)
 {
     const Config args = Config::fromArgs(argc, argv);
-    ExperimentConfig base = bench::configFromArgs(args, 60.0);
-    base.ramp_up_s = args.getDouble("ramp", 15.0);
+    bench::PerfReport perf("abl_burst");
+    bench::refuse(args, "abl_burst", "case", {"arrival", "admission"});
+    bench::ClusterRun harness(args, {.nodes = 2,
+                                     .min_nodes = 2,
+                                     .ramp_s = 15.0,
+                                     .steady_s = 60.0});
     const double peak = args.getDouble("burst", 6.0);
-    const auto nodes =
-        static_cast<std::size_t>(args.getInt("nodes", 2, 2, 64));
-    const auto db_pool =
+    harness.base.db_pool.max_connections =
         static_cast<std::size_t>(args.getInt("db_pool", 24, 1));
     args.rejectUnread();
     bench::banner(std::cout,
@@ -80,15 +81,13 @@ run(int argc, char **argv)
                   "saturation under three shed policies: adaptive "
                   "admission keeps p99 bounded and goodput near "
                   "capacity while `none` collapses.");
-    bench::PerfReport perf("abl_burst");
 
-    const SimTime steady_from = secs(base.ramp_up_s);
-    const SimTime steady_to = secs(base.ramp_up_s + base.steady_s);
+    const std::size_t nodes = harness.base.nodes;
 
     // Burst sojourns scale with the horizon so a scaled-down smoke
     // run keeps the same burst duty cycle (~3 burst cycles per run).
-    const double on_s = 0.10 * base.steady_s;
-    const double off_s = 0.20 * base.steady_s;
+    const double on_s = 0.10 * harness.steady_s;
+    const double off_s = 0.20 * harness.steady_s;
     std::vector<double> amplitudes{1.0, 2.0, 4.0};
     if (peak > amplitudes.back())
         amplitudes.push_back(peak);
@@ -123,36 +122,22 @@ run(int argc, char **argv)
     const std::size_t adaptive_peak = cases.size() - 1;
     cases.push_back(cases[adaptive_peak]);
 
-    auto profiles =
-        std::make_shared<const WorkloadProfiles>(base.seed ^ 0x9a0full);
-    auto registry = std::make_shared<const MethodRegistry>(
-        profiles->layout(Component::WasJit).count(),
-        base.seed ^ 0x3e9ull);
-
     const auto points =
-        par::runSweep(cases.size(), base.jobs, [&](std::size_t i) {
-            ClusterConfig config;
-            config.nodes = nodes;
-            config.node = base.sut;
-            config.node.driver.ramp_up_s = base.ramp_up_s;
-            config.db_pool.max_connections = db_pool;
+        par::runSweep(cases.size(), harness.jobs, [&](std::size_t i) {
+            ClusterConfig config = harness.base;
             config.node.driver.arrival =
                 ArrivalSpec::parse(cases[i].arrival);
             config.node.admission =
                 adm::AdmissionConfig::parse(cases[i].admission);
+            const auto cluster = harness.run(config);
 
-            ClusterUnderTest cluster(config, profiles, registry,
-                                     base.seed);
-            cluster.start(steady_to);
-            cluster.advanceTo(steady_to);
-
-            const ResponseTracker &t = cluster.tracker();
+            const ResponseTracker &t = cluster->tracker();
             BurstPoint p;
             p.offered_per_s = static_cast<double>(
-                                  cluster.driver()->injectedCount()) /
-                toSeconds(steady_to);
-            p.jops = cluster.jops(steady_from, steady_to);
-            p.goodput = t.goodput(steady_from, steady_to);
+                                  cluster->driver()->injectedCount()) /
+                toSeconds(harness.steady_to);
+            p.jops = cluster->jops(harness.steady_from, harness.steady_to);
+            p.goodput = t.goodput(harness.steady_from, harness.steady_to);
             for (const SlaVerdict &v : t.verdicts()) {
                 if (!isWebRequest(v.type))
                     continue;
@@ -164,16 +149,16 @@ run(int argc, char **argv)
             p.shed = t.shedCount();
             p.shed_lb = t.errorCount(ErrorKind::ShedAtLB);
             p.errors = t.errorCount();
-            p.bursts = cluster.driver()->burstCount();
+            p.bursts = cluster->driver()->burstCount();
             for (std::size_t n = 0; n < nodes; ++n) {
                 const adm::AdmissionController *adm =
-                    cluster.node(n).admission();
+                    cluster->node(n).admission();
                 if (!adm)
                     continue;
                 p.cap_cuts += adm->stats().cap_cuts;
                 p.final_cap = std::max(p.final_cap, adm->cap());
             }
-            p.events = cluster.queue().executed();
+            p.events = cluster->queue().executed();
             return p;
         });
 
@@ -249,7 +234,7 @@ run(int argc, char **argv)
     perf.note("adaptive_p99_web", adaptive.p99_web);
     perf.note("none_p99_web", collapsed.p99_web);
     perf.note("shed", static_cast<double>(adaptive.shed));
-    perf.write(base.jobs);
+    perf.write(harness.jobs);
 
     return adaptive_bounded && goodput_held && none_collapsed &&
             deterministic

@@ -8,44 +8,11 @@
 
 #include "bench_common.h"
 
-#include "core/cluster.h"
 #include "par/sweep.h"
 
 using namespace jasim;
 
 namespace {
-
-/**
- * The cluster every sweep point copies, read from the arguments once,
- * before the banner and outside the sweep workers.
- */
-ClusterConfig
-clusterConfig(const ExperimentConfig &base, const Config &args)
-{
-    ClusterConfig config;
-    config.node = base.sut;
-    config.node.driver.ramp_up_s = base.ramp_up_s;
-    config.faults = FaultSchedule::parse(args.getString("faults", ""));
-
-    config.db_cpus = static_cast<std::size_t>(args.getInt("db_cpus", 4, 1));
-    config.db_pool.max_connections =
-        static_cast<std::size_t>(args.getInt("db_pool", 12, 1));
-
-    // Replication axis (defaults disabled: byte-identical output).
-    config.repl = bench::replFromArgs(args);
-
-    const std::string policy =
-        args.getChoice("lb", "lc", {"lc", "rr", "wrr"});
-    if (policy == "rr")
-        config.lb.policy = LbPolicy::RoundRobin;
-    else if (policy == "wrr")
-        config.lb.policy = LbPolicy::Weighted;
-    else
-        config.lb.policy = LbPolicy::LeastConnections;
-    config.lb.forward_us = args.getDouble("lb_us", 30.0);
-
-    return config;
-}
 
 /** Everything one sweep point contributes to the table and curves. */
 struct ScalePoint
@@ -69,14 +36,38 @@ int
 run(int argc, char **argv)
 {
     const Config args = Config::fromArgs(argc, argv);
-    ExperimentConfig base = bench::configFromArgs(args, 90.0);
-    base.ramp_up_s = args.getDouble("ramp", 30.0);
-    const auto max_nodes =
-        static_cast<std::size_t>(args.getInt("nodes", 8, 1, 64));
-    const ClusterConfig cluster_base = clusterConfig(base, args);
-    const FaultSchedule &faults = cluster_base.faults;
-    args.rejectUnread();
     bench::PerfReport perf("abl_cluster_scaling");
+    bench::ClusterRun harness(
+        args, {.nodes = 8, .ramp_s = 30.0, .steady_s = 90.0});
+    // The bench's own keys, read into the config every sweep point
+    // copies, once, before the banner and outside the sweep workers.
+    ClusterConfig &base = harness.base;
+    base.faults = FaultSchedule::parse(args.getString("faults", ""));
+    base.db_cpus = static_cast<std::size_t>(args.getInt("db_cpus", 4, 1));
+    base.db_pool.max_connections =
+        static_cast<std::size_t>(args.getInt("db_pool", 12, 1));
+    // The replication axis. Its defaults (1/0/async) are one
+    // unreplicated shard group, the single shared DB box, and arm
+    // nothing replication needs: the output stays byte-identical.
+    base.repl.shards =
+        static_cast<std::size_t>(args.getInt("shards", 1, 1, 64));
+    base.repl.replicas =
+        static_cast<std::size_t>(args.getInt("replicas", 0, 0, 8));
+    base.repl.sync =
+        args.getChoice("sync-mode", "async", {"sync", "async"}) == "sync";
+    const std::string policy =
+        args.getChoice("lb", "lc", {"lc", "rr", "wrr"});
+    if (policy == "rr")
+        base.lb.policy = LbPolicy::RoundRobin;
+    else if (policy == "wrr")
+        base.lb.policy = LbPolicy::Weighted;
+    else
+        base.lb.policy = LbPolicy::LeastConnections;
+    base.lb.forward_us = args.getDouble("lb_us", 30.0);
+    // The largest point runs every node.
+    base.faults.checkTargets(base.nodes, base.repl.shards, base.repl.replicas);
+    const FaultSchedule &faults = base.faults;
+    args.rejectUnread();
 
     bench::banner(std::cout,
                   "Ablation: Cluster Scaling (future work)",
@@ -85,46 +76,31 @@ run(int argc, char **argv)
                   "(or balancer) saturates and queueing at the "
                   "connection pools bends the curve.");
 
-    const double per_node_ir = base.sut.injection_rate;
-    const SimTime steady_from = secs(base.ramp_up_s);
-    const SimTime steady_to =
-        secs(base.ramp_up_s + base.steady_s);
-
-    auto profiles =
-        std::make_shared<const WorkloadProfiles>(base.seed ^ 0x9a0full);
-    auto registry = std::make_shared<const MethodRegistry>(
-        profiles->layout(Component::WasJit).count(),
-        base.seed ^ 0x3e9ull);
-
     // Each point simulates its own independent cluster; the shared
     // profiles/registry are immutable, so points parallelize cleanly.
     const auto points =
-        par::runSweep(max_nodes, base.jobs, [&](std::size_t i) {
+        par::runSweep(base.nodes, harness.jobs, [&](std::size_t i) {
             const std::size_t nodes = i + 1;
-            ClusterConfig config = cluster_base;
+            ClusterConfig config = base;
             config.nodes = nodes;
-            config.node.injection_rate = per_node_ir;
-            ClusterUnderTest cluster(config, profiles, registry,
-                                     base.seed);
-            cluster.start(steady_to);
-            cluster.advanceTo(steady_to);
+            const auto cluster = harness.run(config);
 
             ScalePoint p;
             p.agg_ir = config.totalInjectionRate();
-            p.jops = cluster.jops(steady_from, steady_to);
-            p.db_util = cluster.dbUtilization();
+            p.jops = cluster->jops(harness.steady_from, harness.steady_to);
+            p.db_util = cluster->dbUtilization();
             for (std::size_t n = 0; n < nodes; ++n)
-                p.pool_wait_us += cluster.dbPool(n).meanWaitUs();
+                p.pool_wait_us += cluster->dbPool(n).meanWaitUs();
             p.pool_wait_us /= static_cast<double>(nodes);
 
-            for (const SlaVerdict &v : cluster.tracker().verdicts()) {
+            for (const SlaVerdict &v : cluster->tracker().verdicts()) {
                 if (isWebRequest(v.type))
                     p.p99_web = std::max(p.p99_web, v.p99_seconds);
                 p.sla = p.sla && v.pass;
             }
-            p.events = cluster.queue().executed();
+            p.events = cluster->queue().executed();
             if (!faults.empty()) {
-                const ResponseTracker &t = cluster.tracker();
+                const ResponseTracker &t = cluster->tracker();
                 p.errors = t.errorCount();
                 p.retries = t.retryCount();
                 p.error_rate = t.errorRate();
@@ -132,7 +108,7 @@ run(int argc, char **argv)
                     p.min_availability = std::min(
                         p.min_availability,
                         t.availability(static_cast<std::uint32_t>(n),
-                                       steady_to));
+                                       harness.steady_to));
                 }
             }
             return p;
@@ -192,7 +168,7 @@ run(int argc, char **argv)
         chaos.print(std::cout);
     }
 
-    perf.write(base.jobs);
+    perf.write(harness.jobs);
     return 0;
 }
 

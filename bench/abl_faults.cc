@@ -13,7 +13,6 @@
 
 #include "bench_common.h"
 
-#include "core/cluster.h"
 #include "par/sweep.h"
 
 using namespace jasim;
@@ -81,17 +80,16 @@ int
 run(int argc, char **argv)
 {
     const Config args = Config::fromArgs(argc, argv);
-    ExperimentConfig base = bench::configFromArgs(args, 60.0);
-    base.ramp_up_s = args.getDouble("ramp", 20.0);
     bench::PerfReport perf("abl_faults");
+    bench::ClusterRun harness(args, {.nodes = 4,
+                                     .min_nodes = 2,
+                                     .ramp_s = 20.0,
+                                     .steady_s = 60.0});
 
-    const auto nodes =
-        static_cast<std::size_t>(args.getInt("nodes", 4, 2, 64));
-    const SimTime steady_from = secs(base.ramp_up_s);
-    const SimTime steady_to = secs(base.ramp_up_s + base.steady_s);
+    const std::size_t nodes = harness.base.nodes;
 
     std::vector<Level> ladder =
-        buildLadder(base.ramp_up_s, base.steady_s);
+        buildLadder(harness.ramp_s, harness.steady_s);
     if (args.has("faults")) {
         // A custom spec replaces the ladder (healthy baseline kept
         // so the dip is still reported relative to no chaos).
@@ -103,14 +101,12 @@ run(int argc, char **argv)
     schedules.reserve(ladder.size());
     for (const Level &level : ladder)
         schedules.push_back(FaultSchedule::parse(level.spec));
+    // The last level holds every event the ladder injects.
+    schedules.back().checkTargets(nodes, 1, 0);
 
-    ClusterConfig cluster_base;
-    cluster_base.nodes = nodes;
-    cluster_base.node = base.sut;
-    cluster_base.node.driver.ramp_up_s = base.ramp_up_s;
-    cluster_base.db_cpus =
+    harness.base.db_cpus =
         static_cast<std::size_t>(args.getInt("db_cpus", 4, 1));
-    cluster_base.db_pool.max_connections =
+    harness.base.db_pool.max_connections =
         static_cast<std::size_t>(args.getInt("db_pool", 12, 1));
     args.rejectUnread();
 
@@ -121,25 +117,15 @@ run(int argc, char **argv)
                   "counted not hung, and ejected nodes rejoin after "
                   "restart.");
 
-    auto profiles =
-        std::make_shared<const WorkloadProfiles>(base.seed ^ 0x9a0full);
-    auto registry = std::make_shared<const MethodRegistry>(
-        profiles->layout(Component::WasJit).count(),
-        base.seed ^ 0x3e9ull);
-
     const auto points =
-        par::runSweep(ladder.size(), base.jobs, [&](std::size_t i) {
-            ClusterConfig config = cluster_base;
+        par::runSweep(ladder.size(), harness.jobs, [&](std::size_t i) {
+            ClusterConfig config = harness.base;
             config.faults = schedules[i];
+            const auto cluster = harness.run(config);
 
-            ClusterUnderTest cluster(config, profiles, registry,
-                                     base.seed);
-            cluster.start(steady_to);
-            cluster.advanceTo(steady_to);
-
-            const ResponseTracker &t = cluster.tracker();
+            const ResponseTracker &t = cluster->tracker();
             FaultPoint p;
-            p.jops = cluster.jops(steady_from, steady_to);
+            p.jops = cluster->jops(harness.steady_from, harness.steady_to);
             for (const SlaVerdict &v : t.verdicts()) {
                 if (isWebRequest(v.type))
                     p.p99_web = std::max(p.p99_web, v.p99_seconds);
@@ -152,14 +138,14 @@ run(int argc, char **argv)
                 p.min_availability = std::min(
                     p.min_availability,
                     t.availability(static_cast<std::uint32_t>(n),
-                                   steady_to));
+                                   harness.steady_to));
             }
             p.degraded_pct =
-                t.degradedSummary(steady_to).degraded_fraction * 100.0;
-            if (const CircuitBreaker *breaker = cluster.breaker())
+                t.degradedSummary(harness.steady_to).degraded_fraction * 100.0;
+            if (const CircuitBreaker *breaker = cluster->breaker())
                 p.breaker_opens = breaker->stats().opens;
-            p.ejections = cluster.loadBalancer().ejections();
-            p.events = cluster.queue().executed();
+            p.ejections = cluster->loadBalancer().ejections();
+            p.events = cluster->queue().executed();
             return p;
         });
 
@@ -214,7 +200,7 @@ run(int argc, char **argv)
     perf.note("worst_jops", worst.jops);
     perf.note("worst_error_rate", worst.error_rate);
     perf.note("worst_min_availability", worst.min_availability);
-    perf.write(base.jobs);
+    perf.write(harness.jobs);
     return 0;
 }
 

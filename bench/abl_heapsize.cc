@@ -13,8 +13,11 @@ namespace {
 int
 run(int argc, char **argv)
 {
+    const Config args = Config::fromArgs(argc, argv);
+    bench::refuse(args, "abl_heapsize", "point", {"heap_mb"});
     const ExperimentConfig base =
-        bench::configFromArgs(argc, argv, 240.0);
+        bench::configFromArgs(args, 240.0, bench::kNoWindows);
+    args.rejectUnread();
     bench::banner(std::cout, "Ablation: Heap Size vs GC Overhead",
                   "Paper: with a server-sized 1 GB heap, GC is <2% of "
                   "CPU time; prior studies saw large GC overheads "
@@ -25,7 +28,6 @@ run(int argc, char **argv)
     const auto runs =
         par::runSweep(heap_mb.size(), base.jobs, [&](std::size_t i) {
             ExperimentConfig config = base;
-            config.micro_enabled = false;
             config.sut.gc.heap.size_bytes = heap_mb[i] << 20;
             Experiment experiment(config);
             return experiment.run();

@@ -11,8 +11,11 @@ namespace {
 int
 run(int argc, char **argv)
 {
-    const ExperimentConfig base =
-        bench::configFromArgs(argc, argv, 180.0);
+    const Config args = Config::fromArgs(argc, argv);
+    bench::refuse(args, "abl_largepages", "point",
+                  {"heap_large", "code_large"});
+    const ExperimentConfig base = bench::configFromArgs(args, 180.0);
+    args.rejectUnread();
     bench::banner(std::cout, "Ablation: Large Pages (4.2.2)",
                   "Paper: 16 MB pages for the heap raise DTLB hit "
                   "rates ~25% and ITLB ~15% (unified TLB relief); "

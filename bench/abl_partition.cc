@@ -20,7 +20,6 @@
 
 #include "bench_common.h"
 
-#include "core/cluster.h"
 #include "par/sweep.h"
 
 using namespace jasim;
@@ -76,18 +75,19 @@ int
 run(int argc, char **argv)
 {
     const Config args = Config::fromArgs(argc, argv);
-    ExperimentConfig base = bench::configFromArgs(args, 16.0);
-    base.ramp_up_s = args.getDouble("ramp", 2.0);
     bench::PerfReport perf("abl_partition");
+    bench::ClusterRun harness(
+        args, {.nodes = 4, .ramp_s = 2.0, .steady_s = 16.0, .ir = 150.0});
 
-    const auto nodes =
-        static_cast<std::size_t>(args.getInt("nodes", 4, 1, 64));
-    const double per_node_ir = args.getDouble("ir", 150.0, kAboveZero);
-    const auto db_pool =
+    const std::size_t nodes = harness.base.nodes;
+    harness.base.db_pool.max_connections =
         static_cast<std::size_t>(args.getInt("db_pool", 12, 1));
-    const auto db_cpus =
+    harness.base.db_cpus =
         static_cast<std::size_t>(args.getInt("db_cpus", 1, 1));
-    const double ckpt_s = args.getDouble("ckpt", 5.0);
+    harness.base.db_recovery.checkpoint_interval_s =
+        args.getDouble("ckpt", 5.0);
+    harness.base.repl.shards = 2;
+    harness.base.repl.replicas = 2;
     args.rejectUnread();
     bench::banner(std::cout,
                   "Ablation: Partition Tolerance (jasim::fault x repl)",
@@ -98,12 +98,10 @@ run(int argc, char **argv)
                   "divergent tail -- swept over partition duration x "
                   "lease length x ack mode, plus a planned-switchover "
                   "point with ~zero blackout.");
-    const SimTime steady_from = secs(base.ramp_up_s);
-    const SimTime steady_to = secs(base.ramp_up_s + base.steady_s);
 
     // The cut opens mid-steady; every partition heals well before the
     // horizon so post-heal recovery is measurable.
-    const double t_cut = base.ramp_up_s + 4.0;
+    const double t_cut = harness.ramp_s + 4.0;
 
     std::vector<Point> points = {
         {2.0, 0.5, false}, {2.0, 0.5, true},
@@ -115,14 +113,8 @@ run(int argc, char **argv)
     const std::size_t determinism_of = 5; // (6s, 0.5s, sync) re-run
     points.push_back(points[determinism_of]);
 
-    auto profiles =
-        std::make_shared<const WorkloadProfiles>(base.seed ^ 0x9a0full);
-    auto registry = std::make_shared<const MethodRegistry>(
-        profiles->layout(Component::WasJit).count(),
-        base.seed ^ 0x3e9ull);
-
     const auto results =
-        par::runSweep(points.size(), base.jobs, [&](std::size_t i) {
+        par::runSweep(points.size(), harness.jobs, [&](std::size_t i) {
             const Point &point = points[i];
             std::ostringstream chaos;
             if (point.dur_s > 0.0) {
@@ -136,55 +128,42 @@ run(int argc, char **argv)
                 chaos << "switchover@" << t_cut << ":shard=0";
             }
 
-            ClusterConfig config;
-            config.nodes = nodes;
-            config.node = base.sut;
-            config.node.injection_rate = per_node_ir;
-            config.node.driver.ramp_up_s = base.ramp_up_s;
-            config.db_pool.max_connections = db_pool;
-            config.db_cpus = db_cpus;
+            ClusterConfig config = harness.base;
             config.faults = FaultSchedule::parse(chaos.str());
-            config.db_recovery.checkpoint_interval_s = ckpt_s;
-            config.repl.shards = 2;
-            config.repl.replicas = 2;
             config.repl.sync = point.sync;
             config.repl.lease.lease_s = point.lease_s;
             config.repl.lease.renew_s = point.lease_s / 4.0;
+            const auto cluster = harness.run(config);
 
-            ClusterUnderTest cluster(config, profiles, registry,
-                                     base.seed);
-            cluster.start(steady_to);
-            cluster.advanceTo(steady_to);
-
-            const ResponseTracker &t = cluster.tracker();
+            const ResponseTracker &t = cluster->tracker();
             PartPoint r;
-            r.jops = cluster.jops(steady_from, steady_to);
+            r.jops = cluster->jops(harness.steady_from, harness.steady_to);
             const SimTime healed =
                 secs(t_cut + point.dur_s + 1.0);
-            r.healed_jops = cluster.jops(healed, steady_to);
+            r.healed_jops = cluster->jops(healed, harness.steady_to);
             r.errors = t.errorCount();
             r.partitioned = t.errorCount(ErrorKind::Partitioned);
-            r.partition_drops = cluster.fabric().partitionDrops();
+            r.partition_drops = cluster->fabric().partitionDrops();
             for (const repl::FailoverOutcome &o :
-                 cluster.failoverController()->history()) {
+                 cluster->failoverController()->history()) {
                 if (o.kind == repl::FailoverKind::Partition)
                     ++r.promotions;
             }
             r.switchovers = t.switchoverCount();
             r.switchover_aborts =
-                cluster.failoverController()->switchoverAborts();
+                cluster->failoverController()->switchoverAborts();
             r.blackout_s = toSeconds(t.failoverBlackoutUs());
-            r.fenced = cluster.shard(0).fencedWindows() +
-                cluster.shard(1).fencedWindows();
-            r.rewinds = cluster.staleRewinds();
-            r.rewind_bytes = cluster.staleRewindBytes();
-            const AuditReport audit = cluster.auditNow();
+            r.fenced = cluster->shard(0).fencedWindows() +
+                cluster->shard(1).fencedWindows();
+            r.rewinds = cluster->staleRewinds();
+            r.rewind_bytes = cluster->staleRewindBytes();
+            const AuditReport audit = cluster->auditNow();
             r.acked = audit.acked_total;
             r.lost_acked = audit.lost_acked;
             r.lost_durable = audit.lost_durable;
             r.resurrected = audit.resurrected;
             r.duplicates = audit.duplicates;
-            r.events = cluster.queue().executed();
+            r.events = cluster->queue().executed();
             return r;
         });
 
@@ -270,7 +249,7 @@ run(int argc, char **argv)
     perf.note("clean_rewinds", clean_rewinds ? 1.0 : 0.0);
     perf.note("switchover_ok", switchover_ok ? 1.0 : 0.0);
     perf.note("deterministic", deterministic ? 1.0 : 0.0);
-    perf.write(base.jobs);
+    perf.write(harness.jobs);
     return sync_zero_loss && decisive_promote && any_fenced &&
             clean_rewinds && switchover_ok && deterministic
         ? 0

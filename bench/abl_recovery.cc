@@ -12,11 +12,11 @@
 
 #include <algorithm>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
 #include "bench_common.h"
 
-#include "core/cluster.h"
 #include "par/sweep.h"
 
 using namespace jasim;
@@ -56,25 +56,34 @@ int
 run(int argc, char **argv)
 {
     const Config args = Config::fromArgs(argc, argv);
-    ExperimentConfig base = bench::configFromArgs(args, 60.0);
-    base.ramp_up_s = args.getDouble("ramp", 15.0);
     bench::PerfReport perf("abl_recovery");
+    bench::ClusterRun harness(
+        args, {.nodes = 2, .ramp_s = 15.0, .steady_s = 60.0});
 
-    const auto nodes =
-        static_cast<std::size_t>(args.getInt("nodes", 2, 1, 64));
-    const auto db_pool =
+    harness.base.db_pool.max_connections =
         static_cast<std::size_t>(args.getInt("db_pool", 12, 1));
     const auto spindles =
         static_cast<std::size_t>(args.getInt("spindles", 2, 1));
-    const SimTime steady_from = secs(base.ramp_up_s);
-    const SimTime steady_to = secs(base.ramp_up_s + base.steady_s);
+    const double ramp = harness.ramp_s;
+    const double steady = harness.steady_s;
 
     // Crash times sit just before a common multiple of every swept
     // interval, so the replay window (time since the last fuzzy
     // checkpoint) is ~interval for each point: 47.9 s and 63.9 s
-    // under the default ramp=15 steady=60.
-    const double t_crash = base.ramp_up_s + 0.55 * base.steady_s - 0.1;
-    const double t_torn = base.ramp_up_s + 0.815 * base.steady_s;
+    // under the default ramp=15 steady=60. The torn write must land
+    // after the crashed tier restarts, 1 s on.
+    const double crash_at = 0.55;
+    const double crash_lead = 0.1;
+    const double torn_at = 0.815;
+    const double t_crash = ramp + crash_at * steady - crash_lead;
+    const double t_torn = ramp + torn_at * steady;
+    const double min_steady = (1.0 - crash_lead) / (torn_at - crash_at);
+    if (!args.has("faults") && steady < min_steady)
+        throw std::invalid_argument(
+            "steady=" + args.getString("steady", "") +
+            ": the default fault schedule needs steady >= " +
+            std::to_string(min_steady) +
+            " s, or its torn write lands before the crashed DB restarts");
     std::ostringstream chaos;
     chaos << "dbcrash@" << t_crash << ":restart=1;tornwrite@" << t_torn
           << ":restart=1";
@@ -82,9 +91,9 @@ run(int argc, char **argv)
     // The armed healthy baseline arms recovery like the chaos points
     // do, through a DB fault, but one that lands after the run ends.
     std::ostringstream past_end;
-    past_end << std::fixed << "dbcrash@"
-             << base.ramp_up_s + base.steady_s + 1.0;
+    past_end << std::fixed << "dbcrash@" << ramp + steady + 1.0;
     const FaultSchedule chaos_faults = FaultSchedule::parse(spec);
+    chaos_faults.checkTargets(harness.base.nodes, 1, 0);
     const FaultSchedule baseline_faults =
         FaultSchedule::parse(past_end.str());
     args.rejectUnread();
@@ -105,20 +114,10 @@ run(int argc, char **argv)
             points.push_back({disk, interval, chaos_faults});
     }
 
-    auto profiles =
-        std::make_shared<const WorkloadProfiles>(base.seed ^ 0x9a0full);
-    auto registry = std::make_shared<const MethodRegistry>(
-        profiles->layout(Component::WasJit).count(),
-        base.seed ^ 0x3e9ull);
-
     const auto results =
-        par::runSweep(points.size(), base.jobs, [&](std::size_t i) {
+        par::runSweep(points.size(), harness.jobs, [&](std::size_t i) {
             const Point &point = points[i];
-            ClusterConfig config;
-            config.nodes = nodes;
-            config.node = base.sut;
-            config.node.driver.ramp_up_s = base.ramp_up_s;
-            config.db_pool.max_connections = db_pool;
+            ClusterConfig config = harness.base;
             if (point.disk == "spinning") {
                 config.db_disk.kind = DiskConfig::Kind::Spinning;
                 config.db_disk.spindles = spindles;
@@ -126,31 +125,27 @@ run(int argc, char **argv)
             config.faults = point.faults;
             config.db_recovery.checkpoint_interval_s =
                 point.interval_s > 0.0 ? point.interval_s : 8.0;
+            const auto cluster = harness.run(config);
 
-            ClusterUnderTest cluster(config, profiles, registry,
-                                     base.seed);
-            cluster.start(steady_to);
-            cluster.advanceTo(steady_to);
-
-            const ResponseTracker &t = cluster.tracker();
+            const ResponseTracker &t = cluster->tracker();
             RecoveryPoint r;
-            r.jops = cluster.jops(steady_from, steady_to);
+            r.jops = cluster->jops(harness.steady_from, harness.steady_to);
             r.errors = t.errorCount();
             r.recovery_wait = t.errorCount(ErrorKind::RecoveryWait);
             r.recovery_s = toSeconds(t.dbRecoveryUs());
-            r.replay_s = toSeconds(cluster.dbReplayUs());
-            r.crashes = cluster.dbCrashCount();
-            r.checkpoints = cluster.checkpointCount();
-            r.replay_bytes = cluster.lastRecovery().replay_bytes;
-            r.redo = cluster.lastRecovery().redo_records;
-            r.undo = cluster.lastRecovery().undo_records;
-            r.losers = cluster.lastRecovery().loser_txns;
-            const AuditReport audit = cluster.auditNow();
+            r.replay_s = toSeconds(cluster->dbReplayUs());
+            r.crashes = cluster->dbCrashCount();
+            r.checkpoints = cluster->checkpointCount();
+            r.replay_bytes = cluster->lastRecovery().replay_bytes;
+            r.redo = cluster->lastRecovery().redo_records;
+            r.undo = cluster->lastRecovery().undo_records;
+            r.losers = cluster->lastRecovery().loser_txns;
+            const AuditReport audit = cluster->auditNow();
             r.lost_acked = audit.lost_acked + audit.lost_durable;
             r.resurrected = audit.resurrected;
             r.duplicates = audit.duplicates;
             r.audit_pass = audit.pass();
-            r.events = cluster.queue().executed();
+            r.events = cluster->queue().executed();
             return r;
         });
 
@@ -217,7 +212,7 @@ run(int argc, char **argv)
     perf.note("armed_jops", armed_jops);
     perf.note("monotone", monotone ? 1.0 : 0.0);
     perf.note("audits_pass", audits ? 1.0 : 0.0);
-    perf.write(base.jobs);
+    perf.write(harness.jobs);
     return audits ? 0 : 1;
 }
 

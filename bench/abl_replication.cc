@@ -19,7 +19,6 @@
 
 #include "bench_common.h"
 
-#include "core/cluster.h"
 #include "par/sweep.h"
 
 using namespace jasim;
@@ -71,36 +70,35 @@ int
 run(int argc, char **argv)
 {
     const Config args = Config::fromArgs(argc, argv);
-    ExperimentConfig base = bench::configFromArgs(args, 8.0);
-    base.ramp_up_s = args.getDouble("ramp", 2.5);
     bench::PerfReport perf("abl_replication");
-
-    const auto nodes =
-        static_cast<std::size_t>(args.getInt("nodes", 4, 1, 64));
     // Per-node IR: the default aggregate (4 x 150) sits an order of
     // magnitude over the ~41 JOPS a single 1-CPU DB box serves when
     // saturated; the measured ratio is asserted below.
-    const double per_node_ir = args.getDouble("ir", 150.0, kAboveZero);
-    const auto db_pool =
+    bench::ClusterRun harness(
+        args, {.nodes = 4, .ramp_s = 2.5, .steady_s = 8.0, .ir = 150.0});
+
+    const std::size_t nodes = harness.base.nodes;
+    harness.base.db_pool.max_connections =
         static_cast<std::size_t>(args.getInt("db_pool", 12, 1));
     // One CPU per DB box keeps the single-DB ceiling far below the app
     // tier's capacity, so shard scaling and the 10x overload ratio are
     // both visible.
-    const auto db_cpus =
+    harness.base.db_cpus =
         static_cast<std::size_t>(args.getInt("db_cpus", 1, 1));
-    const double ckpt_s = args.getDouble("ckpt", 5.0);
+    harness.base.db_recovery.checkpoint_interval_s =
+        args.getDouble("ckpt", 5.0);
     const double blackout_cap_s = args.getDouble("blackout_cap", 10.0);
-    const SimTime steady_from = secs(base.ramp_up_s);
-    const SimTime steady_to = secs(base.ramp_up_s + base.steady_s);
 
     // Primary crash against shard 0 mid-steady. `restart=2` only
     // matters for unreplicated points (blocking ARIES fallback);
     // replicated shards reopen via promotion and ignore it.
-    const double t_crash = base.ramp_up_s + 0.5 * base.steady_s;
+    const double t_crash = harness.ramp_s + 0.5 * harness.steady_s;
     std::ostringstream chaos;
     chaos << "dbcrash@" << t_crash << ":shard=0,restart=2";
     const std::string spec = args.getString("faults", chaos.str());
-    const FaultSchedule faults = FaultSchedule::parse(spec);
+    harness.base.faults = FaultSchedule::parse(spec);
+    // The largest point below: 4 shards of 2 replicas.
+    harness.base.faults.checkTargets(nodes, 4, 2);
     args.rejectUnread();
 
     bench::banner(std::cout,
@@ -122,36 +120,18 @@ run(int argc, char **argv)
     const std::size_t determinism_of = 4; // (2,1,sync) re-run
     points.push_back(points[determinism_of]);
 
-    auto profiles =
-        std::make_shared<const WorkloadProfiles>(base.seed ^ 0x9a0full);
-    auto registry = std::make_shared<const MethodRegistry>(
-        profiles->layout(Component::WasJit).count(),
-        base.seed ^ 0x3e9ull);
-
     const auto results =
-        par::runSweep(points.size(), base.jobs, [&](std::size_t i) {
+        par::runSweep(points.size(), harness.jobs, [&](std::size_t i) {
             const Point &point = points[i];
-            ClusterConfig config;
-            config.nodes = nodes;
-            config.node = base.sut;
-            config.node.injection_rate = per_node_ir;
-            config.node.driver.ramp_up_s = base.ramp_up_s;
-            config.db_pool.max_connections = db_pool;
-            config.db_cpus = db_cpus;
-            config.faults = faults;
-            config.db_recovery.checkpoint_interval_s = ckpt_s;
+            ClusterConfig config = harness.base;
             config.repl.shards = point.shards;
             config.repl.replicas = point.replicas;
             config.repl.sync = point.sync;
+            const auto cluster = harness.run(config);
 
-            ClusterUnderTest cluster(config, profiles, registry,
-                                     base.seed);
-            cluster.start(steady_to);
-            cluster.advanceTo(steady_to);
-
-            const ResponseTracker &t = cluster.tracker();
+            const ResponseTracker &t = cluster->tracker();
             ReplPoint r;
-            r.jops = cluster.jops(steady_from, steady_to);
+            r.jops = cluster->jops(harness.steady_from, harness.steady_to);
             for (const SlaVerdict &v : t.verdicts()) {
                 if (isWebRequest(v.type))
                     r.p99_web = std::max(r.p99_web, v.p99_seconds);
@@ -165,15 +145,15 @@ run(int argc, char **argv)
                 r.min_shard_avail = std::min(
                     r.min_shard_avail,
                     t.shardAvailability(static_cast<std::uint32_t>(s),
-                                        steady_to));
+                                        harness.steady_to));
             }
-            const AuditReport audit = cluster.auditNow();
+            const AuditReport audit = cluster->auditNow();
             r.acked = audit.acked_total;
             r.lost_acked = audit.lost_acked;
             r.lost_durable = audit.lost_durable;
             r.resurrected = audit.resurrected;
             r.duplicates = audit.duplicates;
-            r.events = cluster.queue().executed();
+            r.events = cluster->queue().executed();
             return r;
         });
 
@@ -209,7 +189,7 @@ run(int argc, char **argv)
 
     // ---- exit-code gates ----
     const double offered =
-        per_node_ir * static_cast<double>(nodes);
+        harness.base.node.injection_rate * static_cast<double>(nodes);
     const double ratio = ceiling > 0.0 ? offered / ceiling : 0.0;
     bool sync_zero_loss = true;  // acked sync commits survive failover
     bool blackouts_bounded = true; // nonzero, and within bound
@@ -254,7 +234,7 @@ run(int argc, char **argv)
     perf.note("blackouts_bounded", blackouts_bounded ? 1.0 : 0.0);
     perf.note("clean_rewinds", clean_rewinds ? 1.0 : 0.0);
     perf.note("deterministic", deterministic ? 1.0 : 0.0);
-    perf.write(base.jobs);
+    perf.write(harness.jobs);
     return sync_zero_loss && blackouts_bounded && clean_rewinds &&
             deterministic
         ? 0

@@ -12,8 +12,10 @@ namespace {
 int
 run(int argc, char **argv)
 {
-    const ExperimentConfig base =
-        bench::configFromArgs(argc, argv, 180.0);
+    const Config args = Config::fromArgs(argc, argv);
+    bench::refuse(args, "abl_scaling", "topology", {"ir"});
+    const ExperimentConfig base = bench::configFromArgs(args, 180.0);
+    args.rejectUnread();
     bench::banner(std::cout, "Ablation: Core-Count Scaling (future work)",
                   "Paper Section 7 asks how the workload scales with "
                   "processor count; the model answers with matched "

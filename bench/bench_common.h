@@ -2,30 +2,31 @@
  * @file
  * Shared setup for the figure/table reproduction benches.
  *
- * Every bench accepts the same arguments, written either `key=value`
- * or GNU-style (`--key value` / `--key=value`):
- *   ir=40 --seed 42 ramp=90 steady=300 window=1
- *   insts=150000 disk=ramdisk|spinning spindles=2 heap_mb=1024
- *   heap_large=1 code_large=0
+ * Arguments are written `key=value` or GNU-style (`--key value` /
+ * `--key=value`), and each bench reads only the keys it honours:
+ *  - a box bench (configFromArgs): `ir=40 --seed 42 --jobs 1 ramp=90
+ *    steady=300 rampdown=10 window=1 disk=ramdisk|spinning spindles=2
+ *    heap_mb=1024 --arrival <spec> --admission <spec>`, plus the
+ *    window keys `micro=1 insts=150000 wpg=8 heap_large=1
+ *    code_large=0` unless it simulates no HPM window (fig02, fig03,
+ *    tab_highlevel and abl_heapsize);
+ *  - a cluster bench (ClusterRun): `--seed`, `--jobs`, `ir`,
+ *    `heap_mb`, `ramp`, `steady`, `--nodes`, `--arrival` and
+ *    `--admission`, with its own defaults, then its own keys
+ *    (`db_pool`, `--faults`, ...); soak_chaos reads only `--seed`,
+ *    `--jobs` and `seeds`.
  * `--seed N` pins every RNG stream; `--jobs N` (0 to 256) runs sweep
  * points on N workers, 0 meaning one per hardware thread (results
- * stay bit-identical to serial — see src/par/sweep.h). Cluster-aware
- * benches read `--nodes N` as their node count (or sweep ceiling),
- * each with its own default and range; a single-box bench rejects it
- * like any other key it does not read.
+ * stay bit-identical to serial — see src/par/sweep.h).
  *
  * Every value must parse whole and lie in its range, booleans are
  * 1/0, true/false, yes/no or on/off, and enums take only their listed
  * words. After its last read, and before it prints anything, each
  * bench rejects every argument no read understood
- * (Config::rejectUnread), so a typo exits 2 naming the token instead
- * of running with a default.
- *
- * abl_cluster_scaling additionally accepts the replication axis (see
- * replFromArgs): `--shards N --replicas R --sync-mode {sync,async}`.
- * The defaults (1/0/async) are one unreplicated shard group, the
- * single shared DB box, and arm nothing replication needs: the
- * cluster stays byte-identical to a pre-repl build.
+ * (Config::rejectUnread), so a typo or a key the bench has no use for
+ * exits 2 naming the token instead of changing nothing. So does a key
+ * the bench sets for each point (refuse), and a `--faults` target its
+ * largest cluster lacks (FaultSchedule::checkTargets).
  *
  * Benches that construct a PerfReport (fifteen of them: fig02, the
  * abl_* sweeps but abl_cosched, soak_chaos and the two chrono
@@ -42,7 +43,9 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -50,111 +53,190 @@
 #include <vector>
 
 #include "adm/admission.h"
+#include "core/cluster.h"
 #include "core/experiment.h"
 #include "core/figures.h"
 #include "driver/arrival.h"
 #include "jvm/heap_worker.h"
-#include "repl/replicated_db.h"
 #include "sim/config.h"
 #include "stats/render.h"
 
 namespace jasim::bench {
 
-/**
- * The uniform replication axis: `--shards N` (1 to 64), `--replicas R`
- * (0 to 8) and `--sync-mode {sync,async}`. Assign the result to
- * ClusterConfig::repl; the defaults leave it disabled.
- */
-inline repl::ReplConfig
-replFromArgs(const Config &args)
+/** Whether `jobs` sweep workers leave a CPU for a point's helpers. */
+inline bool
+idleCpu(std::size_t jobs)
 {
-    repl::ReplConfig repl;
-    repl.shards = static_cast<std::size_t>(args.getInt("shards", 1, 1, 64));
-    repl.replicas =
-        static_cast<std::size_t>(args.getInt("replicas", 0, 0, 8));
-    repl.sync =
-        args.getChoice("sync-mode", "async", {"sync", "async"}) == "sync";
-    return repl;
+    return jobs <= 1 || jobs < std::thread::hardware_concurrency();
 }
 
 /**
- * The shared run keys (see the file header), read from `args`. Input
+ * The node keys of every run: `ir` (above 0), `heap_mb`, `--arrival`
+ * and `--admission`; the heap worker is armed for `jobs` workers.
+ */
+inline SutConfig
+nodeFromArgs(const Config &args, std::size_t jobs, double default_ir)
+{
+    SutConfig node;
+    node.injection_rate = args.getDouble("ir", default_ir, kAboveZero);
+    // The heap must hold the JVM's startup baseline (or the collector
+    // cannot be built), and its byte count must fit 64 bits.
+    const std::int64_t min_mb =
+        static_cast<std::int64_t>(node.gc.baseline_bytes >> 20) + 1;
+    node.gc.heap.size_bytes =
+        static_cast<std::uint64_t>(
+            args.getInt("heap_mb", 1024, min_mb, std::int64_t{1} << 40))
+        << 20;
+    // A cluster's heap worker, one more thread per sweep point, pays
+    // beside an idle CPU: on a 4-CPU host it made an
+    // abl_cluster_scaling nodes=4 ir=30 sweep 1.11x faster at --jobs
+    // 1, 1.10x at --jobs 2 and 1.18x at --jobs 3, but 1.02x slower at
+    // --jobs 4. It also needs a CPU besides the event loop's: confined
+    // to one CPU, the default sweep ran 1.06x slower with it.
+    node.heap_worker = idleCpu(jobs) && HeapWorker::hasSpareCpu();
+    // Overload axis: `--arrival <spec>` shapes the open-loop rate,
+    // `--admission <spec>` arms the shed/backpressure ladder. The
+    // defaults leave both off and the run byte-identical to a
+    // pre-overload build.
+    node.driver.arrival = ArrivalSpec::parse(args.getString("arrival", ""));
+    node.admission =
+        adm::AdmissionConfig::parse(args.getString("admission", ""));
+    return node;
+}
+
+/** Whether a box bench simulates HPM windows, and its `wpg` range. */
+struct Windows
+{
+    bool simulated = true;
+    std::int64_t wpg = 8;     //!< default
+    std::int64_t min_wpg = 1; //!< floor
+};
+inline constexpr Windows kNoWindows{false};
+
+/**
+ * A box bench's keys (see the file header), read from `args`. Input
  * the run cannot honour throws std::invalid_argument naming the token
  * (bench::guardedMain turns it into exit code 2).
  */
 inline ExperimentConfig
-configFromArgs(const Config &args, double default_steady_s = 300.0)
+configFromArgs(const Config &args, double default_steady_s = 300.0,
+               const Windows &windows = {})
 {
     ExperimentConfig config;
-    config.sut.injection_rate = args.getDouble("ir", 40.0);
     config.seed = static_cast<std::uint64_t>(args.getInt("seed", 42));
     config.jobs = args.jobs();
+    config.sut = nodeFromArgs(args, config.jobs, 40.0);
     config.ramp_up_s = args.getDouble("ramp", 90.0);
     config.steady_s = args.getDouble("steady", default_steady_s);
     config.ramp_down_s = args.getDouble("rampdown", 10.0);
     config.window_s = args.getDouble("window", 1.0);
-    config.window.sample_insts =
-        static_cast<std::size_t>(args.getInt("insts", 150000, 1));
-    config.windows_per_group =
-        static_cast<std::size_t>(args.getInt("wpg", 8, 1));
-    config.micro_enabled = args.getBool("micro", true);
-
     if (args.getChoice("disk", "ramdisk", {"ramdisk", "spinning"}) ==
         "spinning") {
         config.sut.disk.kind = DiskConfig::Kind::Spinning;
         config.sut.disk.spindles =
             static_cast<std::size_t>(args.getInt("spindles", 2, 1));
     }
-    // The heap must hold the JVM's startup baseline (or the collector
-    // cannot be built), and its byte count must fit 64 bits.
-    const std::int64_t min_mb =
-        static_cast<std::int64_t>(config.sut.gc.baseline_bytes >> 20) + 1;
-    config.sut.gc.heap.size_bytes =
-        static_cast<std::uint64_t>(
-            args.getInt("heap_mb", 1024, min_mb, std::int64_t{1} << 40))
-        << 20;
-    config.window.heap_large_pages = args.getBool("heap_large", true);
-    config.window.code_large_pages = args.getBool("code_large", false);
-    // Window jobs run on two helper threads per sweep point, which pay
-    // while a hardware thread is idle: on a 4-CPU host they made an
-    // abl_l2size sweep 1.14x faster at --jobs 2 and 1.11x at --jobs 3,
-    // but 1.16x slower at --jobs 4. A sweep whose workers fill every
-    // hardware thread (--jobs 0 always does) runs its windows inline.
-    const bool idle_cpu =
-        config.jobs <= 1 || config.jobs < std::thread::hardware_concurrency();
-    config.window.overlap = idle_cpu;
-    // A cluster's heap worker, one more thread per sweep point, follows
-    // the same rule: on the same host it made an abl_cluster_scaling
-    // nodes=4 ir=30 sweep 1.11x faster at --jobs 1, 1.10x at --jobs 2
-    // and 1.18x at --jobs 3, but 1.02x slower at --jobs 4. It also
-    // needs a CPU besides the event loop's: confined to one CPU, the
-    // default sweep ran 1.06x slower with it.
-    config.sut.heap_worker = idle_cpu && HeapWorker::hasSpareCpu();
-
-    // Overload axis: `--arrival <spec>` shapes the open-loop rate,
-    // `--admission <spec>` arms the shed/backpressure ladder. The
-    // defaults leave both off and the run byte-identical to a
-    // pre-overload build.
-    config.sut.driver.arrival =
-        ArrivalSpec::parse(args.getString("arrival", ""));
-    config.sut.admission =
-        adm::AdmissionConfig::parse(args.getString("admission", ""));
+    config.micro_enabled = windows.simulated && args.getBool("micro", true);
+    if (windows.simulated) {
+        config.window.sample_insts =
+            static_cast<std::size_t>(args.getInt("insts", 150000, 1));
+        config.windows_per_group = static_cast<std::size_t>(
+            args.getInt("wpg", windows.wpg, windows.min_wpg));
+        config.window.heap_large_pages = args.getBool("heap_large", true);
+        config.window.code_large_pages = args.getBool("code_large", false);
+        // Window jobs run on two helper threads per sweep point: on a
+        // 4-CPU host they made an abl_l2size sweep 1.14x faster at
+        // --jobs 2 and 1.11x at --jobs 3, but 1.16x slower at --jobs 4.
+        config.window.overlap = idleCpu(config.jobs);
+    }
     config.validate();
     return config;
 }
 
 /**
- * configFromArgs for a bench that takes only the shared keys: it also
+ * configFromArgs for a bench that takes only the box keys: it also
  * rejects every other argument (Config::rejectUnread).
  */
 inline ExperimentConfig
-configFromArgs(int argc, char **argv, double default_steady_s = 300.0)
+configFromArgs(int argc, char **argv, double default_steady_s = 300.0,
+               const Windows &windows = {})
 {
     const Config args = Config::fromArgs(argc, argv);
-    ExperimentConfig config = configFromArgs(args, default_steady_s);
+    ExperimentConfig config = configFromArgs(args, default_steady_s, windows);
     args.rejectUnread();
     return config;
 }
+
+/**
+ * Throw std::invalid_argument for the first of `keys` that `args`
+ * gives, since `bench` sets it for each `point`: "ir=77: tab_highlevel
+ * sets ir for each case". Call it before the reads.
+ */
+inline void
+refuse(const Config &args, const std::string &bench,
+       const std::string &point, std::initializer_list<const char *> keys)
+{
+    for (const std::string key : keys)
+        if (args.has(key))
+            throw std::invalid_argument(
+                key + "=" + args.entries().at(key) + ": " + bench +
+                " sets " + key + " for each " + point);
+}
+
+/**
+ * A cluster bench's keys (see the file header) and its setup, shared
+ * by every point: a base config of `--nodes` nodes, the profiles and
+ * the method registry. A cluster runs no HPM window, and its nodes'
+ * DB stages run on the DB tier, so no window or disk key is read.
+ */
+struct ClusterRun
+{
+    struct Defaults
+    {
+        std::int64_t nodes = 2;
+        std::int64_t min_nodes = 1; //!< `--nodes` floor (ceiling 64)
+        double ramp_s = 0.0;
+        double steady_s = 0.0;
+        double ir = 40.0; //!< per node
+    };
+
+    ClusterRun(const Config &args, const Defaults &defaults)
+        : seed(static_cast<std::uint64_t>(args.getInt("seed", 42))),
+          jobs(args.jobs()),
+          ramp_s(args.getDouble("ramp", defaults.ramp_s, 0.0, 1e9)),
+          steady_s(args.getDouble("steady", defaults.steady_s, 0.0, 1e9)),
+          steady_from(secs(ramp_s)), steady_to(secs(ramp_s + steady_s))
+    {
+        base.nodes = static_cast<std::size_t>(
+            args.getInt("nodes", defaults.nodes, defaults.min_nodes, 64));
+        base.node = nodeFromArgs(args, jobs, defaults.ir);
+        base.node.driver.ramp_up_s = ramp_s;
+        profiles = std::make_shared<const WorkloadProfiles>(seed ^ 0x9a0full);
+        registry = std::make_shared<const MethodRegistry>(
+            profiles->layout(Component::WasJit).count(), seed ^ 0x3e9ull);
+    }
+
+    /** Simulate one cluster to the end of the steady state. */
+    std::unique_ptr<ClusterUnderTest>
+    run(const ClusterConfig &config) const
+    {
+        auto cluster = std::make_unique<ClusterUnderTest>(
+            config, profiles, registry, seed);
+        cluster->start(steady_to);
+        cluster->advanceTo(steady_to);
+        return cluster;
+    }
+
+    std::uint64_t seed;
+    std::size_t jobs;
+    double ramp_s;
+    double steady_s;
+    SimTime steady_from;
+    SimTime steady_to;
+    ClusterConfig base;
+    std::shared_ptr<const WorkloadProfiles> profiles;
+    std::shared_ptr<const MethodRegistry> registry;
+};
 
 /**
  * A bench's main: run `run(argc, argv)` and turn an exception into

@@ -11,11 +11,11 @@ namespace {
 int
 run(int argc, char **argv)
 {
-    ExperimentConfig config = bench::configFromArgs(argc, argv, 600.0);
+    const ExperimentConfig config =
+        bench::configFromArgs(argc, argv, 600.0, bench::kNoWindows);
     bench::banner(std::cout, "Figure 2: Benchmark Throughput",
                   "Paper: four request-type rates stabilize within ~5 "
                   "minutes and stay flat for the rest of the run.");
-    config.micro_enabled = false; // system level only
     bench::PerfReport perf("fig02_throughput");
 
     // A single point: routed through the sweep runner anyway so this

@@ -9,12 +9,12 @@ namespace {
 int
 run(int argc, char **argv)
 {
-    ExperimentConfig config = bench::configFromArgs(argc, argv, 600.0);
+    const ExperimentConfig config =
+        bench::configFromArgs(argc, argv, 600.0, bench::kNoWindows);
     bench::banner(std::cout, "Figure 3: Garbage Collection Statistics",
                   "Paper: GC every 25-28 s, 300-400 ms pauses, ~1.3% of "
                   "runtime; mark ~80% / sweep ~20%; no compaction; "
                   "used heap creeps up via dark matter.");
-    config.micro_enabled = false;
 
     Experiment experiment(config);
     const ExperimentResult result = experiment.run();

@@ -11,18 +11,16 @@ namespace {
 int
 run(int argc, char **argv)
 {
-    ExperimentConfig config = bench::configFromArgs(argc, argv, 560.0);
+    // Collect each counter group in one long contiguous stretch, as
+    // hpmstat did; short rotations alias with the ~26 s GC cycle.
+    const ExperimentConfig config = bench::configFromArgs(
+        argc, argv, 560.0, {.wpg = 80, .min_wpg = 40});
     bench::banner(std::cout, "Figure 10: CPI Statistical Correlation",
                   "Paper: strong positive r for prefetch streams, "
                   "translation misses, conditional mispredictions, "
                   "SYNC, I-fetch from L2/L3; negative for cycles-with-"
                   "completion and L1I fetches; weak for L1D load/store "
                   "misses and the speculation rate.");
-    // Collect each counter group in one long contiguous stretch, as
-    // hpmstat did; short rotations alias with the ~26 s GC cycle.
-    if (config.windows_per_group < 40)
-        config.windows_per_group = 80;
-
     Experiment experiment(config);
     const ExperimentResult result = experiment.run();
 

@@ -24,7 +24,6 @@
 
 #include "bench_common.h"
 
-#include "core/cluster.h"
 #include "par/sweep.h"
 #include "sim/rng.h"
 
@@ -188,7 +187,9 @@ int
 run(int argc, char **argv)
 {
     const Config args = Config::fromArgs(argc, argv);
-    const ExperimentConfig base = bench::configFromArgs(args);
+    const auto first_seed =
+        static_cast<std::uint64_t>(args.getInt("seed", 42));
+    const std::size_t jobs = args.jobs();
     const std::size_t n_seeds =
         static_cast<std::size_t>(args.getInt("seeds", 20));
     args.rejectUnread();
@@ -203,16 +204,16 @@ run(int argc, char **argv)
     bench::PerfReport perf("soak_chaos");
 
     auto profiles =
-        std::make_shared<const WorkloadProfiles>(base.seed ^ 0x50a4ull);
+        std::make_shared<const WorkloadProfiles>(first_seed ^ 0x50a4ull);
     auto registry = std::make_shared<const MethodRegistry>(
         profiles->layout(Component::WasJit).count(),
-        base.seed ^ 0xc4a05ull);
+        first_seed ^ 0xc4a05ull);
 
     // Seed 0 runs twice: the extra lane is the determinism re-run.
     const auto results = par::runSweep(
-        n_seeds + 1, base.jobs, [&](std::size_t i) {
+        n_seeds + 1, jobs, [&](std::size_t i) {
             const std::uint64_t seed =
-                base.seed + (i < n_seeds ? i : 0);
+                first_seed + (i < n_seeds ? i : 0);
             return soakOne(seed, profiles, registry);
         });
 
@@ -230,7 +231,7 @@ run(int argc, char **argv)
         all_monotone = all_monotone && r.tokens_monotone;
         all_recovered = all_recovered && r.recovered;
         table.addRow(
-            {TextTable::num(static_cast<double>(base.seed + i), 0),
+            {TextTable::num(static_cast<double>(first_seed + i), 0),
              r.plan.sync ? "sync" : "async",
              TextTable::num(static_cast<double>(r.plan.events), 0),
              TextTable::num(static_cast<double>(r.promotions), 0),
@@ -239,7 +240,7 @@ run(int argc, char **argv)
              TextTable::num(static_cast<double>(r.lost_acked), 0),
              ok ? "PASS" : "FAIL"});
         if (!ok)
-            std::cout << "  seed " << base.seed + i
+            std::cout << "  seed " << first_seed + i
                       << " schedule: " << r.plan.spec << "\n";
     }
     table.print(std::cout);
@@ -261,7 +262,7 @@ run(int argc, char **argv)
     perf.note("tokens_monotone", all_monotone ? 1.0 : 0.0);
     perf.note("recovered", all_recovered ? 1.0 : 0.0);
     perf.note("deterministic", deterministic ? 1.0 : 0.0);
-    perf.write(base.jobs);
+    perf.write(jobs);
     return all_safe && all_monotone && all_recovered && deterministic
         ? 0
         : 1;

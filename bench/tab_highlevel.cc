@@ -14,7 +14,6 @@ runAt(ExperimentConfig config, double ir, DiskConfig::Kind kind,
     config.sut.injection_rate = ir;
     config.sut.disk.kind = kind;
     config.sut.disk.spindles = spindles;
-    config.micro_enabled = false;
     Experiment experiment(config);
     return experiment.run();
 }
@@ -22,8 +21,11 @@ runAt(ExperimentConfig config, double ir, DiskConfig::Kind kind,
 int
 run(int argc, char **argv)
 {
+    const Config args = Config::fromArgs(argc, argv);
+    bench::refuse(args, "tab_highlevel", "case", {"ir", "disk", "spindles"});
     const ExperimentConfig base =
-        bench::configFromArgs(argc, argv, 240.0);
+        bench::configFromArgs(args, 240.0, bench::kNoWindows);
+    args.rejectUnread();
     bench::banner(std::cout, "Table: High-Level Characteristics (4.1)",
                   "Paper: IR47 -> ~100% CPU (80% user / 20% system) "
                   "with a RAM disk; ~1.6 JOPS/IR; two spinning disks "

@@ -13,9 +13,11 @@
 # translation path against their reference walks (set and way
 # arithmetic over flat arrays) — the code most likely to hide lifetime
 # and bounds bugs. It then builds the benches and examples that the
-# BenchExitTest rows drive and runs those rows instrumented (all but the
-# long TooSmallHeap run), so a bad input that reads out of bounds fails
-# there under ASan, not only when it happens to segfault.
+# BenchExitTest rows drive (the bench_exit_binaries target, which
+# bench/CMakeLists.txt derives from the rows) and runs those rows
+# instrumented (all but the long TooSmallHeap run), so a bad input that
+# reads out of bounds fails there under ASan, not only when it happens
+# to segfault.
 #
 # The standard stage fails if the compiler prints a warning, naming
 # the file. It sees what this run compiles, so a warning in a file an
@@ -90,7 +92,7 @@ else
     echo "== tier-1: sanitized build (ASan + UBSan) =="
     cmake -B "$SAN_BUILD" -S . -DJASIM_SANITIZE=ON >/dev/null
     cmake --build "$SAN_BUILD" -j"$JOBS" --target test_net test_fault test_db test_repl test_adm test_driver test_core test_jvm test_was test_sim test_mem test_xlat \
-        fig03_gc fig05_cpi abl_cluster_scaling abl_partition cluster_sizing capacity_planning
+        bench_exit_binaries
     "$SAN_BUILD/tests/test_net"
     "$SAN_BUILD/tests/test_fault"
     "$SAN_BUILD/tests/test_db"

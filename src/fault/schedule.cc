@@ -382,6 +382,42 @@ FaultSchedule::hasSwitchover() const
 }
 
 void
+FaultSchedule::checkTargets(std::size_t nodes, std::size_t shards,
+                            std::size_t replicas) const
+{
+    const auto absent = [&](const FaultEvent &e) -> std::string {
+        if (e.node != FaultEvent::kAllNodes && e.node >= nodes)
+            return "node " + std::to_string(e.node);
+        if (e.shard != FaultEvent::kNoTarget && e.shard >= shards)
+            return "shard " + std::to_string(e.shard);
+        if (e.replica != FaultEvent::kNoTarget && e.replica >= replicas)
+            return "replica " + std::to_string(e.replica);
+        for (const auto &side : e.sides) {
+            for (const NetEndpoint &ep : side) {
+                const bool present = ep.kind == NetEndpoint::Kind::Node
+                    ? ep.index < nodes
+                    : ep.index < shards &&
+                        (ep.kind == NetEndpoint::Kind::DbPrimary ||
+                         ep.replica < replicas);
+                if (!present)
+                    return "endpoint " + describeNetEndpoint(ep);
+            }
+        }
+        return "";
+    };
+    for (const FaultEvent &e : events_) {
+        const std::string target = absent(e);
+        if (!target.empty())
+            throw specError("--faults",
+                            target + " is not in the largest cluster (" +
+                                std::to_string(nodes) + " nodes, " +
+                                std::to_string(shards) + " shards of " +
+                                std::to_string(replicas) + " replicas)",
+                            e.describe());
+    }
+}
+
+void
 FaultSchedule::add(const FaultEvent &event)
 {
     // Stable insertion keeps same-time events in spec order, which

@@ -165,6 +165,18 @@ class FaultSchedule
 
     /** True if any event is a planned switchover. */
     bool hasSwitchover() const;
+
+    /**
+     * Throw std::invalid_argument naming the first event whose node,
+     * shard, replica or partition endpoint lies outside the largest
+     * cluster a run builds: `nodes` app nodes and `shards` shards of
+     * `replicas` replicas each. ClusterUnderTest skips such an event,
+     * since a smaller sweep point may lack what a larger one has, so
+     * only the caller can tell a target that no point has.
+     */
+    void checkTargets(std::size_t nodes, std::size_t shards,
+                      std::size_t replicas) const;
+
     const std::vector<FaultEvent> &events() const { return events_; }
 
     /** Semicolon-joined describe() of every event. */

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "fault/schedule.h"
 
@@ -504,6 +506,44 @@ TEST(FaultScheduleTest, TimesStayInsideSimTime)
                  std::invalid_argument);
     EXPECT_EQ(FaultSchedule::parse("dbslow@1e9:mult=2").events()[0].at,
               secs(1e9));
+}
+
+TEST(FaultScheduleTest, CheckTargetsNamesWhatTheLargestClusterLacks)
+{
+    // Two nodes and two shards of one replica each.
+    const auto check = [](const char *spec) {
+        FaultSchedule::parse(spec).checkTargets(2, 2, 1);
+    };
+    for (const char *spec :
+         {"crash@1:node=1", "degrade@1:node=all,lat=2", "poolkill@1:node=0",
+          "dbcrash@1:shard=1,replica=0", "tornwrite@1", "dbslow@1:mult=2",
+          "switchover@1:shard=1", "partition@1:sides=0,db1|1,db1.0"})
+        EXPECT_NO_THROW(check(spec)) << spec;
+
+    for (const auto &[spec, target] :
+         {std::pair{"crash@1:node=2", "node=2"},
+          std::pair{"degrade@1:node=5,lat=2", "node=5"},
+          std::pair{"poolkill@1:node=16", "node=16"},
+          std::pair{"dbcrash@1:shard=2", "shard=2"},
+          std::pair{"tornwrite@1:shard=3", "shard=3"},
+          std::pair{"switchover@1:shard=2", "shard=2"},
+          std::pair{"dbcrash@1:replica=1", "replica=1"},
+          std::pair{"partition@1:sides=0|2", "endpoint 2"},
+          std::pair{"partition@1:sides=0|db2", "endpoint db2"},
+          std::pair{"partition@1:sides=0|db1.1", "endpoint db1.1"}}) {
+        try {
+            check(spec);
+            ADD_FAILURE() << spec << " passed";
+        } catch (const std::invalid_argument &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("--faults"), std::string::npos) << what;
+            EXPECT_NE(what.find(target), std::string::npos) << what;
+        }
+    }
+    // No replica at all: a replica crash has no target.
+    EXPECT_THROW(
+        FaultSchedule::parse("dbcrash@1:replica=0").checkTargets(2, 1, 0),
+        std::invalid_argument);
 }
 
 TEST(FaultScheduleTest, PartitionRejectsAnEndpointIndexThatOverflows)

@@ -244,7 +244,7 @@ TEST(ConfigTest, FlagStillBooleanBeforePositionalKeyValue)
     EXPECT_EQ(config.getInt("heap_mb", 0), 512);
 }
 
-// The replication axis as bench::replFromArgs reads it: shards 1 to
+// The replication axis as abl_cluster_scaling reads it: shards 1 to
 // 64, replicas 0 to 8, and sync-mode one of sync or async.
 std::int64_t
 shardsOf(const Config &config)
