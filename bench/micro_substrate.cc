@@ -83,15 +83,17 @@ BENCHMARK(BM_GcFillAndCollect)->Unit(benchmark::kMillisecond);
 void
 BM_DbPopulate(benchmark::State &state)
 {
-    // The DB tier's set-up: populate jas2004's five tables at IR 30
-    // (171,000 rows through Database::insert) and build its secondary
+    // The DB tier's set-up: bulk-load jas2004's five tables at the
+    // given IR (5,700 rows per IR unit: 171,000 at 30, and 684,000 at
+    // 120, cluster_steady's shared DB) and build its secondary
     // indexes, then drop the database.
+    const double ir = static_cast<double>(state.range(0));
     for (auto _ : state) {
-        Jas2004Application app(DbConfig{}, 30.0, 42);
+        Jas2004Application app(DbConfig{}, ir, 42);
         benchmark::DoNotOptimize(app.database().table(0).rowCount());
     }
 }
-BENCHMARK(BM_DbPopulate)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DbPopulate)->Arg(30)->Arg(120)->Unit(benchmark::kMillisecond);
 
 void
 BM_DbTransactionMix(benchmark::State &state)

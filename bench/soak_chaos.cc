@@ -16,7 +16,8 @@
  *    repro    - the first seed re-runs bit-identically.
  *
  *  Exit code 0 only if every seed holds every invariant. `seeds=N`
- *  scales the soak (default 20; scripts/soak.sh --quick passes 3). */
+ *  (at least 1) scales the soak (default 20; scripts/soak.sh --quick
+ *  passes 3). */
 
 #include <algorithm>
 #include <sstream>
@@ -191,7 +192,7 @@ run(int argc, char **argv)
         static_cast<std::uint64_t>(args.getInt("seed", 42));
     const std::size_t jobs = args.jobs();
     const std::size_t n_seeds =
-        static_cast<std::size_t>(args.getInt("seeds", 20));
+        static_cast<std::size_t>(args.getInt("seeds", 20, 1));
     args.rejectUnread();
     bench::banner(std::cout,
                   "Chaos Soak: randomized fault schedules vs the "

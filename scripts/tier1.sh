@@ -6,7 +6,9 @@
 # the cluster's cross-object callback wiring, the WAL-replay/recovery
 # paths, the DB's flat tables, indexes and buffer pool (slot and
 # probe arithmetic over reused arrays, driven by Jas2004Application's
-# transactions in test_was), the log-shipping / failover machinery,
+# transactions in test_was) and its bulk load (test_db's BulkLoadTest:
+# reserved column arrays and index, pin runs, batched WAL advances,
+# against row-at-a-time inserts), the log-shipping / failover machinery,
 # the admission-control shed callbacks, the heap's sorted sweep pass
 # (index arithmetic over a reused buffer), the Zipf sampler's guide
 # table, and the caches, presence filters and memos of the memory and

@@ -82,6 +82,14 @@ BufferPool::pin(PageKey key, bool mark_dirty, std::uint64_t recovery_lsn)
     return result;
 }
 
+void
+BufferPool::pinRun(PageKey key, std::uint64_t pins, bool mark_dirty)
+{
+    assert(pins > 0);
+    pin(key, mark_dirty);
+    hits_ += pins - 1;
+}
+
 bool
 BufferPool::resident(PageKey key) const
 {

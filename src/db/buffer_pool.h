@@ -78,6 +78,15 @@ class BufferPool
     PinResult pin(PageKey key, bool mark_dirty = false,
                   std::uint64_t recovery_lsn = 0);
 
+    /**
+     * `pins` (at least one) back-to-back pins of one page with no
+     * recovery LSN. The first is a pin(); it leaves the page at the
+     * head of the LRU list with its dirty bit set as asked, so each
+     * later one is a hit that changes nothing else, and is counted as
+     * one.
+     */
+    void pinRun(PageKey key, std::uint64_t pins, bool mark_dirty);
+
     /** Is a page resident (no LRU update)? */
     bool resident(PageKey key) const;
 

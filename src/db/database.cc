@@ -1,5 +1,6 @@
 #include "db/database.h"
 
+#include <algorithm>
 #include <cassert>
 #include <unordered_set>
 
@@ -59,12 +60,14 @@ Database::createSecondaryIndex(std::uint32_t table_id,
     assert(col && "unknown column");
     assert(ts.table->schema().columns[*col].type == ColumnType::Integer &&
            "secondary indexes cover integer columns");
-    Secondary *sec = secondaryOn(ts, column);
-    if (!sec)
-        sec = &ts.secondary.emplace_back(Secondary{column, *col, {}});
+    // An existing index is already current: insert() and
+    // updateByKey() maintain it.
+    if (secondaryOn(ts, column))
+        return;
+    Secondary &sec = ts.secondary.emplace_back(Secondary{column, *col, {}});
     const Table &table = *ts.table;
     table.forEachLive([&](RowId id) {
-        sec->index.insert(table.integerAt(id, *col), id);
+        sec.index.insert(table.integerAt(id, *col), id);
         return true;
     });
 }
@@ -201,6 +204,17 @@ Database::indexAdd(TableState &ts, RowId id)
         sec.index.insert(ts.table->integerAt(id, sec.position), id);
 }
 
+RowId
+Database::append(TableState &ts, const Row &row)
+{
+    const RowId id = ts.table->insert(row);
+    const bool unique = ts.primary.insert(keyOf(row), id);
+    assert(unique && "duplicate primary key");
+    (void)unique;
+    indexAdd(ts, id);
+    return id;
+}
+
 TxnId
 Database::begin()
 {
@@ -230,13 +244,8 @@ Database::insert(TxnId txn, std::uint32_t table_id, Row row)
 {
     DbCost cost;
     TableState &ts = state(table_id);
-    const std::int64_t key = keyOf(row);
     const std::uint32_t bytes = rowBytes(row);
-    const RowId id = ts.table->insert(row);
-    const bool unique = ts.primary.insert(key, id);
-    assert(unique && "duplicate primary key");
-    (void)unique;
-    indexAdd(ts, id);
+    const RowId id = append(ts, row);
 
     const std::uint64_t lsn = logMutation(
         txn, WalRecordType::Insert, bytes, table_id, id,
@@ -246,6 +255,48 @@ Database::insert(TxnId txn, std::uint32_t table_id, Row row)
     ++cost.rows;
     cost.cpu_us += 2.0;
     return cost;
+}
+
+void
+Database::bulkLoad(std::uint32_t table_id, std::uint64_t count,
+                   std::uint64_t batch_rows,
+                   const std::function<void(std::uint64_t, Row &)>
+                       &row_of_index)
+{
+    // Without recovery an insert's WAL record is only an LSN and a
+    // byte count, and no pin flushes a page to the stable store.
+    assert(!recovery_on_ && "bulkLoad runs before enableRecovery()");
+    assert(batch_rows > 0);
+    TableState &ts = state(table_id);
+    ts.table->reserve(count);
+    ts.primary.reserve(ts.primary.size() + count);
+    Row row(ts.table->schema().columns.size());
+    // The page the pending pins hit; a pin run never spans another
+    // pin, and commits pin nothing.
+    PageKey run{table_id, 0};
+    std::uint64_t run_pins = 0;
+    for (std::uint64_t first = 0;; first += batch_rows) {
+        const TxnId txn = begin();
+        const std::uint64_t last = std::min(count, first + batch_rows);
+        std::uint64_t payload_bytes = 0;
+        for (std::uint64_t i = first; i < last; ++i) {
+            row_of_index(i, row);
+            payload_bytes += rowBytes(row);
+            const RowId id = append(ts, row);
+            if (run_pins > 0 && id.page != run.page) {
+                pool_.pinRun(run, run_pins, true);
+                run_pins = 0;
+            }
+            run.page = id.page;
+            ++run_pins;
+        }
+        wal_.appendBatch(last - first, payload_bytes);
+        commit(txn);
+        if (last - first < batch_rows)
+            break;
+    }
+    if (run_pins > 0)
+        pool_.pinRun(run, run_pins, true);
 }
 
 std::optional<Row>

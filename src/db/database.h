@@ -22,6 +22,7 @@
 #define JASIM_DB_DATABASE_H
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -117,7 +118,10 @@ class Database
     /** Create a table; column 0 becomes the unique primary key. */
     std::uint32_t createTable(Schema schema);
 
-    /** Create a non-unique secondary index on an integer column. */
+    /**
+     * Create a non-unique secondary index on an integer column and
+     * index the rows already stored; no-op when the column has one.
+     */
     void createSecondaryIndex(std::uint32_t table_id,
                               const std::string &column);
 
@@ -129,6 +133,24 @@ class Database
 
     /** Insert a row (column 0 must be a unique integer key). */
     DbCost insert(TxnId txn, std::uint32_t table_id, Row row);
+
+    /**
+     * Population's bulk path: append rows 0..count-1 to a table in
+     * transactions of `batch_rows` rows, committing after every
+     * `batch_rows`-th row and after the last (so a count that is a
+     * multiple of `batch_rows`, 0 included, ends in an empty
+     * transaction). `row_of_index(i, row)` fills row i into one
+     * reused scratch row. Tables, indexes, buffer pool, WAL and
+     * TxnIds end exactly as that many insert() calls in those
+     * transactions would leave them, for less work: the table and its
+     * primary index are sized once, each run of rows on one page is
+     * one pin run, and each transaction's inserts advance the WAL
+     * once. Call before enableRecovery().
+     */
+    void bulkLoad(std::uint32_t table_id, std::uint64_t count,
+                  std::uint64_t batch_rows,
+                  const std::function<void(std::uint64_t, Row &)>
+                      &row_of_index);
 
     /** Point select by primary key. */
     std::optional<Row> pointSelect(std::uint32_t table_id,
@@ -289,6 +311,12 @@ class Database
      */
     static void indexRemove(TableState &ts, RowId id);
     static void indexAdd(TableState &ts, RowId id);
+
+    /**
+     * The one row writer under insert() and bulkLoad(): store the row
+     * and index it (its key must be new).
+     */
+    static RowId append(TableState &ts, const Row &row);
 
     /** Reverse one Insert or Update record from its undo image. */
     void undoRecord(const WalRecord &rec);

@@ -91,6 +91,27 @@ class FlatMap
 
     std::size_t size() const { return size_; }
 
+    /** Slots in the table (0 until the first insertion). */
+    std::size_t capacity() const { return slots_.size(); }
+
+    /**
+     * Size the table for `n` entries at once, to the capacity that
+     * growth would reach on the way to `n`: the smallest power of two,
+     * at least 16, that holds `n` at most 3/4 full. No-op when the
+     * table is already that large.
+     */
+    void
+    reserve(std::size_t n)
+    {
+        if (n == 0)
+            return;
+        unsigned bits = 4;
+        while (n * 4 > (std::size_t{3} << bits))
+            ++bits;
+        if (bits > bits_)
+            rehash(bits);
+    }
+
     /** Drop every entry; the table keeps its capacity. */
     void
     clear()
@@ -165,12 +186,15 @@ class FlatMap
         slots_[at] = slot;
     }
 
+    void grow() { rehash(slots_.empty() ? 4 : bits_ + 1); }
+
+    /** Move every entry into a table of 2^bits slots. */
     void
-    grow()
+    rehash(unsigned bits)
     {
         std::vector<Slot> slots = std::move(slots_);
         std::vector<std::uint8_t> used = std::move(used_);
-        bits_ = slots.empty() ? 4 : bits_ + 1;
+        bits_ = bits;
         slots_.assign(std::size_t{1} << bits_, Slot{});
         used_.assign(slots_.size(), 0);
         mask_ = slots_.size() - 1;

@@ -46,6 +46,9 @@ class UniqueIndex
 
     std::size_t size() const { return map_.size(); }
 
+    /** Size the index for `n` keys at once (FlatMap::reserve). */
+    void reserve(std::size_t n) { map_.reserve(n); }
+
   private:
     FlatMap<RowId> map_;
 };

@@ -79,6 +79,25 @@ Table::insert(const Row &row)
     return id;
 }
 
+void
+Table::reserve(std::uint64_t rows)
+{
+    // insert() fills the last page's free slots first, then adds pages.
+    const std::uint64_t room =
+        fill_.empty() ? 0 : rows_per_page_ - fill_.back();
+    const std::uint64_t added = rows > room
+        ? (rows - room + rows_per_page_ - 1) / rows_per_page_
+        : 0;
+    const std::size_t pages = fill_.size() + added;
+    const std::size_t slots = pages * rows_per_page_;
+    for (auto &values : integers_)
+        values.reserve(slots);
+    for (auto &values : texts_)
+        values.reserve(slots);
+    live_.reserve(slots);
+    fill_.reserve(pages);
+}
+
 std::optional<Row>
 Table::fetch(RowId id) const
 {

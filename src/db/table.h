@@ -91,6 +91,12 @@ class Table
     /** Append a row; returns its location. */
     RowId insert(const Row &row);
 
+    /**
+     * Size the column arrays, liveness and page fills for `rows` more
+     * appends, so that insert() reallocates nothing until they are in.
+     */
+    void reserve(std::uint64_t rows);
+
     /** Fetch a row (nullopt when the slot is a tombstone). */
     std::optional<Row> fetch(RowId id) const;
 

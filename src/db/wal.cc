@@ -31,6 +31,16 @@ Wal::appendLogical(std::uint64_t txn, WalRecordType type,
     return next_lsn_++;
 }
 
+void
+Wal::appendBatch(std::uint64_t records, std::uint64_t payload_bytes)
+{
+    assert(!retention_ && "a batch keeps no records");
+    const std::uint64_t bytes = payload_bytes + records * headerBytes;
+    appended_bytes_ += bytes;
+    pending_bytes_ += bytes;
+    next_lsn_ += records;
+}
+
 std::uint64_t
 Wal::force()
 {

@@ -85,6 +85,13 @@ class Wal
                                 std::optional<Row> undo);
 
     /**
+     * Account for `records` appends carrying `payload_bytes` between
+     * them, as that many append() calls would: LSNs and byte counts
+     * advance once. No record is kept, so retention must be off.
+     */
+    void appendBatch(std::uint64_t records, std::uint64_t payload_bytes);
+
+    /**
      * Force the log up to the latest LSN: `issuedLsn()` advances, and
      * in retention mode the records stay for recovery.
      * @return bytes newly forced to stable storage (0 if none).

@@ -15,6 +15,9 @@ constexpr double inventoryPerIr = 1000.0;
 constexpr double ordersPerIr = 1500.0;
 constexpr double workordersPerIr = 200.0;
 
+/** Rows per population transaction. */
+constexpr std::uint64_t populateBatchRows = 1024;
+
 /** Key-popularity skew of the application's accesses. */
 constexpr double keyZipfS = 0.50;
 
@@ -93,7 +96,7 @@ Jas2004Application::Jas2004Application(const DbConfig &db_config,
 {
     assert(injection_rate > 0.0);
     createSchema();
-    populate(injection_rate);
+    populate();
 }
 
 const TxnProfile &
@@ -140,55 +143,45 @@ Jas2004Application::createSchema()
 }
 
 void
-Jas2004Application::populate(double injection_rate)
+Jas2004Application::populate()
 {
-    (void)injection_rate;
-    auto batched = [this](std::uint32_t count, auto &&insert_one) {
-        TxnId txn = db_.begin();
-        for (std::uint32_t i = 0; i < count; ++i) {
-            insert_one(txn, i);
-            ++rows_loaded_;
-            if ((i + 1) % 1024 == 0) {
-                db_.commit(txn);
-                txn = db_.begin();
-            }
-        }
-        db_.commit(txn);
-    };
-
-    batched(customers_, [&](TxnId txn, std::uint32_t i) {
-        db_.insert(txn, customer_t_,
-                   Row{std::int64_t(i),
-                       std::string("customer-") + std::to_string(i),
-                       std::int64_t(i % 16)});
-    });
-    batched(vehicles_, [&](TxnId txn, std::uint32_t i) {
-        db_.insert(txn, vehicle_t_,
-                   Row{std::int64_t(i),
-                       std::string("model-") + std::to_string(i % 500),
-                       std::int64_t(15000 + (i * 37) % 60000),
-                       std::int64_t(i % 12)});
-    });
-    batched(inventory_, [&](TxnId txn, std::uint32_t i) {
-        db_.insert(txn, inventory_t_,
-                   Row{std::int64_t(i),
-                       std::int64_t(i % std::max(vehicles_, 1u)),
-                       std::int64_t(100 + i % 900),
-                       std::int64_t(i % 8)});
-    });
-    batched(orders_, [&](TxnId txn, std::uint32_t i) {
-        db_.insert(txn, orders_t_,
-                   Row{std::int64_t(i),
-                       std::int64_t(i % std::max(customers_, 1u)),
-                       std::int64_t(i % std::max(vehicles_, 1u)),
-                       std::int64_t(1 + i % 4), std::int64_t(0)});
-    });
-    batched(workorders_, [&](TxnId txn, std::uint32_t i) {
-        db_.insert(txn, workorder_t_,
-                   Row{std::int64_t(i),
-                       std::int64_t(i % std::max(inventory_, 1u)),
-                       std::int64_t(1 + i % 8), std::int64_t(0)});
-    });
+    rows_loaded_ = std::uint64_t{customers_} + vehicles_ + inventory_ +
+        orders_ + workorders_;
+    db_.bulkLoad(customer_t_, customers_, populateBatchRows,
+                 [](std::uint64_t i, Row &row) {
+                     row[0] = std::int64_t(i);
+                     row[1] = "customer-" + std::to_string(i);
+                     row[2] = std::int64_t(i % 16);
+                 });
+    db_.bulkLoad(vehicle_t_, vehicles_, populateBatchRows,
+                 [](std::uint64_t i, Row &row) {
+                     row[0] = std::int64_t(i);
+                     row[1] = "model-" + std::to_string(i % 500);
+                     row[2] = std::int64_t(15000 + (i * 37) % 60000);
+                     row[3] = std::int64_t(i % 12);
+                 });
+    db_.bulkLoad(inventory_t_, inventory_, populateBatchRows,
+                 [this](std::uint64_t i, Row &row) {
+                     row[0] = std::int64_t(i);
+                     row[1] = std::int64_t(i % std::max(vehicles_, 1u));
+                     row[2] = std::int64_t(100 + i % 900);
+                     row[3] = std::int64_t(i % 8);
+                 });
+    db_.bulkLoad(orders_t_, orders_, populateBatchRows,
+                 [this](std::uint64_t i, Row &row) {
+                     row[0] = std::int64_t(i);
+                     row[1] = std::int64_t(i % std::max(customers_, 1u));
+                     row[2] = std::int64_t(i % std::max(vehicles_, 1u));
+                     row[3] = std::int64_t(1 + i % 4);
+                     row[4] = std::int64_t(0);
+                 });
+    db_.bulkLoad(workorder_t_, workorders_, populateBatchRows,
+                 [this](std::uint64_t i, Row &row) {
+                     row[0] = std::int64_t(i);
+                     row[1] = std::int64_t(i % std::max(inventory_, 1u));
+                     row[2] = std::int64_t(1 + i % 8);
+                     row[3] = std::int64_t(0);
+                 });
     next_order_id_ = orders_;
     next_workorder_id_ = workorders_;
 

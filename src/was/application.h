@@ -113,7 +113,7 @@ class Jas2004Application
     ZipfSampler inventory_keys_;
 
     void createSchema();
-    void populate(double injection_rate);
+    void populate();
 
     TxnDbOutcome runBrowse();
     TxnDbOutcome runPurchase();

@@ -83,6 +83,21 @@ TEST_F(DatabaseTest, SecondaryIndexSelect)
     EXPECT_EQ(cost.rows, 2u);
 }
 
+TEST_F(DatabaseTest, SecondaryIndexCreatedTwiceIndexesEachRowOnce)
+{
+    const TxnId txn = db_.begin();
+    db_.insert(txn, table_, order(1, 0));
+    db_.insert(txn, table_, order(2, 0));
+    db_.insert(txn, table_, order(3, 1));
+    db_.insert(txn, table_, order(4, 2));
+    db_.commit(txn);
+    db_.createSecondaryIndex(table_, "customer_id");
+    db_.createSecondaryIndex(table_, "customer_id");
+    DbCost cost;
+    EXPECT_EQ(db_.selectBySecondary(table_, "customer_id", 0, cost).size(),
+              2u);
+}
+
 TEST_F(DatabaseTest, SecondaryIndexFollowsUpdates)
 {
     db_.createSecondaryIndex(table_, "customer_id");

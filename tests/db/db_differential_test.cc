@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "db/buffer_pool.h"
+#include "db/flat_map.h"
 #include "db/index.h"
 #include "db/table.h"
 #include "reference_db.h"
@@ -317,6 +318,46 @@ TEST(IndexDifferentialTest, UniqueIndexKeepsADenseRunAndACountingTail)
           default: ASSERT_EQ(expected.find(key), actual.find(key)); break;
         }
         ASSERT_EQ(expected.size(), actual.size());
+    }
+}
+
+TEST(IndexDifferentialTest, ReservedFlatMapMatchesAGrownOne)
+{
+    // Reserved for exactly the keys it gets, a map has the capacity
+    // that growth reaches and answers every lookup the same: for the
+    // populated shape (keys 0..n-1) and for distinct keys at random.
+    for (std::uint64_t seed = 0; seed <= 4; ++seed) {
+        Rng rng(seed);
+        for (const std::size_t n : {1, 12, 13, 48, 49, 1000, 50000}) {
+            FlatMap<RowId> grown;
+            std::vector<std::pair<std::int64_t, RowId>> entries;
+            while (entries.size() < n) {
+                const std::int64_t key = seed == 0
+                    ? static_cast<std::int64_t>(entries.size())
+                    : randomKey(rng);
+                const RowId id = randomId(rng);
+                if (grown.emplace(key, id).second)
+                    entries.emplace_back(key, id);
+            }
+            FlatMap<RowId> reserved;
+            reserved.reserve(n);
+            EXPECT_EQ(reserved.capacity(), grown.capacity()) << "n " << n;
+            for (const auto &[key, id] : entries)
+                ASSERT_TRUE(reserved.emplace(key, id).second);
+            EXPECT_EQ(reserved.capacity(), grown.capacity()) << "n " << n;
+            ASSERT_EQ(reserved.size(), grown.size());
+            for (int probe = 0; probe < 2000; ++probe) {
+                const std::int64_t key = probe % 2 == 0
+                    ? entries[rng.below(n)].first
+                    : randomKey(rng);
+                const RowId *g = grown.find(key);
+                const RowId *r = reserved.find(key);
+                ASSERT_EQ(g == nullptr, r == nullptr) << "key " << key;
+                if (g) {
+                    ASSERT_EQ(*g, *r);
+                }
+            }
+        }
     }
 }
 
