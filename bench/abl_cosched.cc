@@ -28,7 +28,7 @@ runMix(bool shared_writes)
     WorkloadProfiles profiles(11);
     const AddressSpace space = profiles.makeAddressSpace(true, false);
     HierarchyConfig hc;
-    MemoryHierarchy mem(hc, 5);
+    MemoryHierarchy mem(hc);
     std::vector<std::unique_ptr<CoreModel>> cores;
     std::vector<std::unique_ptr<StreamGenerator>> gens;
     for (std::size_t c = 0; c < 4; ++c) {

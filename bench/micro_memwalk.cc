@@ -195,7 +195,7 @@ RunResult
 replay(const std::vector<Op> &ops)
 {
     const HierarchyConfig hc;
-    MemoryHierarchy mem(hc, /*seed=*/1);
+    MemoryHierarchy mem(hc);
 
     AddressSpace space;
     space.addRegion("code", codeBase, codeBytes, smallPageBytes);

@@ -1,25 +1,27 @@
 #!/usr/bin/env bash
 # Tier-1 gate: standard build + full test suite, then an
 # ASan+UBSan-instrumented build (-DJASIM_SANITIZE=ON) running the
-# net, fault, db, repl, adm, driver, core, jvm, was, sim, mem and
-# xlat test binaries, which exercise the event-queue closure graph,
-# the cluster's cross-object callback wiring, the WAL-replay/recovery
-# paths, the DB's flat tables, indexes and buffer pool (slot and
-# probe arithmetic over reused arrays, driven by Jas2004Application's
-# transactions in test_was) and its bulk load (test_db's BulkLoadTest:
-# reserved column arrays and index, pin runs, batched WAL advances,
-# against row-at-a-time inserts), the log-shipping / failover machinery,
-# the admission-control shed callbacks, the heap's sorted sweep pass
+# net, fault, db, repl, adm, driver, core, jvm, was, sim, mem, xlat
+# and branch test binaries, which exercise the event-queue closure
+# graph, the cluster's cross-object callback wiring, the
+# WAL-replay/recovery paths, the DB's flat tables, indexes and buffer
+# pool (slot and probe arithmetic over reused arrays, driven by
+# Jas2004Application's transactions in test_was) and its bulk load
+# (test_db's BulkLoadTest: reserved column arrays and index, pin runs,
+# batched WAL advances, against row-at-a-time inserts), the
+# log-shipping / failover machinery, the admission-control shed
+# callbacks, the heap's sorted sweep pass
 # (index arithmetic over a reused buffer), the Zipf sampler's guide
-# table, and the caches, presence filters and memos of the memory and
-# translation path against their reference walks (set and way
-# arithmetic over flat arrays) — the code most likely to hide lifetime
-# and bounds bugs. It then builds the benches and examples that the
-# BenchExitTest rows drive (the bench_exit_binaries target, which
-# bench/CMakeLists.txt derives from the rows) and runs those rows
-# instrumented (all but the long TooSmallHeap run), so a bad input that
-# reads out of bounds fails there under ASan, not only when it happens
-# to segfault.
+# table, the caches, presence filters and memos of the memory and
+# translation path against their reference walks, and the one LRU
+# table (sim/lru_table.h) under the ERATs, TLB, SLB, BTB and count
+# cache (set and way arithmetic over flat arrays) — the code most
+# likely to hide lifetime and bounds bugs. It then builds the benches
+# and examples that the BenchExitTest rows drive (the
+# bench_exit_binaries target, which bench/CMakeLists.txt derives from
+# the rows) and runs those rows instrumented (all but the long
+# TooSmallHeap run), so a bad input that reads out of bounds fails
+# there under ASan, not only when it happens to segfault.
 #
 # The standard stage fails if the compiler prints a warning, naming
 # the file. It sees what this run compiles, so a warning in a file an
@@ -94,7 +96,7 @@ else
     echo "== tier-1: sanitized build (ASan + UBSan) =="
     cmake -B "$SAN_BUILD" -S . -DJASIM_SANITIZE=ON >/dev/null
     cmake --build "$SAN_BUILD" -j"$JOBS" --target test_net test_fault test_db test_repl test_adm test_driver test_core test_jvm test_was test_sim test_mem test_xlat \
-        bench_exit_binaries
+        test_branch bench_exit_binaries
     "$SAN_BUILD/tests/test_net"
     "$SAN_BUILD/tests/test_fault"
     "$SAN_BUILD/tests/test_db"
@@ -107,6 +109,7 @@ else
     "$SAN_BUILD/tests/test_sim"
     "$SAN_BUILD/tests/test_mem"
     "$SAN_BUILD/tests/test_xlat"
+    "$SAN_BUILD/tests/test_branch"
     ctest --test-dir "$SAN_BUILD" --output-on-failure -j"$JOBS" \
         -R '^BenchExitTest\.' -E 'TooSmallHeap'
 fi

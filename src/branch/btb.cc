@@ -4,61 +4,6 @@
 
 namespace jasim {
 
-Btb::Btb(std::size_t entries, std::size_t ways)
-    : sets_(entries / ways), ways_(ways), table_(entries)
-{
-    assert(entries % ways == 0);
-    assert((sets_ & (sets_ - 1)) == 0);
-}
-
-std::size_t
-Btb::setOf(Addr pc) const
-{
-    return static_cast<std::size_t>((pc >> 2) & (sets_ - 1));
-}
-
-Addr
-Btb::predict(Addr pc) const
-{
-    const Entry *base = &table_[setOf(pc) * ways_];
-    for (std::size_t w = 0; w < ways_; ++w) {
-        if (base[w].valid && base[w].pc == pc)
-            return base[w].target;
-    }
-    return 0;
-}
-
-void
-Btb::update(Addr pc, Addr target)
-{
-    Entry *base = &table_[setOf(pc) * ways_];
-    ++tick_;
-    for (std::size_t w = 0; w < ways_; ++w) {
-        if (base[w].valid && base[w].pc == pc) {
-            base[w].target = target;
-            base[w].stamp = tick_;
-            return;
-        }
-    }
-    std::size_t victim = 0;
-    for (std::size_t w = 0; w < ways_; ++w) {
-        if (!base[w].valid) {
-            victim = w;
-            break;
-        }
-        if (base[w].stamp < base[victim].stamp)
-            victim = w;
-    }
-    base[victim] = Entry{pc, target, true, tick_};
-}
-
-void
-Btb::flush()
-{
-    for (auto &e : table_)
-        e.valid = false;
-}
-
 ReturnStack::ReturnStack(std::size_t depth) : stack_(depth)
 {
     assert(depth > 0);

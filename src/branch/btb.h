@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/lru_table.h"
 #include "sim/types.h"
 
 namespace jasim {
@@ -22,34 +23,30 @@ namespace jasim {
 class Btb
 {
   public:
-    Btb(std::size_t entries, std::size_t ways);
+    Btb(std::size_t entries, std::size_t ways) : table_(entries, ways) {}
 
     /**
      * Look up the predicted target for a branch at pc.
      * @return the stored target, or 0 when there is no entry.
      */
-    Addr predict(Addr pc) const;
+    Addr
+    predict(Addr pc) const
+    {
+        const Addr *target = table_.find(pc >> 2, pc);
+        return target ? *target : 0;
+    }
 
     /** Install / refresh the target for pc. */
-    void update(Addr pc, Addr target);
+    void
+    update(Addr pc, Addr target)
+    {
+        table_.access(pc >> 2, pc).value = target;
+    }
 
-    void flush();
+    void flush() { table_.flush(); }
 
   private:
-    struct Entry
-    {
-        Addr pc = 0;
-        Addr target = 0;
-        bool valid = false;
-        std::uint64_t stamp = 0;
-    };
-
-    std::size_t sets_;
-    std::size_t ways_;
-    std::vector<Entry> table_;
-    std::uint64_t tick_ = 0;
-
-    std::size_t setOf(Addr pc) const;
+    LruTable<Addr, Addr> table_; //!< pc -> target, indexed by pc >> 2
 };
 
 /** Return-address stack; call pushes, return pops. */

@@ -13,8 +13,8 @@
 #define JASIM_BRANCH_COUNT_CACHE_H
 
 #include <cstdint>
-#include <vector>
 
+#include "sim/lru_table.h"
 #include "sim/types.h"
 
 namespace jasim {
@@ -29,37 +29,53 @@ namespace jasim {
 class CountCache
 {
   public:
-    CountCache(std::size_t entries, std::size_t ways);
+    CountCache(std::size_t entries, std::size_t ways)
+        : table_(entries, ways)
+    {
+    }
 
     /** Predicted target for the indirect branch at pc (0 if none). */
-    Addr predict(Addr pc) const;
+    Addr
+    predict(Addr pc) const
+    {
+        const Target *entry = table_.find(pc >> 2, pc);
+        return entry ? entry->target : 0;
+    }
 
     /**
      * Resolve an indirect branch: updates the table.
      * @return true when the prediction matched the actual target.
      */
-    bool resolve(Addr pc, Addr actual_target);
+    bool
+    resolve(Addr pc, Addr actual_target)
+    {
+        auto [entry, hit] = table_.access(pc >> 2, pc);
+        if (!hit) {
+            // Cold entry: the prediction was necessarily wrong.
+            entry.target = actual_target;
+            return false;
+        }
+        const bool correct = entry.target == actual_target;
+        if (correct) {
+            entry.confident = true;
+        } else if (entry.confident) {
+            entry.confident = false; // first disagreement: keep target
+        } else {
+            entry.target = actual_target; // second: replace
+        }
+        return correct;
+    }
 
-    void flush();
+    void flush() { table_.flush(); }
 
   private:
-    struct Entry
+    struct Target
     {
-        Addr pc = 0;
         Addr target = 0;
-        bool valid = false;
         bool confident = false;
-        std::uint64_t stamp = 0;
     };
 
-    std::size_t sets_;
-    std::size_t ways_;
-    std::vector<Entry> table_;
-    std::uint64_t tick_ = 0;
-
-    std::size_t setOf(Addr pc) const;
-    Entry *find(Addr pc);
-    const Entry *find(Addr pc) const;
+    LruTable<Addr, Target> table_; //!< indexed by pc >> 2
 };
 
 } // namespace jasim

@@ -3,27 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <unordered_set>
 
 namespace jasim {
 
 namespace {
-
-/**
- * Tell `auditor` which Commit records a crash of `db` preserved:
- * those still retained in the WAL plus everything a checkpoint
- * already truncated as durable.
- */
-void
-noteCrashSurvivors(DurabilityAuditor &auditor, const Database &db)
-{
-    std::unordered_set<std::uint64_t> surviving;
-    for (const WalRecord &rec : db.wal().records()) {
-        if (rec.type == WalRecordType::Commit)
-            surviving.insert(rec.lsn);
-    }
-    auditor.noteCrash(surviving, db.wal().truncatedUpTo());
-}
 
 /** What a blocking ARIES recovery costs the DB node running it. */
 struct RecoveryCost
@@ -980,7 +963,7 @@ ClusterUnderTest::crashShardTier(std::size_t shard, bool torn,
     outage.phase = ShardOutage::Phase::Crashed;
     outage.crash_at = queue_.now();
     group.database().crash(torn);
-    noteCrashSurvivors(group.auditor(), group.database());
+    group.auditor().noteCrashOf(group.database());
 
     if (restart_after > 0) {
         queue_.scheduleAfter(restart_after, [this, shard] {

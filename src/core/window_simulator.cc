@@ -31,8 +31,10 @@ WindowSimulator::WindowSimulator(
                                          config.code_large_pages))
 {
     Rng seeder(seed);
-    hierarchy_ = std::make_unique<MemoryHierarchy>(config_.hierarchy,
-                                                   seeder());
+    // The first draw goes unused: taking it keeps every core and
+    // generator seed, and so every pinned digest, where it was.
+    seeder();
+    hierarchy_ = std::make_unique<MemoryHierarchy>(config_.hierarchy);
     const std::size_t cores = config_.hierarchy.cores;
     generators_.resize(cores);
     for (std::size_t core = 0; core < cores; ++core) {

@@ -476,20 +476,6 @@ Database::recover()
     RecoveryStats s;
     s.replay_bytes = wal_.retainedBytes();
 
-    // Analysis: a transaction with a Commit record is a winner;
-    // everything else is a loser.
-    std::unordered_set<TxnId> seen;
-    std::unordered_set<TxnId> winners;
-    for (const WalRecord &rec : wal_.records()) {
-        if (rec.txn == 0)
-            continue; // checkpoint bookkeeping
-        seen.insert(rec.txn);
-        if (rec.type == WalRecordType::Commit)
-            winners.insert(rec.txn);
-    }
-    s.winner_txns = winners.size();
-    s.loser_txns = seen.size() - winners.size();
-
     // Redo: repeat history. Every retained record replays unless the
     // stable page image already carries it (pageLSN guard).
     std::unordered_set<PageKey, PageKeyHash> touched;
@@ -507,17 +493,11 @@ Database::recover()
         ++s.redo_applied;
     }
 
-    // Undo losers in reverse LSN order from their before-images.
-    const std::vector<WalRecord> &recs = wal_.records();
-    for (auto it = recs.rbegin(); it != recs.rend(); ++it) {
-        const WalRecord &rec = *it;
-        if (!logical(rec) || rec.txn == 0 ||
-            winners.count(rec.txn) != 0)
-            continue;
-        ++s.undo_records;
-        undoRecord(rec);
-        touched.insert(PageKey{rec.table, rec.rid.page});
-    }
+    // Undo losers: every transaction without a Commit record.
+    const LoserPass losers = undoLosers(touched);
+    s.winner_txns = losers.winner_txns;
+    s.loser_txns = losers.loser_txns;
+    s.undo_records = losers.undo_records;
 
     rebuildIndexes();
 
@@ -527,11 +507,7 @@ Database::recover()
     for (const PageKey &key : touched)
         flushPageToStable(key, nullptr);
     s.pages_flushed = touched.size();
-    wal_.append(0, WalRecordType::BeginCheckpoint, 8);
-    const std::uint64_t end_lsn =
-        wal_.append(0, WalRecordType::EndCheckpoint, 8);
-    s.checkpoint_bytes = wal_.force();
-    wal_.truncate(end_lsn);
+    s.checkpoint_bytes = closingCheckpoint();
     crashed_ = false;
     return s;
 }
@@ -560,27 +536,9 @@ Database::failoverTo(std::uint64_t watermark)
 
     // Transactions still open at the watermark are losers on the
     // promoted timeline: undo their retained records in reverse.
-    std::unordered_set<TxnId> seen;
-    std::unordered_set<TxnId> winners;
-    for (const WalRecord &rec : recs) {
-        if (rec.lsn > watermark)
-            break;
-        if (rec.txn == 0)
-            continue;
-        seen.insert(rec.txn);
-        if (rec.type == WalRecordType::Commit)
-            winners.insert(rec.txn);
-    }
-    s.loser_txns = seen.size() - winners.size();
-    for (auto it = recs.rbegin(); it != recs.rend(); ++it) {
-        const WalRecord &rec = *it;
-        if (rec.lsn > watermark || !logical(rec) || rec.txn == 0 ||
-            winners.count(rec.txn) != 0)
-            continue;
-        ++s.undo_records;
-        undoRecord(rec);
-        touched.insert(PageKey{rec.table, rec.rid.page});
-    }
+    const LoserPass losers = undoLosers(touched, watermark);
+    s.loser_txns = losers.loser_txns;
+    s.undo_records = losers.undo_records;
 
     // The unshipped tail never happened on the promoted timeline.
     s.discarded_records = wal_.discardAbove(watermark);
@@ -620,11 +578,7 @@ Database::failoverTo(std::uint64_t watermark)
     active_.clear();
     pool_.clear();
 
-    wal_.append(0, WalRecordType::BeginCheckpoint, 8);
-    const std::uint64_t end_lsn =
-        wal_.append(0, WalRecordType::EndCheckpoint, 8);
-    s.checkpoint_bytes = wal_.force();
-    wal_.truncate(end_lsn);
+    s.checkpoint_bytes = closingCheckpoint();
     last_commit_lsn_ = std::min(last_commit_lsn_, watermark);
     return s;
 }
@@ -637,6 +591,48 @@ Database::undoRecord(const WalRecord &rec)
         tbl.eraseAt(rec.rid);
     else
         tbl.setRowAt(rec.rid, *rec.undo);
+}
+
+Database::LoserPass
+Database::undoLosers(std::unordered_set<PageKey, PageKeyHash> &touched,
+                     std::uint64_t watermark)
+{
+    LoserPass pass;
+    const std::vector<WalRecord> &recs = wal_.records();
+    std::unordered_set<TxnId> seen;
+    std::unordered_set<TxnId> winners;
+    for (const WalRecord &rec : recs) {
+        if (rec.lsn > watermark)
+            break;
+        if (rec.txn == 0)
+            continue; // checkpoint bookkeeping
+        seen.insert(rec.txn);
+        if (rec.type == WalRecordType::Commit)
+            winners.insert(rec.txn);
+    }
+    pass.winner_txns = winners.size();
+    pass.loser_txns = seen.size() - winners.size();
+    for (auto it = recs.rbegin(); it != recs.rend(); ++it) {
+        const WalRecord &rec = *it;
+        if (rec.lsn > watermark || !logical(rec) || rec.txn == 0 ||
+            winners.count(rec.txn) != 0)
+            continue;
+        ++pass.undo_records;
+        undoRecord(rec);
+        touched.insert(PageKey{rec.table, rec.rid.page});
+    }
+    return pass;
+}
+
+std::uint64_t
+Database::closingCheckpoint()
+{
+    wal_.append(0, WalRecordType::BeginCheckpoint, 8);
+    const std::uint64_t end_lsn =
+        wal_.append(0, WalRecordType::EndCheckpoint, 8);
+    const std::uint64_t forced = wal_.force();
+    wal_.truncate(end_lsn);
+    return forced;
 }
 
 void

@@ -23,10 +23,12 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "db/buffer_pool.h"
@@ -320,6 +322,30 @@ class Database
 
     /** Reverse one Insert or Update record from its undo image. */
     void undoRecord(const WalRecord &rec);
+
+    /** What one loser pass found and rolled back. */
+    struct LoserPass
+    {
+        std::uint64_t winner_txns = 0;
+        std::uint64_t loser_txns = 0;
+        std::uint64_t undo_records = 0;
+    };
+
+    /**
+     * Loser pass over the retained WAL up to `watermark`: a
+     * transaction with a Commit record at or below it is a winner;
+     * undo every other transaction's logical records at or below it,
+     * newest first, adding each page undone to `touched`.
+     */
+    LoserPass undoLosers(
+        std::unordered_set<PageKey, PageKeyHash> &touched,
+        std::uint64_t watermark = std::numeric_limits<std::uint64_t>::max());
+
+    /**
+     * Log an empty Begin/EndCheckpoint pair, force it and truncate
+     * the WAL through it; returns the bytes forced.
+     */
+    std::uint64_t closingCheckpoint();
 
     void rebuildIndexes();
 };

@@ -31,6 +31,17 @@ DurabilityAuditor::noteCrash(
     pending_.clear();
 }
 
+void
+DurabilityAuditor::noteCrashOf(const Database &db, std::uint64_t watermark)
+{
+    std::unordered_set<std::uint64_t> surviving;
+    for (const WalRecord &rec : db.wal().records()) {
+        if (rec.type == WalRecordType::Commit && rec.lsn <= watermark)
+            surviving.insert(rec.lsn);
+    }
+    noteCrash(surviving, db.wal().truncatedUpTo());
+}
+
 AuditReport
 DurabilityAuditor::audit(const Database &db,
                          std::uint32_t audit_table) const

@@ -20,6 +20,7 @@
 #define JASIM_DB_DURABILITY_AUDIT_H
 
 #include <cstdint>
+#include <limits>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -68,6 +69,15 @@ class DurabilityAuditor
     void noteCrash(
         const std::unordered_set<std::uint64_t> &surviving_commit_lsns,
         std::uint64_t truncated_up_to);
+
+    /**
+     * noteCrash() for a crash of `db`, or for a promotion that rewinds
+     * it to `watermark`: the Commit records its WAL retains at or
+     * below `watermark` survive, as does everything it truncated.
+     */
+    void noteCrashOf(
+        const Database &db,
+        std::uint64_t watermark = std::numeric_limits<std::uint64_t>::max());
 
     /**
      * Scan the audit table post-recovery and reconcile. Callable any

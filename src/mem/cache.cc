@@ -18,10 +18,10 @@ log2Exact(std::uint64_t value)
 } // namespace
 
 SetAssocCache::SetAssocCache(const CacheGeometry &geometry,
-                             ReplacementPolicy policy, std::uint64_t seed)
+                             ReplacementPolicy policy)
     : geometry_(geometry), policy_(policy), sets_(geometry.sets()),
       line_shift_(log2Exact(geometry.line_bytes)), set_mask_(sets_ - 1),
-      lines_(sets_ * geometry.ways), way_hint_(sets_, 0), rng_(seed)
+      lines_(sets_ * geometry.ways), way_hint_(sets_, 0)
 {
     assert(sets_ > 0 && "geometry must yield at least one set");
     assert((sets_ & (sets_ - 1)) == 0 && "set count must be a power of two");
@@ -94,8 +94,6 @@ SetAssocCache::victimWay(std::uint64_t set)
     auto eligible = [&](std::uint32_t w) {
         return !restrict_to_data || base[w].kind == LineKind::Data;
     };
-    if (policy_ == ReplacementPolicy::Random && !restrict_to_data)
-        return static_cast<std::size_t>(rng_.below(geometry_.ways));
     // FIFO and LRU both evict the smallest stamp; the difference is
     // whether hits refresh the stamp (LRU) or not (FIFO).
     std::size_t victim = geometry_.ways;

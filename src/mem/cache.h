@@ -27,7 +27,6 @@
 #include <optional>
 #include <vector>
 
-#include "sim/rng.h"
 #include "sim/types.h"
 
 namespace jasim {
@@ -36,7 +35,7 @@ namespace jasim {
 enum class MesiState : std::uint8_t { Invalid, Shared, Exclusive, Modified };
 
 /** Replacement policies supported by SetAssocCache. */
-enum class ReplacementPolicy : std::uint8_t { FIFO, LRU, Random };
+enum class ReplacementPolicy : std::uint8_t { FIFO, LRU };
 
 /** What a cached line holds (for instruction-aware replacement). */
 enum class LineKind : std::uint8_t { Data, Instruction };
@@ -74,8 +73,7 @@ struct CacheAccessResult
 class SetAssocCache
 {
   public:
-    SetAssocCache(const CacheGeometry &geometry, ReplacementPolicy policy,
-                  std::uint64_t seed = 0);
+    SetAssocCache(const CacheGeometry &geometry, ReplacementPolicy policy);
 
     const CacheGeometry &geometry() const { return geometry_; }
 
@@ -183,7 +181,6 @@ class SetAssocCache
     std::uint64_t epoch_ = 0;
     std::vector<std::uint16_t> presence_;
     std::uint64_t presence_mask_ = 0;
-    Rng rng_;
 
     std::uint64_t setIndex(Addr addr) const
     {

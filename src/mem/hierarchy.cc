@@ -27,33 +27,31 @@ dataSourceName(DataSource source)
     return "?";
 }
 
-MemoryHierarchy::MemoryHierarchy(const HierarchyConfig &config,
-                                 std::uint64_t seed)
+MemoryHierarchy::MemoryHierarchy(const HierarchyConfig &config)
     : config_(config), hot_(config.cores)
 {
     assert(config.cores % config.cores_per_chip == 0);
     assert(config.chips() % config.chips_per_mcm == 0);
 
-    Rng seeder(seed);
     for (std::size_t c = 0; c < config.cores; ++c) {
         l1i_.push_back(std::make_unique<SetAssocCache>(
-            config.l1i, ReplacementPolicy::LRU, seeder()));
+            config.l1i, ReplacementPolicy::LRU));
         l1d_.push_back(std::make_unique<SetAssocCache>(
-            config.l1d, ReplacementPolicy::FIFO, seeder()));
+            config.l1d, ReplacementPolicy::FIFO));
         prefetcher_.push_back(
             std::make_unique<StreamPrefetcher>(config.l1d.line_bytes));
     }
     std::vector<SetAssocCache *> l2_raw;
     for (std::size_t chip = 0; chip < config.chips(); ++chip) {
         l2_.push_back(std::make_unique<SetAssocCache>(
-            config.l2, ReplacementPolicy::LRU, seeder()));
+            config.l2, ReplacementPolicy::LRU));
         l2_.back()->setInstructionFriendly(
             config.l2_instruction_friendly);
         l2_raw.push_back(l2_.back().get());
     }
     for (std::size_t m = 0; m < config.mcms(); ++m) {
         l3_.push_back(std::make_unique<SetAssocCache>(
-            config.l3, ReplacementPolicy::LRU, seeder()));
+            config.l3, ReplacementPolicy::LRU));
     }
     bus_ = std::make_unique<MesiBus>(std::move(l2_raw));
 

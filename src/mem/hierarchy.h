@@ -95,8 +95,7 @@ struct MemAccessOutcome
 class MemoryHierarchy
 {
   public:
-    explicit MemoryHierarchy(const HierarchyConfig &config,
-                             std::uint64_t seed = 1);
+    explicit MemoryHierarchy(const HierarchyConfig &config);
 
     const HierarchyConfig &config() const { return config_; }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <unordered_set>
 
 #include "repl/replicated_db.h"
 #include "sim/types.h"
@@ -20,26 +19,6 @@ failoverKindName(FailoverKind kind)
     }
     return "?";
 }
-
-namespace {
-
-/** Settle the durability audit at the promotion watermark. */
-void
-settleAuditAt(ShardGroup &group, std::uint64_t watermark)
-{
-    // Commits the promoted side holds durably survive, everything
-    // above W is wiped with the deposed primary. Sync mode acked only
-    // at or below W, so a lost *acked* commit here is a real bug.
-    std::unordered_set<std::uint64_t> surviving;
-    for (const WalRecord &rec : group.database().wal().records()) {
-        if (rec.type == WalRecordType::Commit && rec.lsn <= watermark)
-            surviving.insert(rec.lsn);
-    }
-    group.auditor().noteCrash(surviving,
-                              group.database().wal().truncatedUpTo());
-}
-
-} // namespace
 
 void
 FailoverController::promote(ShardGroup &group, FailoverOutcome out,
@@ -106,7 +85,10 @@ FailoverController::primaryCrashed(std::size_t shard, ShardGroup &group,
     }
 
     group.beginBlackout();
-    settleAuditAt(group, out.watermark);
+    // Commits the promoted side holds durably survive, everything
+    // above W is wiped with the deposed primary. Sync mode acked only
+    // at or below W, so a lost *acked* commit here is a real bug.
+    group.auditor().noteCrashOf(group.database(), out.watermark);
     promote(group, out, secs(config_.detect_s), done);
     return true;
 }
@@ -138,7 +120,7 @@ FailoverController::partitionPromote(std::size_t shard, ShardGroup &group,
     }
 
     group.beginBlackout();
-    settleAuditAt(group, out.watermark);
+    group.auditor().noteCrashOf(group.database(), out.watermark);
     // Detection latency was already paid by the lease monitor's
     // cadence (lapse + detect before it may promote), so the
     // promotion work starts immediately.
@@ -198,7 +180,7 @@ FailoverController::plannedSwitchover(std::size_t shard,
             }
 
             group.beginBlackout();
-            settleAuditAt(group, out.watermark);
+            group.auditor().noteCrashOf(group.database(), out.watermark);
             group.endDrain();
             promote(group, out, 0, done);
         });

@@ -15,29 +15,6 @@ drawExponential(Rng &rng, double rate)
     return -std::log(1.0 - rng.uniform()) / rate;
 }
 
-std::uint64_t
-drawPoisson(Rng &rng, double mean)
-{
-    assert(mean >= 0.0);
-    if (mean <= 0.0)
-        return 0;
-    if (mean < 30.0) {
-        // Knuth's multiplication method.
-        const double limit = std::exp(-mean);
-        double product = rng.uniform();
-        std::uint64_t count = 0;
-        while (product > limit) {
-            ++count;
-            product *= rng.uniform();
-        }
-        return count;
-    }
-    // Normal approximation for large means; adequate for workload
-    // arrival batching where mean is O(10^2..10^4).
-    const double draw = drawNormal(rng, mean, std::sqrt(mean));
-    return draw <= 0.0 ? 0 : static_cast<std::uint64_t>(draw + 0.5);
-}
-
 double
 drawNormal(Rng &rng, double mean, double stddev)
 {

@@ -22,9 +22,6 @@ namespace jasim {
 /** Exponential draw with the given rate (events per unit time). */
 double drawExponential(Rng &rng, double rate);
 
-/** Poisson draw with the given mean (Knuth for small, PTRS not needed). */
-std::uint64_t drawPoisson(Rng &rng, double mean);
-
 /** Normal draw via Box-Muller (single value; no caching). */
 double drawNormal(Rng &rng, double mean, double stddev);
 

@@ -42,34 +42,4 @@ pearson(const TimeSeries &x, const TimeSeries &y)
     return pearson(x.values(), y.values());
 }
 
-LinearFit
-fitLinear(const std::vector<double> &x, const std::vector<double> &y)
-{
-    assert(x.size() == y.size());
-    LinearFit fit;
-    const std::size_t n = x.size();
-    if (n < 2)
-        return fit;
-
-    double mean_x = 0.0, mean_y = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-        mean_x += x[i];
-        mean_y += y[i];
-    }
-    mean_x /= static_cast<double>(n);
-    mean_y /= static_cast<double>(n);
-
-    double sxy = 0.0, sxx = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-        sxy += (x[i] - mean_x) * (y[i] - mean_y);
-        sxx += (x[i] - mean_x) * (x[i] - mean_x);
-    }
-    if (sxx != 0.0) {
-        fit.slope = sxy / sxx;
-        fit.intercept = mean_y - fit.slope * mean_x;
-    }
-    fit.r = pearson(x, y);
-    return fit;
-}
-
 } // namespace jasim

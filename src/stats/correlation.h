@@ -30,20 +30,6 @@ double pearson(const std::vector<double> &x, const std::vector<double> &y);
 /** Pearson correlation of two series (values only; sizes must match). */
 double pearson(const TimeSeries &x, const TimeSeries &y);
 
-/**
- * Ordinary-least-squares slope/intercept fit, reported alongside r in
- * correlation tables to make the sign of the relationship concrete.
- */
-struct LinearFit
-{
-    double slope = 0.0;
-    double intercept = 0.0;
-    double r = 0.0;
-};
-
-LinearFit fitLinear(const std::vector<double> &x,
-                    const std::vector<double> &y);
-
 } // namespace jasim
 
 #endif // JASIM_STATS_CORRELATION_H

@@ -61,36 +61,4 @@ PercentileTracker::max() const
     return *std::max_element(samples_.begin(), samples_.end());
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0)
-{
-    assert(hi > lo && bins > 0);
-}
-
-void
-Histogram::add(double sample)
-{
-    double idx = (sample - lo_) / width_;
-    if (idx < 0.0)
-        idx = 0.0;
-    std::size_t bin = static_cast<std::size_t>(idx);
-    if (bin >= counts_.size())
-        bin = counts_.size() - 1;
-    ++counts_[bin];
-    ++total_;
-}
-
-double
-Histogram::binLow(std::size_t bin) const
-{
-    return lo_ + width_ * static_cast<double>(bin);
-}
-
-double
-Histogram::binHigh(std::size_t bin) const
-{
-    return lo_ + width_ * static_cast<double>(bin + 1);
-}
-
 } // namespace jasim

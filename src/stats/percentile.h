@@ -55,28 +55,6 @@ class PercentileTracker
     void ensureSorted() const;
 };
 
-/** Histogram with fixed-width bins, used for pause-time summaries. */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, std::size_t bins);
-
-    void add(double sample);
-
-    std::size_t binCount(std::size_t bin) const { return counts_[bin]; }
-    std::size_t bins() const { return counts_.size(); }
-    std::size_t total() const { return total_; }
-
-    double binLow(std::size_t bin) const;
-    double binHigh(std::size_t bin) const;
-
-  private:
-    double lo_;
-    double width_;
-    std::vector<std::size_t> counts_;
-    std::size_t total_ = 0;
-};
-
 } // namespace jasim
 
 #endif // JASIM_STATS_PERCENTILE_H

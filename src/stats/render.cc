@@ -167,28 +167,6 @@ TextTable::print(std::ostream &os) const
 }
 
 void
-writeCsv(std::ostream &os, const std::vector<TimeSeries> &series)
-{
-    os << "time_s";
-    for (const auto &s : series)
-        os << "," << s.name();
-    os << "\n";
-    std::size_t rows = 0;
-    for (const auto &s : series)
-        rows = std::max(rows, s.size());
-    for (std::size_t i = 0; i < rows; ++i) {
-        if (!series.empty() && i < series[0].size())
-            os << toSeconds(series[0].time(i));
-        for (const auto &s : series) {
-            os << ",";
-            if (i < s.size())
-                os << s.value(i);
-        }
-        os << "\n";
-    }
-}
-
-void
 renderBarChart(std::ostream &os,
                const std::vector<std::pair<std::string, double>> &bars,
                double lo, double hi, std::size_t width)

@@ -58,12 +58,6 @@ class TextTable
     std::vector<std::vector<std::string>> rows_;
 };
 
-/**
- * Write series as CSV (time_s, one column per series) for downstream
- * plotting; series are aligned by index (they share window times).
- */
-void writeCsv(std::ostream &os, const std::vector<TimeSeries> &series);
-
 /** Horizontal bar chart for correlation figures (values in [-1, 1]). */
 void renderBarChart(std::ostream &os,
                     const std::vector<std::pair<std::string, double>> &bars,

@@ -1,29 +1,9 @@
 #include "stats/smoothing.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
 
 namespace jasim {
-
-std::vector<double>
-movingAverage(const std::vector<double> &values, std::size_t window)
-{
-    assert(window >= 1);
-    std::vector<double> out(values.size());
-    const std::ptrdiff_t half = static_cast<std::ptrdiff_t>(window / 2);
-    const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(values.size());
-    for (std::ptrdiff_t i = 0; i < n; ++i) {
-        const std::ptrdiff_t lo = std::max<std::ptrdiff_t>(0, i - half);
-        const std::ptrdiff_t hi = std::min<std::ptrdiff_t>(n - 1, i + half);
-        double sum = 0.0;
-        for (std::ptrdiff_t j = lo; j <= hi; ++j)
-            sum += values[static_cast<std::size_t>(j)];
-        out[static_cast<std::size_t>(i)] =
-            sum / static_cast<double>(hi - lo + 1);
-    }
-    return out;
-}
 
 namespace {
 

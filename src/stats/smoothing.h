@@ -4,8 +4,7 @@
  *
  * The paper's Figure 7 is explicitly Bezier-smoothed; we provide the
  * same (a global Bezier curve evaluated with De Casteljau over the
- * sample points, as gnuplot's `smooth bezier` does) plus a moving
- * average for general use.
+ * sample points, as gnuplot's `smooth bezier` does).
  */
 
 #ifndef JASIM_STATS_SMOOTHING_H
@@ -17,10 +16,6 @@
 #include "stats/time_series.h"
 
 namespace jasim {
-
-/** Centered moving average with the given odd window (clamped edges). */
-std::vector<double> movingAverage(const std::vector<double> &values,
-                                  std::size_t window);
 
 /**
  * Bezier smoothing: treat samples as control points of one Bezier

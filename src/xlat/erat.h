@@ -13,9 +13,11 @@
 #ifndef JASIM_XLAT_ERAT_H
 #define JASIM_XLAT_ERAT_H
 
+#include <bit>
+#include <cassert>
 #include <cstdint>
-#include <vector>
 
+#include "sim/lru_table.h"
 #include "sim/types.h"
 
 namespace jasim {
@@ -32,47 +34,44 @@ class Erat
      * @param granule_bytes translation granule (4 KB on POWER4).
      */
     Erat(std::size_t entries, std::size_t ways,
-         std::uint64_t granule_bytes = 4096);
+         std::uint64_t granule_bytes = 4096)
+        : granule_shift_(
+              static_cast<unsigned>(std::countr_zero(granule_bytes))),
+          table_(entries, ways)
+    {
+        assert(std::has_single_bit(granule_bytes));
+    }
 
     /** Probe-and-fill: true on hit; a miss installs the granule. */
-    bool access(Addr addr);
+    bool
+    access(Addr addr)
+    {
+        const Addr granule = granuleOf(addr);
+        return table_.access(granule, granule).hit;
+    }
 
     /** Probe only. */
-    bool probe(Addr addr) const;
+    bool
+    probe(Addr addr) const
+    {
+        const Addr granule = granuleOf(addr);
+        return table_.find(granule, granule) != nullptr;
+    }
 
     /** Invalidate everything (context switch / page-size change). */
-    void flush();
+    void flush() { table_.flush(); }
 
-    std::size_t entries() const { return sets_ * ways_; }
+    std::size_t entries() const { return table_.entries(); }
 
     /** Translation granule an address falls in. */
     Addr granuleOf(Addr addr) const { return addr >> granule_shift_; }
 
-    /**
-     * Casualty epoch: bumped on every install (an entry was replaced)
-     * and on flush, never on a plain hit. A granule that hit while the
-     * epoch is unchanged is provably still resident, which lets callers
-     * memoize consecutive repeat translations (translation_unit.cc).
-     */
-    std::uint64_t epoch() const { return epoch_; }
+    /** Casualty epoch: bumped on installs and flush (see LruTable). */
+    std::uint64_t epoch() const { return table_.epoch(); }
 
   private:
-    struct Entry
-    {
-        Addr tag = 0;
-        bool valid = false;
-        std::uint64_t stamp = 0;
-    };
-
-    std::size_t sets_;
-    std::size_t ways_;
-    std::uint64_t granule_bytes_;
-    unsigned granule_shift_; //!< log2(granule_bytes_), hot-path shift
-    std::vector<Entry> table_;
-    std::uint64_t tick_ = 0;
-    std::uint64_t epoch_ = 0;
-
-    std::size_t setOf(Addr granule) const;
+    unsigned granule_shift_; //!< log2(granule bytes), hot-path shift
+    LruTable<Addr> table_;   //!< keyed and indexed by granule
 };
 
 } // namespace jasim

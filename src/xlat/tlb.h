@@ -12,8 +12,8 @@
 #define JASIM_XLAT_TLB_H
 
 #include <cstdint>
-#include <vector>
 
+#include "sim/lru_table.h"
 #include "xlat/address_space.h"
 
 namespace jasim {
@@ -22,37 +22,41 @@ namespace jasim {
 class Tlb
 {
   public:
-    Tlb(std::size_t entries, std::size_t ways);
+    Tlb(std::size_t entries, std::size_t ways) : table_(entries, ways) {}
 
     /** Probe-and-fill by page identity; true on hit. */
-    bool access(const PageId &page);
+    bool
+    access(const PageId &page)
+    {
+        return table_.access(pageNumber(page), page).hit;
+    }
 
     /** Probe only. */
-    bool probe(const PageId &page) const;
+    bool
+    probe(const PageId &page) const
+    {
+        return table_.find(pageNumber(page), page) != nullptr;
+    }
 
-    void flush();
+    void flush() { table_.flush(); }
 
-    std::size_t entries() const { return sets_ * ways_; }
+    std::size_t entries() const { return table_.entries(); }
 
-    /** Casualty epoch: bumped on installs and flush (see Erat). */
-    std::uint64_t epoch() const { return epoch_; }
+    /** Casualty epoch: bumped on installs and flush (see LruTable). */
+    std::uint64_t epoch() const { return table_.epoch(); }
 
   private:
-    struct Entry
+    LruTable<PageId> table_;
+
+    /**
+     * Set index: consecutive pages spread over sets; large pages have
+     * sparse page numbers, which is fine.
+     */
+    static std::uint64_t
+    pageNumber(const PageId &page)
     {
-        Addr base = 0;
-        std::uint64_t bytes = 0;
-        bool valid = false;
-        std::uint64_t stamp = 0;
-    };
-
-    std::size_t sets_;
-    std::size_t ways_;
-    std::vector<Entry> table_;
-    std::uint64_t tick_ = 0;
-    std::uint64_t epoch_ = 0;
-
-    std::size_t setOf(const PageId &page) const;
+        return page.base / page.bytes;
+    }
 };
 
 /**
@@ -64,24 +68,21 @@ class Tlb
 class Slb
 {
   public:
-    explicit Slb(std::size_t entries = 64);
+    /** Fully associative: one set of `entries` ways. */
+    explicit Slb(std::size_t entries = 64) : table_(entries, entries) {}
 
-    bool access(Addr addr);
+    bool
+    access(Addr addr)
+    {
+        return table_.access(0, addr / segmentBytes).hit;
+    }
 
-    void flush();
+    void flush() { table_.flush(); }
 
     static constexpr std::uint64_t segmentBytes = 256ull * 1024 * 1024;
 
   private:
-    struct Entry
-    {
-        Addr segment = 0;
-        bool valid = false;
-        std::uint64_t stamp = 0;
-    };
-
-    std::vector<Entry> table_;
-    std::uint64_t tick_ = 0;
+    LruTable<Addr> table_; //!< keyed by segment number
 };
 
 } // namespace jasim

@@ -101,10 +101,13 @@ TEST(CacheTest, FlushEmptiesCache)
 
 TEST(CacheTest, CapacityNeverExceeded)
 {
-    SetAssocCache cache(smallGeometry(), ReplacementPolicy::Random, 1);
-    for (Addr a = 0; a < 64 * 1024; a += 64)
-        cache.access(a, true);
-    EXPECT_LE(cache.validLines(), 16u); // 8 sets x 2 ways
+    for (const auto policy :
+         {ReplacementPolicy::LRU, ReplacementPolicy::FIFO}) {
+        SetAssocCache cache(smallGeometry(), policy);
+        for (Addr a = 0; a < 64 * 1024; a += 64)
+            cache.access(a, true);
+        EXPECT_LE(cache.validLines(), 16u); // 8 sets x 2 ways
+    }
 }
 
 TEST(CacheTest, LineAddrMasksOffset)

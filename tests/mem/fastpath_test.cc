@@ -434,7 +434,7 @@ TEST(HierarchyFastpathTest, OutcomesBitIdenticalOnVsOff)
     std::uint64_t filter_skips = 0;
     for (const Script &script : scripts()) {
         SCOPED_TRACE(script.name);
-        MemoryHierarchy fast(script.config, /*seed=*/7);
+        MemoryHierarchy fast(script.config);
         ref::MemoryHierarchy plain(script.config);
         for (std::size_t i = 0; i < script.ops.size(); ++i) {
             const Op &op = script.ops[i];

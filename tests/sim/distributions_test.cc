@@ -28,34 +28,6 @@ TEST(DistributionsTest, ExponentialNonNegative)
         ASSERT_GE(drawExponential(rng, 0.5), 0.0);
 }
 
-TEST(DistributionsTest, PoissonSmallMean)
-{
-    Rng rng(3);
-    const double mean = 3.5;
-    double sum = 0.0;
-    const int n = 100000;
-    for (int i = 0; i < n; ++i)
-        sum += static_cast<double>(drawPoisson(rng, mean));
-    EXPECT_NEAR(sum / n, mean, 0.05);
-}
-
-TEST(DistributionsTest, PoissonLargeMeanUsesApproximation)
-{
-    Rng rng(4);
-    const double mean = 200.0;
-    double sum = 0.0;
-    const int n = 20000;
-    for (int i = 0; i < n; ++i)
-        sum += static_cast<double>(drawPoisson(rng, mean));
-    EXPECT_NEAR(sum / n, mean, 2.0);
-}
-
-TEST(DistributionsTest, PoissonZeroMean)
-{
-    Rng rng(5);
-    EXPECT_EQ(drawPoisson(rng, 0.0), 0u);
-}
-
 TEST(DistributionsTest, NormalMoments)
 {
     Rng rng(6);

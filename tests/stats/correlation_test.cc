@@ -74,39 +74,5 @@ TEST_P(CorrelationBoundsTest, AlwaysWithinBounds)
 INSTANTIATE_TEST_SUITE_P(Seeds, CorrelationBoundsTest,
                          ::testing::Range(1, 21));
 
-TEST(LinearFitTest, RecoversLine)
-{
-    std::vector<double> x, y;
-    for (int i = 0; i < 50; ++i) {
-        x.push_back(i);
-        y.push_back(3.0 * i + 7.0);
-    }
-    const LinearFit fit = fitLinear(x, y);
-    EXPECT_NEAR(fit.slope, 3.0, 1e-9);
-    EXPECT_NEAR(fit.intercept, 7.0, 1e-9);
-    EXPECT_NEAR(fit.r, 1.0, 1e-9);
-}
-
-double
-drawNormalish(Rng &rng)
-{
-    double sum = 0.0;
-    for (int i = 0; i < 12; ++i)
-        sum += rng.uniform();
-    return sum - 6.0;
-}
-
-TEST(LinearFitTest, NoisyLineStillClose)
-{
-    Rng rng(5);
-    std::vector<double> x, y;
-    for (int i = 0; i < 5000; ++i) {
-        x.push_back(rng.uniform(0, 100));
-        y.push_back(2.0 * x.back() + drawNormalish(rng));
-    }
-    const LinearFit fit = fitLinear(x, y);
-    EXPECT_NEAR(fit.slope, 2.0, 0.05);
-}
-
 } // namespace
 } // namespace jasim

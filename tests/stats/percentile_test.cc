@@ -43,28 +43,5 @@ TEST(PercentileTest, MeanAndMax)
     EXPECT_DOUBLE_EQ(t.max(), 6.0);
 }
 
-TEST(HistogramTest, BinningAndClamping)
-{
-    Histogram h(0.0, 10.0, 5);
-    h.add(0.5);   // bin 0
-    h.add(3.0);   // bin 1
-    h.add(9.99);  // bin 4
-    h.add(-5.0);  // clamped to bin 0
-    h.add(100.0); // clamped to bin 4
-    EXPECT_EQ(h.binCount(0), 2u);
-    EXPECT_EQ(h.binCount(1), 1u);
-    EXPECT_EQ(h.binCount(4), 2u);
-    EXPECT_EQ(h.total(), 5u);
-}
-
-TEST(HistogramTest, BinBounds)
-{
-    Histogram h(10.0, 20.0, 4);
-    EXPECT_DOUBLE_EQ(h.binLow(0), 10.0);
-    EXPECT_DOUBLE_EQ(h.binHigh(0), 12.5);
-    EXPECT_DOUBLE_EQ(h.binLow(3), 17.5);
-    EXPECT_DOUBLE_EQ(h.binHigh(3), 20.0);
-}
-
 } // namespace
 } // namespace jasim

@@ -63,21 +63,6 @@ TEST(RenderChartTest, MultipleSeriesDistinctGlyphs)
     EXPECT_NE(out.find('+'), std::string::npos);
 }
 
-TEST(WriteCsvTest, HeaderAndRows)
-{
-    TimeSeries a("cpi"), b("spec");
-    a.append(secs(1), 3.0);
-    a.append(secs(2), 3.5);
-    b.append(secs(1), 2.2);
-    b.append(secs(2), 2.4);
-    std::ostringstream os;
-    writeCsv(os, {a, b});
-    const std::string out = os.str();
-    EXPECT_NE(out.find("time_s,cpi,spec"), std::string::npos);
-    EXPECT_NE(out.find("1,3,2.2"), std::string::npos);
-    EXPECT_NE(out.find("2,3.5,2.4"), std::string::npos);
-}
-
 TEST(RenderBarChartTest, ZeroLineAndValues)
 {
     std::ostringstream os;

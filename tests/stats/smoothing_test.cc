@@ -7,30 +7,6 @@
 namespace jasim {
 namespace {
 
-TEST(MovingAverageTest, FlatSeriesUnchanged)
-{
-    const std::vector<double> flat(10, 3.0);
-    const auto out = movingAverage(flat, 5);
-    for (double v : out)
-        EXPECT_DOUBLE_EQ(v, 3.0);
-}
-
-TEST(MovingAverageTest, WindowOneIsIdentity)
-{
-    const std::vector<double> in{1, 5, 2, 8};
-    EXPECT_EQ(movingAverage(in, 1), in);
-}
-
-TEST(MovingAverageTest, SmoothsSpike)
-{
-    std::vector<double> in(11, 0.0);
-    in[5] = 10.0;
-    const auto out = movingAverage(in, 5);
-    EXPECT_NEAR(out[5], 2.0, 1e-12);
-    EXPECT_NEAR(out[3], 2.0, 1e-12); // spike within window
-    EXPECT_DOUBLE_EQ(out[0], 0.0);
-}
-
 TEST(BezierSmoothTest, EndpointsPreserved)
 {
     const std::vector<double> in{1.0, 9.0, 3.0, 7.0, 5.0};
